@@ -6,7 +6,10 @@ The tracer rebinds the module attributes that callers look up at run time
 originals back on exit, so ``src/`` stays untouched.  Spans (name, start,
 end, parent, counts) are kept in memory and summarised at the end: busy
 time, calls and self time per span name and per layer, plus the counts the
-wrappers take from each call's arguments and result.
+wrappers take from each call's arguments and result.  Each installation of
+the tracer is a segment (one pass of the workload, or one input build), and
+the summaries are per round of passes and per build, so they do not grow
+with the number of passes that fit in a run.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager, nullcontext
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +42,15 @@ class Span:
     counts: dict = field(default_factory=dict)
 
 
+@dataclass(slots=True)
+class Segment:
+    """The spans recorded while the tracer was installed once."""
+
+    group: str  # the pass's group, or Tracer.BUILD for an input build
+    first: int  # index of its first span
+    end: int = 0  # one past its last span
+
+
 def _rss_bytes() -> int:
     with open("/proc/self/statm", encoding="ascii") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
@@ -46,7 +59,7 @@ def _rss_bytes() -> int:
 class RssSampler:
     """Peak resident set size of this process while the block runs."""
 
-    def __init__(self, interval_s: float = 0.002) -> None:
+    def __init__(self, interval_s: float = 0.025) -> None:
         self.interval_s = interval_s
         self.peak = 0
         self._stop = threading.Event()
@@ -149,8 +162,11 @@ BINDINGS = (
 
 
 class Tracer:
+    BUILD = "build"
+
     def __init__(self) -> None:
         self.spans: list[Span] = []
+        self.segments: list[Segment] = []
         self._stack: list[int] = []
         self._saved: list[tuple] = []
 
@@ -190,10 +206,12 @@ class Tracer:
         setattr(module, attr, wrapped)
 
     @contextmanager
-    def installed(self):
-        """Rebind every traced name for the duration of the block."""
+    def installed(self, group: str = ""):
+        """Rebind every traced name for the duration of the block, which is
+        one segment; a pass's group can be set on the segment once known."""
         if self._saved:
             raise RuntimeError("tracer already installed")
+        segment = Segment(group, len(self.spans))
         try:
             for module_name, attr, name, counts in BINDINGS:
                 original = getattr(importlib.import_module(module_name), attr)
@@ -202,11 +220,13 @@ class Tracer:
             # per-epoch val eval nests a linkeval.evaluate span in its own
             evaluate = importlib.import_module("splitmetric.linkeval").evaluate
             self._bind("splitmetric.trainer", "evaluate", self.wrap(evaluate, "trainer.val_eval"))
-            yield self
+            yield segment
         finally:
             for module, attr, original in reversed(self._saved):
                 setattr(module, attr, original)
             self._saved.clear()
+            segment.end = len(self.spans)
+            self.segments.append(segment)
 
     # -- summaries --------------------------------------------------------
 
@@ -217,65 +237,81 @@ class Tracer:
                 own[s.parent] -= s.end - s.start
         return own
 
-    def by_name(self) -> dict:
-        """name -> {"s", "self_s", "calls", summed counts}."""
+    def summary(self, segments) -> dict:
+        """Span name or layer -> {"s", "self_s", "calls", counts}, per round:
+        the mean over each group's segments, summed over the groups.
+
+        A layer's busy time `s` counts its outermost spans only.
+        """
+        own = self.self_times()
+        per_group = Counter(seg.group for seg in segments)
         table: dict = {}
-        for span, own in zip(self.spans, self.self_times()):
-            row = table.setdefault(span.name, {"s": 0.0, "self_s": 0.0, "calls": 0})
-            row["s"] += span.end - span.start
-            row["self_s"] += own
-            row["calls"] += 1
-            for key, value in span.counts.items():
-                if key == "peak_rss":
-                    row[key] = max(row.get(key, 0), value)
+
+        def add(key, values, weight):
+            row = table.setdefault(key, {})
+            for name, value in values.items():
+                if name == "peak_rss":
+                    row[name] = max(row.get(name, 0), value)
                 else:
-                    row[key] = row.get(key, 0) + value
+                    row[name] = row.get(name, 0) + weight * value
+
+        for seg in segments:
+            weight = 1 / per_group[seg.group]
+            for i in range(seg.first, seg.end):
+                span = self.spans[i]
+                dt = span.end - span.start
+                add(span.name, {"s": dt, "self_s": own[i], "calls": 1, **span.counts}, weight)
+                layer = span.name.split(".", 1)[0]
+                outer = span.parent < 0 or self.spans[span.parent].name.split(".", 1)[0] != layer
+                add(layer, {"s": dt if outer else 0.0, "self_s": own[i]}, weight)
         return table
 
-    def by_layer(self) -> dict:
-        """layer -> busy time (its outermost spans) and self time."""
-        table = {layer: {"s": 0.0, "self_s": 0.0} for layer in LAYERS}
-        for span, own in zip(self.spans, self.self_times()):
-            layer = span.name.split(".", 1)[0]
-            table[layer]["self_s"] += own
-            if span.parent < 0 or self.spans[span.parent].name.split(".", 1)[0] != layer:
-                table[layer]["s"] += span.end - span.start
-        return table
-
-    def loss_latencies_ms(self) -> dict:
+    def loss_latencies_ms(self, segments) -> dict:
         """(kind, batch rows) -> call durations in ms."""
         out: dict = {}
-        for span in self.spans:
-            if span.name.startswith("losses."):
-                key = (span.name.split(".", 1)[1], span.counts["rows"])
-                out.setdefault(key, []).append(1e3 * (span.end - span.start))
+        for seg in segments:
+            for span in self.spans[seg.first:seg.end]:
+                if span.name.startswith("losses."):
+                    key = (span.name.split(".", 1)[1], span.counts["rows"])
+                    out.setdefault(key, []).append(1e3 * (span.end - span.start))
         return out
 
     def dump(self, path) -> None:
-        """All spans as JSON lines: name, start, end, parent, counts."""
+        """All spans as JSON lines: segment group, name, start, end, parent, counts."""
         with open(path, "w", encoding="utf-8") as fh:
-            for s in self.spans:
-                fh.write(json.dumps({"name": s.name, "start": s.start, "end": s.end,
-                                     "parent": s.parent, "counts": s.counts}) + "\n")
+            for seg in self.segments:
+                for s in self.spans[seg.first:seg.end]:
+                    fh.write(json.dumps({"group": seg.group, "name": s.name, "start": s.start,
+                                         "end": s.end, "parent": s.parent,
+                                         "counts": s.counts}) + "\n")
+
+
+SETUP_SPANS = ("synth.generate", "splitgen.generate_splits", "splitgen.verify_splits",
+               "trainer.forward")
 
 
 def per_layer_metrics(tracer: Tracer, overhead_s: float, untraced_s: float) -> dict:
-    """The per-layer metrics a traced run reports, every name always present."""
-    names = tracer.by_name()
-    layers = tracer.by_layer()
+    """The per-layer metrics a traced run reports, every name always present.
 
-    def get(name, key):
-        return names.get(name, {}).get(key, 0)
+    Times and counts are per round of traced passes (one pass of each group),
+    except the `setup.*` ones, which are per traced input build.
+    """
+    passes = [seg for seg in tracer.segments if seg.group not in ("", Tracer.BUILD)]
+    builds = [seg for seg in tracer.segments if seg.group == Tracer.BUILD]
+    rounds = tracer.summary(passes)
+    per_build = tracer.summary(builds)
+
+    def get(name, key, table=rounds):
+        return table.get(name, {}).get(key, 0)
 
     m: dict = {}
 
     def put(key, value, unit):
-        m[key] = {"value": float(value) if unit in ("s", "ms", "MB", "ratio") else int(value),
-                  "unit": unit}
+        m[key] = {"value": float(value), "unit": unit}
 
     for layer in LAYERS:
-        put(f"{layer}.s", layers[layer]["s"], "s")
-        put(f"{layer}.self_s", layers[layer]["self_s"], "s")
+        put(f"{layer}.s", get(layer, "s"), "s")
+        put(f"{layer}.self_s", get(layer, "self_s"), "s")
     put("trainer.train.s", get("trainer.train", "s"), "s")
     put("trainer.train.self_s", get("trainer.train", "self_s"), "s")
     put("trainer.sample_batch.s", get("trainer.sample_batch", "s"), "s")
@@ -285,7 +321,7 @@ def per_layer_metrics(tracer: Tracer, overhead_s: float, untraced_s: float) -> d
     put("trainer.forward.s", get("trainer.forward", "s"), "s")
     put("trainer.head_backward.s", get("trainer.head_backward", "s"), "s")
     put("trainer.val_eval.s", get("trainer.val_eval", "s"), "s")
-    latencies = tracer.loss_latencies_ms()
+    latencies = tracer.loss_latencies_ms(passes)
     for kind in LOSS_KINDS:
         put(f"losses.{kind}.s", get(f"losses.{kind}", "s"), "s")
         put(f"losses.{kind}.calls", get(f"losses.{kind}", "calls"), "count")
@@ -317,7 +353,12 @@ def per_layer_metrics(tracer: Tracer, overhead_s: float, untraced_s: float) -> d
         put(f"catalog.{op}.s", get(f"catalog.{op}", "s"), "s")
     for command in CLI_COMMANDS:
         put(f"cli.{command}.s", get(f"cli.{command}", "s"), "s")
-    put("trace.spans", len(tracer.spans), "count")
+    roots = sum(s.end - s.start for seg in builds for s in tracer.spans[seg.first:seg.end]
+                if s.parent < 0)
+    put("setup.s", roots / len(builds) if builds else 0.0, "s")
+    for name in SETUP_SPANS:
+        put(f"setup.{name}.s", get(name, "s", per_build), "s")
+    put("trace.spans", sum(row.get("calls", 0) for row in rounds.values()), "count")
     put("trace.overhead_s", overhead_s, "s")
     put("trace.overhead_ratio", overhead_s / untraced_s if untraced_s else 0.0, "ratio")
     return m

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 -m pytest -q perfbench
 
-Inputs must repeat exactly from a seed, and a planted wrong answer must
-count as a failed operation.
+Inputs must repeat exactly from a seed, a planted wrong answer must count as
+a failed operation, and per-layer figures must not grow with the number of
+traced passes.
 """
 
 import shutil
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import spans
 import workloads
 from splitmetric import catalog, linkeval, losses
 
@@ -103,6 +105,23 @@ def test_changed_output_in_a_later_sweep_is_a_failed_operation(tmp_path):
                                                       result.grad_embeddings, result.grad_aux))
     workload.check_pass(p, tally)
     assert tally.failed == {op}
+
+
+def test_per_layer_figures_are_per_round_and_per_build(tmp_path):
+    workload = workloads.LossKernels(0, tmp_path)
+    tracer = spans.Tracer()
+    with tracer.installed(tracer.BUILD):
+        workload.make_inputs(0)
+    calls = []
+    for _ in range(2):
+        with tracer.installed() as segment:
+            p = workload.run_pass(workloads.Tally())
+        segment.group = p.group
+        metrics = spans.per_layer_metrics(tracer, 0.0, 1.0)
+        calls.append(metrics["losses.triplet.calls"]["value"])
+    assert calls == [len(workloads.LOSS_SHAPES) * workloads.LOSS_SWEEPS] * 2
+    assert metrics["setup.synth.generate.s"]["value"] > 0
+    assert metrics["synth.generate.s"]["value"] == 0
 
 
 def test_refuses_to_run_without_the_sources(tmp_path):

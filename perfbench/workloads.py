@@ -39,7 +39,7 @@ KNN_THREADS = 2
 POOL_SAMPLE = 64
 LOSS_SHAPES = ((8, 4), (16, 8))
 LOSS_D = 32
-LOSS_SWEEPS = 10
+LOSS_SWEEPS = 40
 VIEW_NOISE = 0.2
 GRAD_TOLERANCE = 1e-5
 CLI_MINE_SPLIT = "test_uu"
@@ -66,6 +66,7 @@ class Tally:
 class Pass:
     group: str
     wall: float = 0.0
+    scale: float = 1.0  # factor to the reference pace, set by the runner
     work: dict = field(default_factory=dict)  # kind -> [seconds, amount]
     outputs: dict = field(default_factory=dict)
 
