@@ -26,7 +26,6 @@ class ImageRecord:
     branch_id: str
     chain_id: str | None = None
     content_key: str | None = None
-    feature_ref: int | None = None
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,6 @@ class Catalog:
         )
 
     # -- derived views ----------------------------------------------------
-
-    def image_ids(self) -> tuple[str, ...]:
-        return tuple(r.image_id for r in self.records)
 
     def branch_of(self) -> dict[str, str]:
         return {r.image_id: r.branch_id for r in self.records}
@@ -249,7 +245,7 @@ def dedup_merge(catalog: Catalog) -> tuple[Catalog, DedupReport]:
             merged = [b for b in groups[uf.find(rec.branch_id)] if branch_chain[b] is not None]
             new_chain = branch_chain[merged[0]] if merged else None
         if new_branch != rec.branch_id or new_chain != rec.chain_id:
-            rec = ImageRecord(rec.image_id, new_branch, new_chain, rec.content_key, rec.feature_ref)
+            rec = ImageRecord(rec.image_id, new_branch, new_chain, rec.content_key)
         out_records.append(rec)
 
     report = DedupReport(

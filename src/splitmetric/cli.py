@@ -57,7 +57,7 @@ def _require_files(*paths) -> None:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("SPLITMETRIC_THREADS", "").strip()
     if env:
@@ -161,7 +161,7 @@ def cmd_train(args):
                       "features": args.features}, {"model": args.out, "history": args.history}
 
 
-def _embeddings_for_eval(args, threads):
+def _embeddings_for_eval(args):
     if args.embeddings:
         _require_files(args.embeddings)
         emb = read_embeddings(args.embeddings)
@@ -186,7 +186,7 @@ def cmd_eval(args):
     threads = _threads(args)
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    emb = _embeddings_for_eval(args, threads)
+    emb = _embeddings_for_eval(args)
     hard_pool = None
     if args.reference:
         _require_files(args.reference)
@@ -256,11 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, threads=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: SPLITMETRIC_THREADS or 1)")
+        if threads:
+            p.add_argument("--threads", type=int, default=None,
+                           help="k-NN worker threads (default: SPLITMETRIC_THREADS or 1)")
         return p
 
     p = add("synth", cmd_synth, "generate a synthetic catalog + feature matrix")
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="model.toy1")
     p.add_argument("--history", default="history.csv")
 
-    p = add("eval", cmd_eval, "R@1 / AUC / AUC_H for an embedding on a split")
+    p = add("eval", cmd_eval, "R@1 / AUC / AUC_H for an embedding on a split", threads=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--embeddings", default=None, help="precomputed EMB1 matrix")
     p.add_argument("--model", default=None, help="TOY1 checkpoint (with --features)")
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hard-k", type=int, default=10)
     p.add_argument("--out", default="metrics.json")
 
-    p = add("mine", cmd_mine, "export per-image hard-negative pools as JSON")
+    p = add("mine", cmd_mine, "export per-image hard-negative pools as JSON", threads=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--splits", default=None)
@@ -360,15 +361,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "eval" and not args.embeddings and not args.model:
             raise UsageError("eval needs --embeddings or --model/--features")
-        if args.command == "eval" and bool(args.split) != bool(args.splits):
-            raise UsageError("--split and --splits go together")
-        if args.command == "mine" and bool(args.split) != bool(args.splits):
+        if "split" in vars(args) and bool(args.split) != bool(args.splits):
             raise UsageError("--split and --splits go together")
         primary, inputs, outputs = args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DOMAIN_ERRORS as exc:

@@ -1,4 +1,4 @@
-"""Embedding matrix I/O, L2 normalization, and exact cosine k-NN.
+"""Embedding matrix I/O, unit-row normalization, and exact cosine k-NN.
 
 Binary layout (little-endian): magic ``EMB1``, u32 N, u32 d, then N*d float32
 values row-major.  Image ids live in a companion text file ``<path>.ids``,
@@ -38,6 +38,9 @@ class EmbeddingMatrix:
             raise EmbedStoreError(f"{len(self.ids)} ids for {data.shape[0]} rows")
         if len(set(self.ids)) != len(self.ids):
             raise EmbedStoreError("ids must be unique")
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            raise EmbedStoreError(f"row {np.flatnonzero(~finite)[0]} has non-finite values")
         object.__setattr__(self, "data", data)
         if self.normalized and data.shape[0]:
             norms = np.linalg.norm(data.astype(np.float64), axis=1)
@@ -68,7 +71,6 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True, slots=True)
 class NeighborList:
-    query_ids: tuple[str, ...]
     indices: np.ndarray  # Q x k gallery row indices
     similarities: np.ndarray  # Q x k, descending per row
     neighbor_ids: tuple[tuple[str, ...], ...]
@@ -110,23 +112,21 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(ids, data.copy())
 
 
-def l2_normalize(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    data = matrix.data.astype(np.float64)
-    norms = np.linalg.norm(data, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise EmbedStoreError(f"cannot normalize zero row {zero[0]}")
-    out = (data / norms[:, None]).astype(np.float32)
-    return EmbeddingMatrix(matrix.ids, out, normalized=True)
+def unit_rows(rows) -> np.ndarray:
+    """``rows`` in float64, scaled to unit L2 norm along the last axis.
 
-
-def _unit_rows(matrix: EmbeddingMatrix) -> np.ndarray:
-    data = matrix.data.astype(np.float64)
-    norms = np.linalg.norm(data, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
+    A zero or non-finite row has no direction and raises.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    flat = norms.reshape(-1)
+    zero = np.flatnonzero(flat == 0.0)
     if zero.size:
-        raise EmbedStoreError(f"zero row {zero[0]} has no cosine direction")
-    return data / norms[:, None]
+        raise EmbedStoreError(f"zero row {zero[0]} has no direction")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise EmbedStoreError(f"non-finite row {bad[0]} has no direction")
+    return x / norms
 
 
 def cosine_knn(
@@ -144,8 +144,8 @@ def cosine_knn(
     available = gallery.n - (1 if exclude_self else 0)
     if k > available:
         raise EmbedStoreError(f"k={k} exceeds {available} available gallery rows")
-    q = _unit_rows(queries)
-    g = _unit_rows(gallery)
+    q = unit_rows(queries.data)
+    g = unit_rows(gallery.data)
     self_row: dict[int, int] = {}
     if exclude_self:
         gallery_row = gallery.row_of()
@@ -179,4 +179,4 @@ def cosine_knn(
             run(c)
 
     neighbor_ids = tuple(tuple(gallery.ids[j] for j in indices[i]) for i in range(n_q))
-    return NeighborList(tuple(queries.ids), indices, sims, neighbor_ids)
+    return NeighborList(indices, sims, neighbor_ids)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedstore import EmbeddingMatrix, cosine_knn
+from .embedstore import EmbeddingMatrix, cosine_knn, unit_rows
 
 
 class EvalError(ValueError):
@@ -94,6 +94,8 @@ def auroc(pos_scores, neg_scores) -> float:
     neg = np.asarray(neg_scores, dtype=np.float64).reshape(-1)
     if pos.size == 0 or neg.size == 0:
         raise EvalError("auroc needs at least one score on each side")
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise EvalError("auroc scores must be finite")
     scores = np.concatenate([pos, neg])
     order = np.argsort(scores, kind="mergesort")
     sv = scores[order]
@@ -208,9 +210,7 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
     hits = sum(1 for i in eligible if branches[knn.indices[i, 0]] == branches[i])
     r_at_1 = hits / len(eligible)
 
-    data = embeddings.data.astype(np.float64)
-    norms = np.linalg.norm(data, axis=1, keepdims=True)
-    unit = data / np.maximum(norms, 1e-30)
+    unit = unit_rows(embeddings.data)
     row_of = {image_id: i for i, image_id in enumerate(ids)}
 
     def auc_over_repeats(hard_pool):

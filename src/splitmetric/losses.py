@@ -16,17 +16,23 @@ Defaults not determined by our training setup are the published ones.  All
 reductions run in float64 with a fixed ascending-index order; softmax-like
 sums are log-sum-exp stabilized.  Degenerate batches (no usable pair) return
 exactly zero with zero gradients instead of raising.
+
+``LOSSES`` is the one place a loss kind is registered: its kernel, its bank
+type and its kink distance for the gradient checker, and whether it trains on
+two noisy views.  ``LOSS_KINDS``, ``compute_loss``, ``finite_diff_check`` and
+the trainer all read it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-LOSS_KINDS = ("triplet", "circle", "multisim", "supcon", "proxynca", "softtriple")
+from .embedstore import unit_rows
 
 
 class LossError(ValueError):
@@ -112,6 +118,11 @@ class ProxyBank:
             raise LossError("proxy bank must be C x d")
         object.__setattr__(self, "vectors", v)
 
+    @classmethod
+    def seeded(cls, class_means: np.ndarray, params: LossParams, rng) -> "ProxyBank":
+        """One proxy per class at its unit class mean."""
+        return cls(class_means)
+
 
 @dataclass(frozen=True, eq=False)
 class CenterBank:
@@ -122,6 +133,13 @@ class CenterBank:
         if v.ndim != 3:
             raise LossError("center bank must be C x J x d")
         object.__setattr__(self, "vectors", v)
+
+    @classmethod
+    def seeded(cls, class_means: np.ndarray, params: LossParams, rng) -> "CenterBank":
+        """softtriple_centers jittered unit copies of each unit class mean."""
+        c, d = class_means.shape
+        jitter = 0.01 * rng.standard_normal((c, params.softtriple_centers, d))
+        return cls(unit_rows(class_means[:, None, :] + jitter))
 
 
 def _zero(batch: Batch, aux_shape: tuple[int, ...] | None = None) -> LossResult:
@@ -217,7 +235,6 @@ def multisim_loss(batch: Batch, params: LossParams) -> LossResult:
 
     per_anchor: list[float] = []
     g = np.zeros_like(s)
-    g_rows: list[int] = []
     for i in range(b):
         if not (pos[i].any() and neg[i].any()):
             continue
@@ -239,7 +256,6 @@ def multisim_loss(batch: Batch, params: LossParams) -> LossResult:
             row += ln / beta
             g[i][keep_n] += w_n
         per_anchor.append(row)
-        g_rows.append(i)
     if not per_anchor:
         return _zero(batch)
     m_count = len(per_anchor)
@@ -274,30 +290,40 @@ def supcon_loss(batch: Batch, params: LossParams) -> LossResult:
     return LossResult(float(value), grad)
 
 
+def _check_bank(batch: Batch, vectors: np.ndarray, name: str) -> None:
+    """The bank's d matches the batch and it has a row for every label."""
+    emb, labels = batch.embeddings, batch.labels
+    if emb.shape[1] != vectors.shape[-1]:
+        raise LossError(f"embedding d={emb.shape[1]} vs {name} d={vectors.shape[-1]}")
+    n_classes = vectors.shape[0]
+    if labels.min() < 0 or labels.max() >= n_classes:
+        missing = sorted(set(labels.tolist()) - set(range(n_classes)))
+        raise LossError(f"missing {name} for label(s) {missing}")
+
+
+def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the labelled logits, and softmax - onehot."""
+    rows = np.arange(labels.shape[0])
+    shift = logits - logits.max(axis=1, keepdims=True)
+    ex = np.exp(shift)
+    softmax = ex / ex.sum(axis=1, keepdims=True)
+    logp = shift[rows, labels] - np.log(ex.sum(axis=1))
+    onehot = np.zeros_like(logits)
+    onehot[rows, labels] = 1.0
+    return float(-np.mean(logp)), softmax - onehot
+
+
 def proxynca_loss(batch: Batch, proxies: ProxyBank, params: LossParams) -> LossResult:
     emb, labels = batch.embeddings, batch.labels
     p = proxies.vectors
-    if emb.shape[1] != p.shape[1]:
-        raise LossError(f"embedding d={emb.shape[1]} vs proxy d={p.shape[1]}")
-    n_classes = p.shape[0]
-    if labels.min() < 0 or labels.max() >= n_classes:
-        missing = sorted(set(labels.tolist()) - set(range(n_classes)))
-        raise LossError(f"missing proxy for label(s) {missing}")
+    _check_bank(batch, p, "proxy")
     t = params.proxynca_temperature
     b = batch.size
 
     diff = emb[:, None, :] - p[None, :, :]  # B x C x d
     d2 = np.sum(diff * diff, axis=2)
-    logits = -d2 / t
-    shift = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shift)
-    softmax = ex / ex.sum(axis=1, keepdims=True)
-    logp = shift[np.arange(b), labels] - np.log(ex.sum(axis=1))
-    value = float(-np.mean(logp))
-
-    onehot = np.zeros_like(logits)
-    onehot[np.arange(b), labels] = 1.0
-    dd2 = -(softmax - onehot) / (t * b)
+    value, resid = _softmax_xent(-d2 / t, labels)
+    dd2 = -resid / (t * b)
     grad_emb = 2.0 * np.einsum("ic,icd->id", dd2, diff)
     grad_prox = -2.0 * np.einsum("ic,icd->cd", dd2, diff)
     return LossResult(value, grad_emb, grad_prox)
@@ -306,12 +332,8 @@ def proxynca_loss(batch: Batch, proxies: ProxyBank, params: LossParams) -> LossR
 def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> LossResult:
     emb, labels = batch.embeddings, batch.labels
     w = centers.vectors  # C x J x d
-    if emb.shape[1] != w.shape[2]:
-        raise LossError(f"embedding d={emb.shape[1]} vs center d={w.shape[2]}")
+    _check_bank(batch, w, "centers")
     n_classes, n_centers = w.shape[0], w.shape[1]
-    if labels.min() < 0 or labels.max() >= n_classes:
-        missing = sorted(set(labels.tolist()) - set(range(n_classes)))
-        raise LossError(f"missing centers for label(s) {missing}")
     lam, gamma = params.softtriple_lambda, params.softtriple_gamma
     delta, tau_reg = params.softtriple_delta, params.softtriple_tau_reg
     b = batch.size
@@ -324,17 +346,9 @@ def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> Lo
     sim = np.sum(r * q, axis=2)  # relaxed per-class similarity
 
     z = lam * sim
-    rows = np.arange(b)
-    z[rows, labels] -= lam * delta
-    zshift = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(zshift)
-    softmax = ez / ez.sum(axis=1, keepdims=True)
-    logp = zshift[rows, labels] - np.log(ez.sum(axis=1))
-    value = float(-np.mean(logp))
-
-    onehot = np.zeros_like(z)
-    onehot[rows, labels] = 1.0
-    dz = (softmax - onehot) / b
+    z[np.arange(b), labels] -= lam * delta
+    value, resid = _softmax_xent(z, labels)
+    dz = resid / b
     dsim = lam * dz
     dq = dsim[:, :, None] * r * (1.0 + (q - sim[:, :, None]) / gamma)
     grad_emb = np.einsum("icj,cjd->id", dq, w)
@@ -356,6 +370,86 @@ def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> Lo
     return LossResult(value, grad_emb, grad_w)
 
 
+# -- kink distances: how far (in similarity units) a batch and bank sit from
+# the loss's nearest non-smooth point, for the gradient checker -------------
+
+
+def _smooth(batch: Batch, params: LossParams, bank) -> float:
+    return np.inf
+
+
+def _triplet_kink(batch: Batch, params: LossParams, bank) -> float:
+    emb = batch.embeddings
+    pos, neg = _masks(batch.labels)
+    s = emb @ emb.T
+    h = s[:, None, :] - s[:, :, None] + params.triplet_margin
+    valid = pos[:, :, None] & neg[:, None, :]
+    return float(np.min(np.abs(h[valid]))) if valid.any() else np.inf
+
+
+def _circle_kink(batch: Batch, params: LossParams, bank) -> float:
+    emb = batch.embeddings
+    _, neg = _masks(batch.labels)
+    s = emb @ emb.T
+    return float(np.min(np.abs(s[neg] + params.circle_m))) if neg.any() else np.inf
+
+
+def _multisim_kink(batch: Batch, params: LossParams, bank) -> float:
+    emb = batch.embeddings
+    pos, neg = _masks(batch.labels)
+    s = emb @ emb.T
+    eps = params.multisim_epsilon
+    dist = np.inf
+    for i in range(batch.size):
+        if not (pos[i].any() and neg[i].any()):
+            continue
+        min_pos = float(np.min(s[i][pos[i]]))
+        max_neg = float(np.max(s[i][neg[i]]))
+        dist = min(dist, float(np.min(np.abs(s[i][neg[i]] - (min_pos - eps)))))
+        dist = min(dist, float(np.min(np.abs(s[i][pos[i]] - (max_neg + eps)))))
+    return dist
+
+
+def _softtriple_kink(batch: Batch, params: LossParams, bank: CenterBank) -> float:
+    w = bank.vectors
+    worst = 0.05  # sqrt(2-2t) below this makes the regularizer too curved to difference
+    for j in range(w.shape[1]):
+        for jj in range(j + 1, w.shape[1]):
+            dots = np.einsum("cd,cd->c", w[:, j, :], w[:, jj, :])
+            chord = float(np.min(np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))))
+            if chord < worst:
+                return 0.0
+    return np.inf
+
+
+@dataclass(frozen=True)
+class LossSpec:
+    kernel: Callable  # (batch, params), or (batch, bank, params) when bank is set
+    bank: type | None  # ProxyBank or CenterBank; its ``seeded`` builds the initial bank
+    kink: Callable  # (batch, params, bank) -> distance to the nearest non-smooth point
+    two_views: bool = False  # train on two noisy views of every sample
+
+
+LOSSES = {
+    "triplet": LossSpec(triplet_loss, None, _triplet_kink),
+    "circle": LossSpec(circle_loss, None, _circle_kink),
+    "multisim": LossSpec(multisim_loss, None, _multisim_kink),
+    "supcon": LossSpec(supcon_loss, None, _smooth, two_views=True),
+    "proxynca": LossSpec(proxynca_loss, ProxyBank, _smooth),
+    "softtriple": LossSpec(softtriple_loss, CenterBank, _softtriple_kink),
+}
+LOSS_KINDS = tuple(LOSSES)
+
+
+def _spec(kind: str, bank) -> LossSpec:
+    spec = LOSSES.get(kind)
+    if spec is None:
+        raise LossError(f"unknown loss kind {kind!r}")
+    if spec.bank is not None and not isinstance(bank, spec.bank):
+        raise LossError(f"{kind} needs a {spec.bank.__name__}")
+    return spec
+
+
 def compute_loss(
     kind: str,
     batch: Batch,
@@ -363,65 +457,13 @@ def compute_loss(
     bank: ProxyBank | CenterBank | None = None,
 ) -> LossResult:
     """Dispatch by lowercase loss token."""
-    if kind == "triplet":
-        return triplet_loss(batch, params)
-    if kind == "circle":
-        return circle_loss(batch, params)
-    if kind == "multisim":
-        return multisim_loss(batch, params)
-    if kind == "supcon":
-        return supcon_loss(batch, params)
-    if kind == "proxynca":
-        if not isinstance(bank, ProxyBank):
-            raise LossError("proxynca needs a ProxyBank")
-        return proxynca_loss(batch, bank, params)
-    if kind == "softtriple":
-        if not isinstance(bank, CenterBank):
-            raise LossError("softtriple needs a CenterBank")
-        return softtriple_loss(batch, bank, params)
-    raise LossError(f"unknown loss kind {kind!r}")
+    spec = _spec(kind, bank)
+    if spec.bank is None:
+        return spec.kernel(batch, params)
+    return spec.kernel(batch, bank, params)
 
 
 # -- finite-difference verification --------------------------------------
-
-
-def _kink_distance(kind: str, batch: Batch, params: LossParams, bank) -> float:
-    """Distance (in similarity units) to the nearest non-smooth point."""
-    emb, labels = batch.embeddings, batch.labels
-    pos, neg = _masks(labels)
-    s = emb @ emb.T
-    dist = np.inf
-    if kind == "triplet":
-        h = s[:, None, :] - s[:, :, None] + params.triplet_margin
-        valid = pos[:, :, None] & neg[:, None, :]
-        if valid.any():
-            dist = float(np.min(np.abs(h[valid])))
-    elif kind == "circle":
-        if neg.any():
-            dist = float(np.min(np.abs(s[neg] + params.circle_m)))
-    elif kind == "multisim":
-        eps = params.multisim_epsilon
-        for i in range(batch.size):
-            if not (pos[i].any() and neg[i].any()):
-                continue
-            min_pos = float(np.min(s[i][pos[i]]))
-            max_neg = float(np.max(s[i][neg[i]]))
-            dist = min(dist, float(np.min(np.abs(s[i][neg[i]] - (min_pos - eps)))))
-            dist = min(dist, float(np.min(np.abs(s[i][pos[i]] - (max_neg + eps)))))
-    elif kind == "softtriple" and isinstance(bank, CenterBank) and bank.vectors.shape[1] >= 2:
-        w = bank.vectors
-        worst = 0.05  # sqrt(2-2t) below this makes the regularizer too curved to difference
-        for j in range(w.shape[1]):
-            for jj in range(j + 1, w.shape[1]):
-                dots = np.einsum("cd,cd->c", w[:, j, :], w[:, jj, :])
-                chord = float(np.min(np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))))
-                if chord < worst:
-                    return 0.0
-    return dist
-
-
-def _unit(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def finite_diff_check(
@@ -431,7 +473,6 @@ def finite_diff_check(
     eps: float = 1e-5,
     bank: ProxyBank | CenterBank | None = None,
     rng: np.random.Generator | None = None,
-    max_resamples: int = 50,
 ) -> float:
     """Relative error between analytic and central-difference gradients.
 
@@ -441,30 +482,23 @@ def finite_diff_check(
     per-coordinate quotient would demand more absolute precision than the
     float64 difference quotient can deliver on near-zero coordinates.)
     Batches (and banks) sitting closer to a hinge/mining kink than the
-    difference step can resolve are redrawn from ``rng`` first.
+    difference step can resolve are redrawn from ``rng`` first, up to 50 times.
     """
+    spec = _spec(kind, bank)
     if rng is None:
         rng = np.random.default_rng(0)
     window = max(1e-6, 4.0 * eps)
-    for _ in range(max_resamples):
-        if _kink_distance(kind, batch, params, bank) >= window:
+    for _ in range(50):
+        if spec.kink(batch, params, bank) >= window:
             break
-        fresh = _unit(rng.standard_normal(batch.embeddings.shape))
-        batch = Batch(fresh, batch.labels)
-        if isinstance(bank, ProxyBank):
-            bank = ProxyBank(_unit(rng.standard_normal(bank.vectors.shape)))
-        elif isinstance(bank, CenterBank):
-            c, j, d = bank.vectors.shape
-            bank = CenterBank(_unit(rng.standard_normal((c * j, d))).reshape(c, j, d))
+        batch = Batch(unit_rows(rng.standard_normal(batch.embeddings.shape)), batch.labels)
+        if bank is not None:
+            bank = type(bank)(unit_rows(rng.standard_normal(bank.vectors.shape)))
 
     result = compute_loss(kind, batch, params, bank)
 
     def value_at(emb: np.ndarray, aux: np.ndarray | None) -> float:
-        local_bank = bank
-        if aux is not None and isinstance(bank, ProxyBank):
-            local_bank = ProxyBank(aux)
-        elif aux is not None and isinstance(bank, CenterBank):
-            local_bank = CenterBank(aux)
+        local_bank = bank if aux is None else type(bank)(aux)
         return compute_loss(kind, Batch(emb, batch.labels), params, local_bank).value
 
     def sweep(base: np.ndarray, is_aux: bool) -> np.ndarray:

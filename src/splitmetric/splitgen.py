@@ -234,20 +234,13 @@ def generate_splits(catalog: Catalog, config: SplitConfig) -> SplitAssignment:
     return SplitAssignment(assignment=assignment, config=config)
 
 
-def _split_sets(assignment: SplitAssignment) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {name: set() for name in SPLIT_NAMES}
-    for image, name in assignment.assignment.items():
-        out.setdefault(name, set()).add(image)
-    return out
-
-
 def verify_splits(catalog: Catalog, assignment: SplitAssignment) -> ConstraintReport:
     """Re-derive every structural constraint from raw sets; failures are report
     entries, never exceptions."""
     branch_of = catalog.branch_of()
     branch_chain = catalog.branch_chain_map()
     t2 = assignment.config.t2 if assignment.config is not None else 1
-    sets = _split_sets(assignment)
+    sets = {name: set(images) for name, images in assignment.by_split().items()}
 
     def branches(name: str) -> set[str]:
         return {branch_of[i] for i in sets[name] if i in branch_of}

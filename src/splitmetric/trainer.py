@@ -2,8 +2,9 @@
 
 The head is layernorm (affine-free) -> linear projection -> L2 normalize,
 trained on raw synthetic features with class-balanced m x k batches and plain
-SGD with momentum.  Proxy/center banks, where a loss has them, take their own
-learning rate without momentum and are re-normalized after every step.
+SGD with momentum.  Proxy/center banks, where a loss has them, start at the
+initial head's class-mean directions, take their own learning rate without
+momentum and are re-normalized after every step.
 Model selection monitors R@1 on the val_ss split.
 """
 
@@ -16,18 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedstore import EmbeddingMatrix
+from .embedstore import EmbeddingMatrix, unit_rows
 from .linkeval import EvalOptions, LinkOracle, evaluate
-from .losses import (
-    LOSS_KINDS,
-    Batch,
-    CenterBank,
-    LossParams,
-    ProxyBank,
-    compute_loss,
-)
+from .losses import LOSSES, Batch, CenterBank, LossParams, ProxyBank, compute_loss
 
 MODEL_MAGIC = b"TOY1"
+LN_EPS = 1e-5  # layernorm variance floor; TOY1 does not store it
 
 
 class TrainError(ValueError):
@@ -38,7 +33,6 @@ class TrainError(ValueError):
 class ToyModel:
     weight: np.ndarray  # d_out x d_in
     bias: np.ndarray  # d_out
-    ln_eps: float = 1e-5
 
     def __post_init__(self) -> None:
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -59,19 +53,19 @@ class ToyModel:
         return self.weight.shape[0]
 
     def copy(self) -> "ToyModel":
-        return ToyModel(self.weight.copy(), self.bias.copy(), self.ln_eps)
+        return ToyModel(self.weight.copy(), self.bias.copy())
 
 
-def init_model(d_in: int, d_out: int, seed: int, ln_eps: float = 1e-5) -> ToyModel:
+def init_model(d_in: int, d_out: int, seed: int) -> ToyModel:
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     weight = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
-    return ToyModel(weight, np.zeros(d_out), ln_eps)
+    return ToyModel(weight, np.zeros(d_out))
 
 
-def _layernorm(features: np.ndarray, eps: float) -> np.ndarray:
+def _layernorm(features: np.ndarray) -> np.ndarray:
     mu = features.mean(axis=1, keepdims=True)
     var = features.var(axis=1, keepdims=True)
-    return (features - mu) / np.sqrt(var + eps)
+    return (features - mu) / np.sqrt(var + LN_EPS)
 
 
 def forward(model: ToyModel, features: np.ndarray) -> np.ndarray:
@@ -79,7 +73,7 @@ def forward(model: ToyModel, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.d_in:
         raise TrainError(f"features must be B x {model.d_in}, got {x.shape}")
-    y = _layernorm(x, model.ln_eps) @ model.weight.T + model.bias
+    y = _layernorm(x) @ model.weight.T + model.bias
     nu = np.sqrt(np.sum(y * y, axis=1, keepdims=True) + 1e-12)
     return y / nu
 
@@ -87,7 +81,7 @@ def forward(model: ToyModel, features: np.ndarray) -> np.ndarray:
 def head_backward(model: ToyModel, features: np.ndarray, grad_embeddings: np.ndarray):
     """Gradient of the loss w.r.t. (W, b) given dL/d(normalized output)."""
     x = np.asarray(features, dtype=np.float64)
-    z = _layernorm(x, model.ln_eps)
+    z = _layernorm(x)
     y = z @ model.weight.T + model.bias
     nu = np.sqrt(np.sum(y * y, axis=1, keepdims=True) + 1e-12)
     g = np.asarray(grad_embeddings, dtype=np.float64)
@@ -147,7 +141,7 @@ class TrainConfig:
     eval_repeats: int = 3
 
     def validate(self) -> None:
-        if self.loss not in LOSS_KINDS:
+        if self.loss not in LOSSES:
             raise TrainError(f"unknown loss {self.loss!r}")
         self.params.validate()
         if self.lr <= 0:
@@ -191,7 +185,7 @@ def train_step(
     """One SGD step in place; returns the batch loss."""
     feats = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if config.loss == "supcon":
+    if LOSSES[config.loss].two_views:
         # two noisy views per sample stand in for image augmentations
         feats = np.concatenate([
             feats + config.sigma_aug * rng.standard_normal(feats.shape),
@@ -211,24 +205,9 @@ def train_step(
     model.bias -= config.lr * state.v_bias
     if state.bank is not None and result.grad_aux is not None:
         plr = config.proxy_lr if config.proxy_lr is not None else config.lr
-        vec = state.bank.vectors - plr * result.grad_aux
         # proxies live on the unit sphere; renormalize after each step
-        norms = np.sqrt(np.sum(vec * vec, axis=-1, keepdims=True))
-        vec = vec / np.maximum(norms, 1e-12)
-        state.bank = type(state.bank)(vec)
+        state.bank = type(state.bank)(unit_rows(state.bank.vectors - plr * result.grad_aux))
     return result.value
-
-
-def _init_bank(kind: str, class_means: np.ndarray, n_centers: int, rng) -> ProxyBank | CenterBank | None:
-    if kind == "proxynca":
-        return ProxyBank(class_means)
-    if kind == "softtriple":
-        c, d = class_means.shape
-        jitter = 0.01 * rng.standard_normal((c, n_centers, d))
-        vec = class_means[:, None, :] + jitter
-        vec /= np.sqrt(np.sum(vec * vec, axis=-1, keepdims=True))
-        return CenterBank(vec)
-    return None
 
 
 @dataclass(eq=False)
@@ -266,20 +245,18 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
 
     classes = sorted({oracle.branch(i) for i in train_ids})
     class_of = {b: j for j, b in enumerate(classes)}
-    means = np.zeros((len(classes), feat.shape[1]))
-    counts = np.zeros(len(classes))
-    for image_id in train_ids:
-        j = class_of[oracle.branch(image_id)]
-        means[j] += feat[row_of[image_id]]
-        counts[j] += 1
-    means /= counts[:, None]
-    means /= np.maximum(np.sqrt(np.sum(means * means, axis=1, keepdims=True)), 1e-12)
 
     rng = np.random.default_rng(config.seed & 0xFFFFFFFFFFFFFFFF)
     model = init_model(feat.shape[1], config.d_out, int(rng.integers(2**63)))
-    state = OptimizerState.for_model(
-        model, _init_bank(config.loss, means, config.params.softtriple_centers, rng)
-    )
+    bank_type = LOSSES[config.loss].bank
+    bank = None
+    if bank_type is not None:
+        # banks live in embedding space, so seed them from the head, not the raw features
+        sums = np.zeros((len(classes), config.d_out))
+        train_labels = [class_of[oracle.branch(i)] for i in train_ids]
+        np.add.at(sums, train_labels, forward(model, feat[[row_of[i] for i in train_ids]]))
+        bank = bank_type.seeded(unit_rows(sums), config.params, rng)
+    state = OptimizerState.for_model(model, bank)
     spec = BatchSpec(config.m, config.k)
     steps = config.steps_per_epoch or max(1, len(train_ids) // spec.size)
 

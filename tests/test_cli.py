@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from splitmetric.cli import main
+from splitmetric.cli import build_parser, main
+from splitmetric.losses import LOSS_KINDS
 
 
 def run(*argv):
@@ -207,6 +209,12 @@ class TestExitCodes:
             run("--version")
         assert exc.value.code == 0
 
+    def test_loss_choices_are_the_loss_table(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        loss = next(a for a in sub.choices["train"]._actions if a.dest == "loss")
+        assert tuple(loss.choices) == LOSS_KINDS
+
 
 class TestThreadsEnv:
     def test_env_thread_count_used(self, art, tmp_path, monkeypatch):
@@ -230,6 +238,21 @@ class TestThreadsEnv:
         assert run(
             "mine", "--catalog", art["catalog"], "--embeddings", art["features"],
             "--k", 3, "--threads", 1, "--out", tmp_path / "p.json",
+        ) == 0
+
+    def test_threads_only_on_knn_commands(self, art, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--catalog", art["catalog"], "--splits", art["splits"],
+                "--features", art["features"], "--threads", 2,
+                "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv")
+        assert exc.value.code == 2
+        assert run(
+            "eval", "--catalog", art["catalog"], "--embeddings", art["features"],
+            "--repeats", 1, "--threads", 2, "--out", tmp_path / "m.json",
+        ) == 0
+        assert run(
+            "mine", "--catalog", art["catalog"], "--embeddings", art["features"],
+            "--k", 3, "--threads", 2, "--out", tmp_path / "p.json",
         ) == 0
 
 

@@ -5,8 +5,8 @@ from splitmetric.embedstore import (
     EmbeddingMatrix,
     EmbedStoreError,
     cosine_knn,
-    l2_normalize,
     read_embeddings,
+    unit_rows,
     write_embeddings,
 )
 
@@ -69,6 +69,18 @@ class TestIO:
         with pytest.raises(EmbedStoreError, match="unique"):
             matrix(np.ones((2, 2)), ids=("a", "a"))
 
+    def test_non_finite_rejected(self, tmp_path):
+        with pytest.raises(EmbedStoreError, match="row 1 has non-finite"):
+            matrix([[1.0, 0.0], [np.nan, 1.0]])
+        with pytest.raises(EmbedStoreError, match="non-finite"):
+            matrix([[np.inf, 0.0]])
+        p = tmp_path / "e.emb"
+        p.write_bytes(b"EMB1" + np.array([1, 2], "<u4").tobytes()
+                      + np.array([0.5, np.nan], "<f4").tobytes())
+        (tmp_path / "e.emb.ids").write_text("a\n")
+        with pytest.raises(EmbedStoreError, match="non-finite"):
+            read_embeddings(p)
+
     def test_subset_orders_rows(self):
         m = matrix([[1, 0], [2, 0], [3, 0]], ids=("a", "b", "c"))
         s = m.subset(["c", "a"])
@@ -80,26 +92,40 @@ class TestIO:
 
 class TestNormalize:
     def test_three_four_row(self):
-        out = l2_normalize(matrix([[3.0, 4.0]]))
-        assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-7)
-        assert out.normalized
+        out = unit_rows(np.array([[3.0, 4.0]], dtype=np.float32))
+        assert out.dtype == np.float64
+        assert np.allclose(out, [[0.6, 0.8]], atol=1e-15)
+        assert matrix(out, normalized=True).normalized
 
     def test_zero_row_rejected(self):
-        with pytest.raises(EmbedStoreError, match="zero row"):
-            l2_normalize(matrix([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(EmbedStoreError, match="zero row 1"):
+            unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_non_finite_row_rejected(self):
+        with pytest.raises(EmbedStoreError, match="non-finite row 0"):
+            unit_rows(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+        with pytest.raises(EmbedStoreError, match="non-finite row 1"):
+            unit_rows(np.array([[1.0, 0.0], [np.inf, 1.0]]))
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        m = matrix(rng.standard_normal((50, 8)) * 10)
-        once = l2_normalize(m)
-        twice = l2_normalize(once)
-        assert np.max(np.abs(once.data - twice.data)) < 1e-7
+        once = unit_rows(rng.standard_normal((50, 8)) * 10)
+        twice = unit_rows(once)
+        assert np.max(np.abs(once - twice)) < 1e-15
 
     def test_unit_norms(self):
         rng = np.random.default_rng(4)
-        out = l2_normalize(matrix(rng.standard_normal((20, 6))))
-        norms = np.linalg.norm(out.data.astype(np.float64), axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-6
+        out = unit_rows(rng.standard_normal((20, 6)))
+        norms = np.linalg.norm(out, axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+    def test_last_axis_of_center_bank(self):
+        rng = np.random.default_rng(5)
+        bank = rng.standard_normal((4, 5, 6))
+        out = unit_rows(bank)
+        assert out.shape == (4, 5, 6)
+        assert np.allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-12)
+        assert np.array_equal(out.reshape(20, 6), unit_rows(bank.reshape(20, 6)))
 
     def test_normalized_flag_checks_rows(self):
         with pytest.raises(EmbedStoreError, match="norm"):

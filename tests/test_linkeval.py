@@ -64,6 +64,13 @@ class TestAuroc:
         with pytest.raises(EvalError):
             auroc([0.5], [])
 
+    def test_non_finite_score_rejected(self):
+        # NaN sorts above every score, so it used to count as a perfect win
+        with pytest.raises(EvalError, match="finite"):
+            auroc([np.nan, 0.9], [0.1, 0.2])
+        with pytest.raises(EvalError, match="finite"):
+            auroc([0.9], [0.1, -np.inf])
+
 
 class TestOracle:
     def test_from_catalog(self):

@@ -5,6 +5,7 @@ import pytest
 
 from splitmetric.losses import (
     LOSS_KINDS,
+    LOSSES,
     Batch,
     CenterBank,
     LossError,
@@ -201,6 +202,9 @@ class TestBatch:
         batch = unit_batch(np.random.default_rng(0))
         with pytest.raises(LossError, match="unknown"):
             compute_loss("contrastive", batch, LossParams())
+
+    def test_kinds_are_the_table(self):
+        assert set(LOSS_KINDS) == set(LOSSES)
 
 
 # -- pinned small-batch values --------------------------------------------

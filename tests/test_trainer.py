@@ -221,6 +221,14 @@ class TestTrainLoop:
         _, history = train(catalog, assignment, features, config)
         assert len(history.rows) == 1
 
+    @pytest.mark.parametrize("loss", ("proxynca", "softtriple"))
+    def test_bank_loss_trains_when_d_out_differs_from_d_in(self, loss):
+        catalog, assignment, features = toy_corpus()
+        config = TrainConfig(loss=loss, epochs=2, d_out=6, seed=0, m=4, k=3)
+        best, history = train(catalog, assignment, features, config)
+        assert best.d_out == 6 and best.d_in == 12
+        assert all(np.isfinite(r[1]) for r in history.rows)
+
     def test_bitwise_deterministic(self):
         catalog, assignment, features = toy_corpus()
         config = TrainConfig(loss="circle", epochs=2, d_out=8, seed=3, m=4, k=3)
