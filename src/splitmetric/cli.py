@@ -57,15 +57,16 @@ def _require_files(*paths) -> None:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SPLITMETRIC_THREADS", "").strip()
-    if env:
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("SPLITMETRIC_THREADS", "").strip()
         try:
-            return max(1, int(env))
+            threads = int(env) if env else 1
         except ValueError:
             raise UsageError(f"SPLITMETRIC_THREADS is not an integer: {env!r}") from None
-    return 1
+    if threads < 1:
+        raise UsageError(f"--threads / SPLITMETRIC_THREADS must be >= 1, got {threads}")
+    return threads
 
 
 def _write_manifest(primary_out, args, inputs: dict, outputs: dict, started: float) -> None:
@@ -171,14 +172,18 @@ def _embeddings_for_eval(args):
         feats = read_embeddings(args.features)
         rows = forward(model, feats.data.astype(np.float64))
         emb = EmbeddingMatrix(feats.ids, rows.astype(np.float32), normalized=True)
-    if args.split:
-        _require_files(args.splits)
-        assignment = load_assignment(args.splits)
-        ids = assignment.images_of(args.split)
-        if not ids:
-            raise EvalError(f"split {args.split!r} is empty")
-        emb = emb.subset(sorted(ids))
-    return emb
+    return _in_split(args, emb)
+
+
+def _in_split(args, emb: EmbeddingMatrix) -> EmbeddingMatrix:
+    """The rows of ``--split`` in id order, or all rows without it."""
+    if not args.split:
+        return emb
+    _require_files(args.splits)
+    ids = load_assignment(args.splits).images_of(args.split)
+    if not ids:
+        raise EvalError(f"split {args.split!r} is empty")
+    return emb.subset(sorted(ids))
 
 
 def cmd_eval(args):
@@ -211,11 +216,7 @@ def cmd_mine(args):
     threads = _threads(args)
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    reference = read_embeddings(args.embeddings)
-    if args.split:
-        _require_files(args.splits)
-        assignment = load_assignment(args.splits)
-        reference = reference.subset(sorted(assignment.images_of(args.split)))
+    reference = _in_split(args, read_embeddings(args.embeddings))
     pool = mine_hard_negatives(reference, oracle, k=args.k, threads=threads)
     payload = {anchor: list(ids) for anchor, ids in sorted(pool.negatives.items())}
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -1,9 +1,11 @@
-"""Embedding matrix I/O, unit-row normalization, and exact cosine k-NN.
+"""Embedding matrix I/O, unit-row normalization, and exact cosine top-k.
 
 Binary layout (little-endian): magic ``EMB1``, u32 N, u32 d, then N*d float32
 values row-major.  Image ids live in a companion text file ``<path>.ids``,
-one id per row, same order.  Search is exact brute force; dot products
-accumulate in float64 so tie-breaking is reproducible.
+one id per row, same order.  Search is exact brute force through one
+routine, `top_k`, in float64 with ties to the smaller gallery index.  It
+scores 512 query rows at a time, so memory is O(512 * N) per thread; that
+block shape and separate query/gallery arrays fix the bits (see `top_k`).
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class EmbeddingMatrix:
 class NeighborList:
     indices: np.ndarray  # Q x k gallery row indices
     similarities: np.ndarray  # Q x k, descending per row
-    neighbor_ids: tuple[tuple[str, ...], ...]
 
 
 def _ids_path(path: Path) -> Path:
@@ -129,6 +130,37 @@ def unit_rows(rows) -> np.ndarray:
     return x / norms
 
 
+def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np.ndarray,
+          threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k gallery rows per unit query row, as (indices, similarities).
+
+    Cells whose query and gallery groups are equal score -inf.  Each row is
+    ordered by (-similarity, ascending gallery index), ties on the k-th value
+    included; needs k <= len(g).  Queries go in 512-row blocks, so each
+    thread holds O(512 * len(g)) floats.  The block shape and two separate
+    input buffers are fixed because BLAS rounding depends on both: another
+    row count changes some cells by one ulp, and ``a @ a.T`` on one buffer
+    runs a symmetric kernel that rounds differently.
+    """
+    n_q, n_g = len(q), len(g)
+    indices = np.empty((n_q, k), dtype=np.intp)
+    sims = np.empty((n_q, k), dtype=np.float64)
+
+    def run(lo: int) -> None:
+        block = q[lo:lo + 512] @ g.T
+        block[q_group[lo:lo + 512, None] == g_group] = -np.inf
+        for i, row in enumerate(block, lo):
+            kth = np.partition(row, n_g - k)[n_g - k]
+            candidates = np.flatnonzero(row >= kth)
+            order = candidates[np.lexsort((candidates, -row[candidates]))][:k]
+            indices[i] = order
+            sims[i] = row[order]
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, range(0, n_q, 512)))
+    return indices, sims
+
+
 def cosine_knn(
     queries: EmbeddingMatrix,
     gallery: EmbeddingMatrix,
@@ -144,39 +176,12 @@ def cosine_knn(
     available = gallery.n - (1 if exclude_self else 0)
     if k > available:
         raise EmbedStoreError(f"k={k} exceeds {available} available gallery rows")
-    q = unit_rows(queries.data)
-    g = unit_rows(gallery.data)
-    self_row: dict[int, int] = {}
+    self_row = np.full(queries.n, -1, dtype=np.intp)
     if exclude_self:
         gallery_row = gallery.row_of()
         for qi, qid in enumerate(queries.ids):
             if qid not in gallery_row:
                 raise EmbedStoreError(f"exclude_self: query id {qid!r} not in gallery")
             self_row[qi] = gallery_row[qid]
-
-    n_q = q.shape[0]
-    indices = np.empty((n_q, k), dtype=np.intp)
-    sims = np.empty((n_q, k), dtype=np.float64)
-
-    def run(chunk: tuple[int, int]) -> None:
-        lo, hi = chunk
-        block = q[lo:hi] @ g.T
-        for i in range(lo, hi):
-            row = block[i - lo]
-            if exclude_self:
-                row = row.copy()
-                row[self_row[i]] = -np.inf
-            order = np.lexsort((np.arange(row.shape[0]), -row))[:k]
-            indices[i] = order
-            sims[i] = row[order]
-
-    chunks = [(lo, min(lo + 512, n_q)) for lo in range(0, n_q, 512)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, chunks))
-    else:
-        for c in chunks:
-            run(c)
-
-    neighbor_ids = tuple(tuple(gallery.ids[j] for j in indices[i]) for i in range(n_q))
-    return NeighborList(indices, sims, neighbor_ids)
+    return NeighborList(*top_k(unit_rows(queries.data), unit_rows(gallery.data), k, self_row,
+                               np.arange(gallery.n), threads))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedstore import EmbeddingMatrix, cosine_knn, unit_rows
+from .embedstore import EmbeddingMatrix, cosine_knn, top_k, unit_rows
 
 
 class EvalError(ValueError):
@@ -164,6 +164,9 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
                         threads: int = 1) -> HardNegPool:
     """Top-k different-branch ids per image, by descending reference similarity.
 
+    One `embedstore.top_k` call with branch codes as groups: same-branch
+    cells, self included, score -inf and are dropped.  Memory is O(512 * N)
+    per thread, and the two separate unit-row arrays keep `top_k`'s bits.
     Ties break toward the lexicographically smaller id.  Pools are shorter
     than k only when fewer negatives exist; same-branch-only inputs give
     empty pools.
@@ -172,17 +175,11 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
         raise EvalError("k must be >= 1")
     ids = sorted(reference.ids)
     sub = reference.subset(ids)  # gallery in id order, so index ties == id ties
-    branches = np.array([oracle.branch(i) for i in ids], dtype=object)
-    n = len(ids)
-    if n < 2:
-        return HardNegPool({i: () for i in ids}, k)
-    knn = cosine_knn(sub, sub, k=n - 1, exclude_self=True, threads=threads)
-    pool = {}
-    for qi, anchor in enumerate(ids):
-        neigh = knn.indices[qi]
-        keep = neigh[branches[neigh] != branches[qi]][:k]
-        pool[anchor] = tuple(ids[j] for j in keep)
-    return HardNegPool(pool, k)
+    branches = np.unique([oracle.branch(i) for i in ids], return_inverse=True)[1]
+    indices, sims = top_k(unit_rows(sub.data), unit_rows(sub.data), min(k, len(ids)),
+                          branches, branches, threads)
+    return HardNegPool({anchor: tuple(ids[j] for j in indices[qi][sims[qi] > -np.inf])
+                        for qi, anchor in enumerate(ids)}, k)
 
 
 def _pair_scores(unit: np.ndarray, row_of: dict, pair_set: PairSet):

@@ -174,6 +174,22 @@ class TestExitCodes:
             "--splits", art["splits"], "--out", tmp_path / "p.json",
         ) == 2
 
+    def test_empty_split_is_domain_error(self, tmp_path, capsys):
+        cat, feats, splits = tmp_path / "c.csv", tmp_path / "f.emb", tmp_path / "s.csv"
+        assert run("synth", "--out-catalog", cat, "--out-features", feats, "--chains", 4,
+                   "--branches-per-chain", 2, "--images-per-branch", 4,
+                   "--unknown-frac", 0) == 0
+        assert run("split", "--catalog", cat, "--out", splits, "--report", tmp_path / "r.json",
+                   "--t1", 10, "--t2", 2) == 0
+        capsys.readouterr()
+        for argv in (("eval", "--out", tmp_path / "m.json"),
+                     ("mine", "--out", tmp_path / "p.json")):
+            rc = run(*argv, "--catalog", cat, "--embeddings", feats, "--splits", splits,
+                     "--split", "test_ss")
+            assert rc == 1, argv[0]
+            assert "split 'test_ss' is empty" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
     def test_domain_error_is_one(self, tmp_path, capsys):
         catalog = tmp_path / "one-chain.csv"
         rows = ["image_id,branch_id,chain_id"] + [f"i{j},b{j % 2},c0" for j in range(8)]
@@ -239,6 +255,20 @@ class TestThreadsEnv:
             "mine", "--catalog", art["catalog"], "--embeddings", art["features"],
             "--k", 3, "--threads", 1, "--out", tmp_path / "p.json",
         ) == 0
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_rejected(self, art, tmp_path, monkeypatch, capsys,
+                                             threads):
+        monkeypatch.delenv("SPLITMETRIC_THREADS", raising=False)
+        rc = run("eval", "--catalog", art["catalog"], "--embeddings", art["features"],
+                 "--repeats", 1, "--threads", threads, "--out", tmp_path / "m.json")
+        assert rc == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("SPLITMETRIC_THREADS", threads)
+        rc = run("mine", "--catalog", art["catalog"], "--embeddings", art["features"],
+                 "--k", 3, "--out", tmp_path / "p.json")
+        assert rc == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_threads_only_on_knn_commands(self, art, tmp_path):
         with pytest.raises(SystemExit) as exc:

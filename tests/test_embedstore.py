@@ -211,11 +211,28 @@ class TestKnn:
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.similarities, b.similarities)
 
+    def test_tied_rows_match_brute_force(self):
+        # duplicate and rescaled directions, so tie groups straddle the k-th slot
+        rng = np.random.default_rng(16)
+        palette = np.array([[1, 0], [0, 1], [1, 1], [-1, 1], [1, -1], [-1, 0]])
+        g = matrix(palette[rng.integers(len(palette), size=40)] * rng.choice([1, 2], (40, 1)))
+        q = matrix(palette[rng.integers(len(palette), size=600)],
+                   ids=tuple(f"q{j}" for j in range(600)))  # two 512-row blocks
+        cases = [(q, False, brute_knn(q.data, g.data, 40), (1, 3, 7, 39, 40)),
+                 (g, True, brute_knn(g.data, g.data, 39, exclude=list(range(40))), (1, 3, 39))]
+        for queries, exclude, (idx, sim), ks in cases:
+            assert (sim[:, 2] == sim[:, 3]).any()  # a tie across the k = 3 boundary
+            for k in ks:
+                for threads in (1, 2):
+                    res = cosine_knn(queries, g, k, exclude_self=exclude, threads=threads)
+                    assert np.array_equal(res.indices, idx[:, :k]), (exclude, k, threads)
+                    assert np.allclose(res.similarities, sim[:, :k], atol=1e-12)
+
     def test_neighbor_ids_align_with_indices(self):
         g = matrix([[1.0, 0.0], [0.0, 1.0]], ids=("x", "y"))
         q = matrix([[0.0, 2.0]], ids=("q",))
         res = cosine_knn(q, g, k=2)
-        assert res.neighbor_ids[0] == ("y", "x")
+        assert res.indices.tolist() == [[1, 0]]
 
     def test_dimension_mismatch(self):
         with pytest.raises(EmbedStoreError, match="mismatch"):

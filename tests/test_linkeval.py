@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,45 @@ class TestMining:
                 if other != anchor and oracle.branch(other) != oracle.branch(anchor)
             )
             assert pool.negatives[anchor] == tuple(o for _, o in scored[:6])
+
+    def test_tied_rows_match_brute_force(self):
+        rng = np.random.default_rng(74)
+        palette = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1], [-1, 1, 1]])
+        n = 60
+        data = palette[rng.integers(len(palette), size=n)] * rng.choice([1, 2], (n, 1))
+        ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
+        emb = EmbeddingMatrix(ids, data.astype(np.float32))
+        oracle = oracle_of({i: f"b{int(rng.integers(4))}" for i in ids})
+        unit = data / np.linalg.norm(data, axis=1, keepdims=True)
+        row = {i: j for j, i in enumerate(ids)}
+        for k in (1, 3, 50, 100):  # 100 exceeds every anchor's negatives
+            for threads in (1, 2):
+                pool = mine_hard_negatives(emb, oracle, k=k, threads=threads)
+                for anchor in ids:
+                    scored = sorted(
+                        (-float(unit[row[anchor]] @ unit[row[other]]), other)
+                        for other in ids if oracle.branch(other) != oracle.branch(anchor)
+                    )
+                    assert pool.negatives[anchor] == tuple(o for _, o in scored[:k])
+
+    def test_zero_and_one_image(self):
+        empty = EmbeddingMatrix((), np.zeros((0, 3), dtype=np.float32))
+        assert mine_hard_negatives(empty, oracle_of({}), k=5).negatives == {}
+        one = EmbeddingMatrix(("a",), np.ones((1, 3), dtype=np.float32))
+        assert mine_hard_negatives(one, oracle_of({"a": "x"}), k=5).negatives == {"a": ()}
+
+    def test_memory_stays_below_an_n_by_n_array(self):
+        rng = np.random.default_rng(75)
+        n = 3000
+        emb, oracle = random_instance(rng, n=n, branches=50, d=8)
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                mine_hard_negatives(emb, oracle, k=10, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8 / 2, (threads, peak)
 
     def test_short_pools_when_few_negatives(self):
         oracle = oracle_of({"a": "x", "b": "y", "c": "y"})
