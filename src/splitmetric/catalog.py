@@ -79,9 +79,6 @@ class Catalog:
             out.setdefault(rec.branch_id, rec.chain_id)
         return out
 
-    def known_chains(self) -> tuple[str, ...]:
-        return tuple(sorted(self.chain_index))
-
     def unknown_images(self) -> frozenset[str]:
         return frozenset(i for b in self.unknown_branches for i in self.branch_index[b])
 

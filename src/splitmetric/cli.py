@@ -79,7 +79,7 @@ def _write_manifest(primary_out, args, inputs: dict, outputs: dict, started: flo
         "seed": getattr(args, "seed", None),
         "inputs": {k: str(v) for k, v in inputs.items() if v is not None},
         "outputs": {k: str(v) for k, v in outputs.items() if v is not None},
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
     }
     path = Path(str(primary_out) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     args.raw_argv = raw
-    started = time.time()
+    started = time.perf_counter()
     try:
         if args.command == "eval" and not args.embeddings and not args.model:
             raise UsageError("eval needs --embeddings or --model/--features")

@@ -1,10 +1,13 @@
 """Image-linking evaluation: R@1, sampled-pair AUC, and hard-negative AUC_H.
 
-Two images link iff they carry the same branch label.  AUC is estimated from
-per-anchor sampled pairs (one positive, one negative each); AUC_H replaces the
-uniform negative with a draw from a mined pool of the most-similar negatives
-under a fixed reference embedding.  Repeats are independent, with repeat r
-seeded as seed+r, and reduced in repeat order.
+Two images link iff they carry the same branch label.  `LinkOracle.codes` is
+the one place ids become branch groups: an integer code per id, branches
+numbered in sorted name order, compared as exact Python strings.  R@1,
+pair sampling, mining and the trainer's batches all work on those codes.
+AUC is estimated from per-anchor sampled pairs (one positive, one negative
+each); AUC_H replaces the uniform negative with a draw from a mined pool of
+the most-similar negatives under a fixed reference embedding.  Repeats are
+independent, with repeat r seeded as seed+r, and reduced in repeat order.
 """
 
 from __future__ import annotations
@@ -36,8 +39,13 @@ class LinkOracle:
         except KeyError:
             raise EvalError(f"no branch label for image {image_id!r}") from None
 
-    def link(self, a: str, b: str) -> int:
-        return int(a != b and self.branch(a) == self.branch(b))
+    def codes(self, image_ids) -> np.ndarray:
+        """Branch code per id, branches numbered in sorted name order.
+
+        Object dtype keeps names exact; a ``'<U'`` array drops trailing NULs.
+        """
+        branches = np.array([self.branch(i) for i in image_ids], dtype=object)
+        return np.unique(branches, return_inverse=True)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,13 +117,6 @@ def auroc(pos_scores, neg_scores) -> float:
     return float(u / (pos.size * neg.size))
 
 
-def _branch_groups(image_ids, oracle: LinkOracle) -> dict:
-    groups: dict = {}
-    for image_id in image_ids:
-        groups.setdefault(oracle.branch(image_id), []).append(image_id)
-    return groups
-
-
 def sample_eval_pairs(
     image_ids,
     oracle: LinkOracle,
@@ -126,38 +127,51 @@ def sample_eval_pairs(
 
     Anchors are visited in sorted id order; a singleton-branch anchor is
     skipped (no positive exists) and consumes no random draws.  Negatives come
-    uniformly from the other branches, or from ``hard_pool`` when given.
+    uniformly from the other branches, or from ``hard_pool`` when given.  One
+    ``rng.integers`` call draws every index: numpy fills array bounds element
+    by element, the same stream as one scalar call per anchor and side.
     """
     ids = sorted(image_ids)
-    groups = _branch_groups(ids, oracle)
-    if len(groups) < 2:
-        raise EvalError(f"need at least 2 branches to sample negatives, got {len(groups)}")
-    all_ids = np.array(ids, dtype=object)
-    branch_of = {i: b for b, members in groups.items() for i in members}
-    code_of = {b: j for j, b in enumerate(sorted(groups))}
-    codes = np.array([code_of[branch_of[i]] for i in ids])
-    negs_by_branch = {b: all_ids[codes != code_of[b]] for b in groups}
+    if len(set(ids)) != len(ids):
+        raise EvalError("image ids must be unique")
+    codes = oracle.codes(ids)
+    sizes = np.bincount(codes)
+    if len(sizes) < 2:
+        raise EvalError(f"need at least 2 branches to sample negatives, got {len(sizes)}")
+    n = len(ids)
+    order = np.argsort(codes, kind="stable")  # each branch's members, in id order
+    start = np.cumsum(sizes) - sizes  # where each branch begins in `order`
+    rank = np.empty(n, dtype=np.intp)  # an id's position among its branch's members
+    rank[order] = np.arange(n) - start[codes[order]]
+    anchors = np.flatnonzero(sizes[codes] >= 2)
+    branch = codes[anchors]
+    if hard_pool is None:
+        available = n - sizes[branch]
+    else:
+        pooled = [hard_pool.negatives.get(ids[a]) for a in anchors]
+        missing = next((ids[a] for a, p in zip(anchors, pooled) if not p), None)
+        if missing is not None:
+            raise EvalError(f"hard pool has no negatives for anchor {missing!r}")
+        available = np.array([len(p) for p in pooled], dtype=np.int64)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    draws = rng.integers(0, np.stack([sizes[branch] - 1, available], axis=1).ravel())
+    r_pos, r_neg = draws[0::2], draws[1::2]
+    # the r-th mate skips the anchor's own slot in its branch
+    positives = order[start[branch] + r_pos + (r_pos >= rank[anchors])]
+    all_ids = np.array(ids, dtype=object)
+    if hard_pool is None:
+        # the r-th outsider sits past every member with at most r outsiders
+        # before it; keys offset by branch make one sorted array for all
+        keys = codes[order] * (n + 1) + order - rank[order]
+        members_before = np.searchsorted(keys, branch * (n + 1) + r_neg, side="right")
+        negatives = all_ids[r_neg + members_before - start[branch]].tolist()
+    else:
+        negatives = [p[r] for p, r in zip(pooled, r_neg.tolist())]
     pairs = []
-    skipped = 0
-    for anchor in ids:
-        b = branch_of[anchor]
-        mates = [m for m in groups[b] if m != anchor]
-        if not mates:
-            skipped += 1
-            continue
-        pos = mates[int(rng.integers(len(mates)))]
-        if hard_pool is None:
-            candidates = negs_by_branch[b]
-        else:
-            pooled = hard_pool.negatives.get(anchor)
-            if not pooled:
-                raise EvalError(f"hard pool has no negatives for anchor {anchor!r}")
-            candidates = pooled
-        neg = candidates[int(rng.integers(len(candidates)))]
-        pairs.append((anchor, pos, 1))
-        pairs.append((anchor, neg, 0))
-    return PairSet(tuple(pairs), seed, "hard" if hard_pool is not None else "random", skipped)
+    for anchor, pos, neg in zip(all_ids[anchors].tolist(), all_ids[positives].tolist(), negatives):
+        pairs += ((anchor, pos, 1), (anchor, neg, 0))
+    return PairSet(tuple(pairs), seed, "hard" if hard_pool is not None else "random",
+                   n - len(anchors))
 
 
 def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int = 10,
@@ -175,7 +189,7 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
         raise EvalError("k must be >= 1")
     ids = sorted(reference.ids)
     sub = reference.subset(ids)  # gallery in id order, so index ties == id ties
-    branches = np.unique([oracle.branch(i) for i in ids], return_inverse=True)[1]
+    branches = oracle.codes(ids)
     indices, sims = top_k(unit_rows(sub.data), unit_rows(sub.data), min(k, len(ids)),
                           branches, branches, threads)
     return HardNegPool({anchor: tuple(ids[j] for j in indices[qi][sims[qi] > -np.inf])
@@ -195,17 +209,13 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
     if options.repeats < 1:
         raise EvalError("repeats must be >= 1")
     ids = list(embeddings.ids)
-    branches = [oracle.branch(i) for i in ids]
-    counts: dict = {}
-    for b in branches:
-        counts[b] = counts.get(b, 0) + 1
-    eligible = [i for i, b in enumerate(branches) if counts[b] >= 2]
-    if not eligible:
+    codes = oracle.codes(ids)
+    eligible = np.bincount(codes)[codes] >= 2
+    if not eligible.any():
         raise EvalError("every branch is a singleton; no metric is defined")
 
     knn = cosine_knn(embeddings, embeddings, k=1, exclude_self=True, threads=options.threads)
-    hits = sum(1 for i in eligible if branches[knn.indices[i, 0]] == branches[i])
-    r_at_1 = hits / len(eligible)
+    r_at_1 = float(np.mean(codes[knn.indices[eligible, 0]] == codes[eligible]))
 
     unit = unit_rows(embeddings.data)
     row_of = {image_id: i for i, image_id in enumerate(ids)}

@@ -313,11 +313,6 @@ def verify_splits(catalog: Catalog, assignment: SplitAssignment) -> ConstraintRe
     return ConstraintReport(checks=tuple(checks), counts=counts)
 
 
-def split_report(catalog: Catalog, assignment: SplitAssignment) -> dict[str, dict[str, int]]:
-    """Per-split image/branch/chain counts, all eight names always present."""
-    return verify_splits(catalog, assignment).counts
-
-
 def save_assignment(assignment: SplitAssignment, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)

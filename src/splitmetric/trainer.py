@@ -104,24 +104,23 @@ class BatchSpec:
         return self.m * self.k
 
 
-def sample_batch(image_ids, oracle: LinkOracle, spec: BatchSpec, seed: int) -> tuple:
-    """m distinct classes, k images each, uniformly without replacement."""
-    by_class: dict = {}
-    for image_id in sorted(image_ids):
-        by_class.setdefault(oracle.branch(image_id), []).append(image_id)
-    eligible = sorted(b for b, members in by_class.items() if len(members) >= spec.k)
+def sample_batch(codes: np.ndarray, spec: BatchSpec, seed: int) -> np.ndarray:
+    """m distinct classes, k rows each, uniformly without replacement.
+
+    Rows index ``codes``, the branch codes of the sorted train ids.
+    """
+    sizes = np.bincount(codes)
+    eligible = np.flatnonzero(sizes >= spec.k)
     if len(eligible) < spec.m:
         raise TrainError(
             f"need {spec.m} classes with >= {spec.k} images, only {len(eligible)} eligible"
         )
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     picked = rng.choice(len(eligible), size=spec.m, replace=False)
-    out = []
-    for ci in picked:
-        members = by_class[eligible[int(ci)]]
-        rows = rng.choice(len(members), size=spec.k, replace=False)
-        out.extend(members[int(r)] for r in rows)
-    return tuple(out)
+    return np.concatenate([
+        np.flatnonzero(codes == c)[rng.choice(int(sizes[c]), size=spec.k, replace=False)]
+        for c in eligible[picked]
+    ])
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,36 +240,32 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     missing = [i for i in train_ids + val_ids if i not in row_of]
     if missing:
         raise TrainError(f"features missing for {len(missing)} images, e.g. {missing[0]!r}")
-    feat = features.data.astype(np.float64)
-
-    classes = sorted({oracle.branch(i) for i in train_ids})
-    class_of = {b: j for j, b in enumerate(classes)}
+    train_feat = features.data[[row_of[i] for i in train_ids]].astype(np.float64)
+    val_feat = features.data[[row_of[i] for i in val_ids]].astype(np.float64)
+    codes = oracle.codes(train_ids)
 
     rng = np.random.default_rng(config.seed & 0xFFFFFFFFFFFFFFFF)
-    model = init_model(feat.shape[1], config.d_out, int(rng.integers(2**63)))
+    model = init_model(features.d, config.d_out, int(rng.integers(2**63)))
     bank_type = LOSSES[config.loss].bank
     bank = None
     if bank_type is not None:
         # banks live in embedding space, so seed them from the head, not the raw features
-        sums = np.zeros((len(classes), config.d_out))
-        train_labels = [class_of[oracle.branch(i)] for i in train_ids]
-        np.add.at(sums, train_labels, forward(model, feat[[row_of[i] for i in train_ids]]))
+        sums = np.zeros((codes.max() + 1, config.d_out))
+        np.add.at(sums, codes, forward(model, train_feat))
         bank = bank_type.seeded(unit_rows(sums), config.params, rng)
     state = OptimizerState.for_model(model, bank)
     spec = BatchSpec(config.m, config.k)
     steps = config.steps_per_epoch or max(1, len(train_ids) // spec.size)
 
-    val_feat = feat[[row_of[i] for i in val_ids]]
     history = TrainHistory([])
     best = model.copy()
     best_r1 = -1.0
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
         for _ in range(steps):
-            ids = sample_batch(train_ids, oracle, spec, int(rng.integers(2**63)))
-            batch_feat = feat[[row_of[i] for i in ids]]
-            labels = np.array([class_of[oracle.branch(i)] for i in ids])
-            epoch_losses.append(train_step(model, batch_feat, labels, config, state, rng))
+            rows = sample_batch(codes, spec, int(rng.integers(2**63)))
+            epoch_losses.append(train_step(model, train_feat[rows], codes[rows], config, state,
+                                           rng))
         emb = EmbeddingMatrix(tuple(val_ids), forward(model, val_feat).astype(np.float32),
                               normalized=True)
         report = evaluate(emb, oracle, EvalOptions(repeats=config.eval_repeats,

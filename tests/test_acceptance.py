@@ -142,7 +142,7 @@ def test_criterion_2_split_name_set_and_unknown_block():
     problems = []
     for trial in range(60):
         catalog = _small_catalog(rng)
-        while len(catalog.known_chains()) < 2:
+        while len(catalog.chain_index) < 2:
             catalog = _small_catalog(rng)
         assignment = generate_splits(
             catalog,

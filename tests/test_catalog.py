@@ -30,7 +30,7 @@ class TestLoad:
         cat = load_catalog(p)
         assert len(cat.records) == 3
         assert set(cat.branch_index) == {"b1", "b2"}
-        assert cat.known_chains() == ("c1",)
+        assert tuple(cat.chain_index) == ("c1",)
         assert cat.unknown_branches == frozenset({"b2"})
 
     def test_header_only(self, tmp_path):

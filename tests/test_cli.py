@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from splitmetric import cli
 from splitmetric.cli import build_parser, main
 from splitmetric.losses import LOSS_KINDS
 
@@ -121,6 +122,15 @@ class TestPipeline:
         assert "--catalog" in manifest["argv"]
         for key in ("model", "metrics", "pool"):
             assert (art[key].parent / (art[key].name + ".manifest.json")).exists()
+
+    def test_manifest_time_ignores_wall_clock_steps(self, art, tmp_path, monkeypatch):
+        clock = iter(range(10**6, 0, -1000))  # a wall clock that only runs backwards
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+        out = tmp_path / "splits.csv"
+        assert run("split", "--catalog", art["catalog"], "--seed", 0, "--out", out,
+                   "--report", tmp_path / "report.json") == 0
+        manifest = json.loads((tmp_path / "splits.csv.manifest.json").read_text())
+        assert manifest["wall_time_s"] >= 0.0
 
     def test_stats_to_file(self, art):
         assert run("stats", "--catalog", art["catalog"], "--out", art["stats"]) == 0

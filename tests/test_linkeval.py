@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitmetric.catalog import Catalog, ImageRecord
+from splitmetric.catalog import Catalog, ImageRecord, load_catalog
 from splitmetric.embedstore import EmbeddingMatrix
 from splitmetric.linkeval import (
     EvalError,
@@ -26,6 +26,49 @@ def random_instance(rng, n=40, branches=6, d=5):
     labels = {i: f"b{int(rng.integers(branches))}" for i in ids}
     emb = EmbeddingMatrix(ids, rng.standard_normal((n, d)).astype(np.float32))
     return emb, oracle_of(labels)
+
+
+def random_labels(rng):
+    """Shuffled ids, interleaved branches; many branches leave singletons."""
+    n = int(rng.integers(2, 60))
+    n_branches = 2 if rng.random() < 0.25 else int(rng.integers(2, 16))
+    return {f"i{j:03d}": f"b{int(rng.integers(n_branches))}" for j in rng.permutation(n)}
+
+
+def reference_eval_pairs(image_ids, oracle, seed, hard_pool=None):
+    """The per-anchor loop `sample_eval_pairs` replaced, kept as its reference."""
+    ids = sorted(image_ids)
+    groups = {}
+    for image_id in ids:
+        groups.setdefault(oracle.branch(image_id), []).append(image_id)
+    if len(groups) < 2:
+        raise EvalError(f"need at least 2 branches to sample negatives, got {len(groups)}")
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    pairs, skipped = [], 0
+    for anchor in ids:
+        b = oracle.branch(anchor)
+        mates = [m for m in groups[b] if m != anchor]
+        if not mates:
+            skipped += 1
+            continue
+        pos = mates[int(rng.integers(len(mates)))]
+        if hard_pool is None:
+            candidates = [o for o in ids if oracle.branch(o) != b]
+        else:
+            candidates = hard_pool.negatives.get(anchor)
+            if not candidates:
+                raise EvalError(f"hard pool has no negatives for anchor {anchor!r}")
+        neg = candidates[int(rng.integers(len(candidates)))]
+        pairs += [(anchor, pos, 1), (anchor, neg, 0)]
+    return tuple(pairs), skipped, "hard" if hard_pool is not None else "random"
+
+
+def outcome(fn, *args):
+    try:
+        ps = fn(*args)
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+    return ps if isinstance(ps, tuple) else (ps.pairs, ps.skipped, ps.mode)
 
 
 def brute_auroc(pos, neg):
@@ -79,14 +122,12 @@ class TestOracle:
         cat = Catalog.from_records((ImageRecord("a", "b1", "c1"), ImageRecord("b", "b2")))
         oracle = LinkOracle.from_catalog(cat)
         assert oracle.branch("a") == "b1"
-        assert oracle.link("a", "b") == 0
+        assert oracle.branch("b") == "b2"
 
-    def test_link_semantics(self):
-        oracle = oracle_of({"x": "b", "y": "b", "z": "c"})
-        assert oracle.link("x", "y") == 1
-        assert oracle.link("y", "x") == 1
-        assert oracle.link("x", "x") == 0  # an image never links to itself
-        assert oracle.link("x", "z") == 0
+    def test_codes_number_branches_in_sorted_name_order(self):
+        oracle = oracle_of({"x": "b", "y": "b", "z": "a", "w": "a\x00"})
+        assert oracle.codes(["x", "z", "w", "y"]).tolist() == [2, 0, 1, 2]
+        assert oracle.codes([]).tolist() == []
 
     def test_unknown_image(self):
         with pytest.raises(EvalError, match="ghost"):
@@ -148,6 +189,42 @@ class TestSampling:
         assert ps.mode == "hard"
         negatives = {p[0]: p[1] for p in ps.pairs if p[2] == 0}
         assert negatives == {"i1": "i4", "i2": "i4", "i3": "i1", "i4": "i1"}
+
+    def test_matches_per_anchor_reference(self):
+        rng = np.random.default_rng(62)
+        seen = {"singleton": 0, "two_branches": 0, "error": 0}
+        for _ in range(240):
+            labels = random_labels(rng)
+            oracle = oracle_of(labels)
+            ids = list(labels)
+            sizes = {}
+            for b in labels.values():
+                sizes[b] = sizes.get(b, 0) + 1
+            seen["singleton"] += min(sizes.values()) == 1
+            seen["two_branches"] += len(sizes) == 2
+            # shuffled pools over other branches; about one in 40 anchors has none
+            pool = HardNegPool({
+                i: tuple(o for o in rng.permutation(ids) if labels[o] != labels[i])[
+                    : int(rng.integers(1, 6))]
+                for i in ids if rng.random() > 0.025
+            }, k=5)
+            for seed in (0, 7, int(rng.integers(2**63))):
+                for hard_pool in (None, pool):
+                    want = outcome(reference_eval_pairs, ids, oracle, seed, hard_pool)
+                    assert outcome(sample_eval_pairs, ids, oracle, seed, hard_pool) == want
+                    seen["error"] += isinstance(want, str)
+        assert min(seen.values()) > 0, seen
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(EvalError, match="unique"):
+            sample_eval_pairs(["a", "a", "b"], oracle_of({"a": "x", "b": "y"}), seed=0)
+
+    def test_missing_pool_names_first_eligible_anchor(self):
+        labels = {"a0": "lonely", "b1": "x", "b2": "x", "c1": "y", "c2": "y"}
+        # a0 is a singleton, so its missing pool is never asked for
+        pool = HardNegPool({"b1": ("c1",), "c1": ("b1",)}, k=1)
+        with pytest.raises(EvalError, match="anchor 'b2'"):
+            sample_eval_pairs(list(reversed(labels)), oracle_of(labels), seed=0, hard_pool=pool)
 
     def test_hard_mode_missing_anchor(self):
         oracle = oracle_of({"i1": "a", "i2": "a", "i3": "b", "i4": "b"})
@@ -375,7 +452,49 @@ class TestEvaluate:
         payload = evaluate(emb, oracle, EvalOptions(repeats=2, seed=0)).to_json_dict()
         assert payload["auc_h"] is None
 
+    def test_shuffled_order_with_singletons_matches_brute_force(self):
+        rng = np.random.default_rng(85)
+        for _ in range(8):
+            n = int(rng.integers(20, 60))
+            ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
+            labels = {i: f"b{int(rng.integers(n // 2))}" for i in ids}
+            oracle = oracle_of(labels)
+            emb = EmbeddingMatrix(ids, rng.standard_normal((n, 3)).astype(np.float32))
+            sizes = {}
+            for b in labels.values():
+                sizes[b] = sizes.get(b, 0) + 1
+            if len(sizes) < 2 or max(sizes.values()) < 2:
+                continue
+            report = evaluate(emb, oracle, EvalOptions(repeats=2, seed=5))
+            want_r1, want_aucs = brute_evaluate(emb, oracle, repeats=2, seed=5)
+            assert report.r_at_1 == want_r1
+            assert report.skipped == sum(1 for b in labels.values() if sizes[b] == 1) > 0
+            assert report.auc_repeats == pytest.approx(want_aucs, abs=1e-12)
+
     def test_all_singletons_rejected(self):
         emb = EmbeddingMatrix(("a", "b"), np.eye(2, dtype=np.float32))
         with pytest.raises(EvalError, match="singleton"):
             evaluate(emb, oracle_of({"a": "x", "b": "y"}), EvalOptions())
+
+
+def test_branches_differing_by_a_trailing_nul_stay_apart(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text("image_id,branch_id,chain_id\ni1,a,c\ni2,a,c\ni3,a\x00,c\ni4,a\x00,c\n",
+                    encoding="utf-8")
+    catalog = load_catalog(path)
+    assert len(catalog.branch_index) == 2
+    oracle = LinkOracle.from_catalog(catalog)
+    data = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.1, 1.0]], dtype=np.float32)
+    emb = EmbeddingMatrix(("i1", "i2", "i3", "i4"), data)
+
+    pool = mine_hard_negatives(emb, oracle, k=2)
+    other = {"i1": {"i3", "i4"}, "i2": {"i3", "i4"}, "i3": {"i1", "i2"}, "i4": {"i1", "i2"}}
+    assert {a: set(v) for a, v in pool.negatives.items()} == other
+    for hard_pool in (None, pool):
+        ps = sample_eval_pairs(emb.ids, oracle, seed=0, hard_pool=hard_pool)
+        assert ps.skipped == 0
+        assert {(a, b) for a, b, y in ps.pairs if y == 1} == {
+            ("i1", "i2"), ("i2", "i1"), ("i3", "i4"), ("i4", "i3")}
+        assert all(b in other[a] for a, b, y in ps.pairs if y == 0)
+    report = evaluate(emb, oracle, EvalOptions(repeats=2, seed=0, hard_pool=pool))
+    assert (report.r_at_1, report.auc_mean, report.auc_h_mean, report.skipped) == (1.0, 1.0, 1.0, 0)

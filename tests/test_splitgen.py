@@ -10,7 +10,6 @@ from splitmetric.splitgen import (
     generate_splits,
     load_assignment,
     save_assignment,
-    split_report,
     verify_splits,
 )
 from splitmetric.synth import generate, standard_corpus_config
@@ -134,7 +133,7 @@ class TestProperties:
         # which protects all of its chains from the second carve
         cat, _ = generate(standard_corpus_config(seed=3, d_in=8))
         config = SplitConfig(seed=0, uu_chain_fraction=0.15, su_branch_fraction=0.15, t1=10, t2=2)
-        counts = split_report(cat, generate_splits(cat, config))
+        counts = verify_splits(cat, generate_splits(cat, config)).counts
         assert counts["val_su"]["images"] == 0
         assert counts["val_uu"]["images"] == 0
         for name in ("train", "val_ss", "test_ss", "test_su", "test_uu", "test_unk"):
@@ -160,7 +159,7 @@ class TestProperties:
         full_row_seed = None
         for seed in range(40):
             config = SplitConfig(seed=seed, uu_chain_fraction=0.2, su_branch_fraction=0.2, t1=10, t2=2)
-            counts = split_report(catalog, generate_splits(catalog, config))
+            counts = verify_splits(catalog, generate_splits(catalog, config)).counts
             nonzero = {n for n in SPLIT_NAMES if counts[n]["images"] > 0}
             filled |= nonzero
             if nonzero == set(SPLIT_NAMES) and full_row_seed is None:
@@ -297,7 +296,7 @@ class TestIO:
     def test_report_counts_keys(self):
         rng = np.random.default_rng(600)
         catalog = make_catalog(rng)
-        counts = split_report(catalog, generate_splits(catalog, make_config(rng)))
+        counts = verify_splits(catalog, generate_splits(catalog, make_config(rng))).counts
         assert set(counts) == set(SPLIT_NAMES)
         for row in counts.values():
             assert set(row) == {"images", "branches", "chains"}

@@ -97,6 +97,26 @@ class TestHeadBackward:
         assert worst < 1e-3  # observed ~1e-9; smooth everywhere
 
 
+def reference_batch(image_ids, oracle, spec, seed):
+    """The dict-based sampler `sample_batch` replaced, kept as its reference."""
+    by_class = {}
+    for image_id in sorted(image_ids):
+        by_class.setdefault(oracle.branch(image_id), []).append(image_id)
+    eligible = sorted(b for b, members in by_class.items() if len(members) >= spec.k)
+    if len(eligible) < spec.m:
+        raise TrainError(
+            f"need {spec.m} classes with >= {spec.k} images, only {len(eligible)} eligible"
+        )
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    picked = rng.choice(len(eligible), size=spec.m, replace=False)
+    out = []
+    for ci in picked:
+        members = by_class[eligible[int(ci)]]
+        rows = rng.choice(len(members), size=spec.k, replace=False)
+        out.extend(members[int(r)] for r in rows)
+    return tuple(out)
+
+
 class TestSampleBatch:
     def oracle(self):
         labels = {}
@@ -107,24 +127,47 @@ class TestSampleBatch:
 
     def test_respects_eligibility(self):
         labels, oracle = self.oracle()
-        ids = sample_batch(sorted(labels), oracle, BatchSpec(m=2, k=2), seed=0)
-        assert len(ids) == 4
-        assert len(set(ids)) == 4
+        ids = sorted(labels)
+        codes = oracle.codes(ids)
+        rows = sample_batch(codes, BatchSpec(m=2, k=2), seed=0)
+        assert len(rows) == 4
+        assert len(set(rows.tolist())) == 4
         per = {}
-        for i in ids:
-            per[oracle.branch(i)] = per.get(oracle.branch(i), 0) + 1
+        for r in rows:
+            per[labels[ids[r]]] = per.get(labels[ids[r]], 0) + 1
         assert per == {"a": 2, "b": 2}  # the singleton class never qualifies
 
     def test_deterministic(self):
         labels, oracle = self.oracle()
-        a = sample_batch(sorted(labels), oracle, BatchSpec(2, 2), seed=9)
-        b = sample_batch(sorted(labels), oracle, BatchSpec(2, 2), seed=9)
-        assert a == b
+        codes = oracle.codes(sorted(labels))
+        a = sample_batch(codes, BatchSpec(2, 2), seed=9)
+        b = sample_batch(codes, BatchSpec(2, 2), seed=9)
+        assert a.tolist() == b.tolist()
 
     def test_too_few_classes(self):
         labels, oracle = self.oracle()
         with pytest.raises(TrainError, match="eligible"):
-            sample_batch(sorted(labels), oracle, BatchSpec(m=3, k=2), seed=0)
+            sample_batch(oracle.codes(sorted(labels)), BatchSpec(m=3, k=2), seed=0)
+
+    def test_matches_dict_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            n = int(rng.integers(4, 80))
+            # shuffled ids with interleaved, unevenly sized branches
+            labels = {f"i{j:03d}": f"b{int(rng.integers(int(rng.integers(2, 12))))}"
+                      for j in rng.permutation(n)}
+            oracle = LinkOracle(labels)
+            ids = sorted(labels)
+            spec = BatchSpec(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+            seed = int(rng.integers(2**63))
+            try:
+                want = reference_batch(labels, oracle, spec, seed)
+            except TrainError as exc:
+                with pytest.raises(TrainError, match=str(exc)):
+                    sample_batch(oracle.codes(ids), spec, seed)
+                continue
+            rows = sample_batch(oracle.codes(ids), spec, seed)
+            assert tuple(ids[r] for r in rows) == want
 
     def test_spec_bounds(self):
         with pytest.raises(TrainError):

@@ -1,0 +1,202 @@
+"""Seeded output digests, one ``name sha256`` line per output.
+
+Run it against two checkouts and diff the results to show that a change
+keeps every output byte-identical:
+
+    PYTHONPATH=<checkout>/src python3 tools/digests.py > digests.txt
+
+It uses only `train`, `evaluate`, `mine_hard_negatives`, `sample_eval_pairs`
+and `cli.main`, so the same script runs on either side of a change to the
+code behind them.  It covers:
+
+- `train()` weights, bias and history for all six losses on the gate corpus
+  seeds 0-4 (the gate recipe for the pair losses, three epochs for supcon
+  and the bank losses);
+- `evaluate` reports and `mine_hard_negatives` pools on the full corpus for
+  seeds 80-84 and on every split of the gate corpora;
+- `sample_eval_pairs` in both modes, on those corpora and on random inputs,
+  error messages included;
+- every file of the README CLI walkthrough except ``*.manifest.json``, and
+  each command's stdout.
+
+A full run takes about two minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from splitmetric import cli
+from splitmetric.embedstore import EmbeddingMatrix
+from splitmetric.linkeval import (
+    EvalError,
+    EvalOptions,
+    HardNegPool,
+    LinkOracle,
+    evaluate,
+    mine_hard_negatives,
+    sample_eval_pairs,
+)
+from splitmetric.splitgen import SplitConfig, generate_splits
+from splitmetric.synth import generate, standard_corpus_config
+from splitmetric.trainer import TrainConfig, forward, init_model, train
+
+GATE_SEEDS = range(5)
+RETRIEVAL_SEEDS = range(80, 85)
+GATE_SPLITS = SplitConfig(seed=0, uu_chain_fraction=0.15, su_branch_fraction=0.15, t1=10, t2=2)
+HARD_K = 10
+# loss -> epochs; the pair losses use the gate's 30, the rest a short run
+LOSS_EPOCHS = {"triplet": 30, "multisim": 30, "circle": 30,
+               "supcon": 3, "proxynca": 3, "softtriple": 3}
+
+
+def emit(name: str, *parts) -> None:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+        h.update(b"\x00")
+    print(name, h.hexdigest(), flush=True)
+
+
+def attempt(fn, *args, **kwargs):
+    """The call's result, or the text of the domain error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+def report_parts(report):
+    if isinstance(report, str):
+        return (report,)
+    return (report.to_json_dict(), report.r_at_1, report.auc_repeats, report.auc_h_repeats)
+
+
+def pool_parts(pool):
+    return (pool.k, sorted(pool.negatives.items()))
+
+
+def pair_parts(pairs):
+    if isinstance(pairs, str):
+        return (pairs,)
+    return (pairs.pairs, pairs.seed, pairs.mode, pairs.skipped)
+
+
+def embed(model, features: EmbeddingMatrix, ids) -> EmbeddingMatrix:
+    row_of = {i: j for j, i in enumerate(features.ids)}
+    feat = features.data.astype(np.float64)[[row_of[i] for i in ids]]
+    return EmbeddingMatrix(tuple(ids), forward(model, feat).astype(np.float32), normalized=True)
+
+
+def eval_digests(tag: str, features: EmbeddingMatrix, oracle: LinkOracle, ids, seed: int) -> None:
+    """Mining on raw features, and evaluate/pairs on an untrained 4-d head."""
+    emb = embed(init_model(features.d, 4, seed), features, ids)
+    pool = mine_hard_negatives(features.subset(ids), oracle, k=HARD_K)
+    emit(f"{tag}.pool", *pool_parts(pool))
+    emit(f"{tag}.report", *report_parts(attempt(evaluate, emb, oracle,
+                                                EvalOptions(repeats=10, seed=seed))))
+    emit(f"{tag}.report_h", *report_parts(attempt(evaluate, emb, oracle,
+                                                  EvalOptions(repeats=10, seed=seed,
+                                                              hard_pool=pool))))
+    shuffled = list(np.random.default_rng(seed).permutation(ids))
+    emit(f"{tag}.pairs", *pair_parts(attempt(sample_eval_pairs, shuffled, oracle, seed)))
+    emit(f"{tag}.pairs_h", *pair_parts(attempt(sample_eval_pairs, shuffled, oracle, seed, pool)))
+
+
+def train_digests() -> None:
+    for seed in GATE_SEEDS:
+        catalog, features = generate(standard_corpus_config(seed=seed))
+        assignment = generate_splits(catalog, GATE_SPLITS)
+        for loss, epochs in LOSS_EPOCHS.items():
+            model, history = train(catalog, assignment, features,
+                                   TrainConfig(loss=loss, lr=0.2, epochs=epochs, seed=seed,
+                                               d_out=2))
+            emit(f"train.{loss}.seed{seed}", model.weight, model.bias, history.rows)
+
+
+def split_digests() -> None:
+    for seed in GATE_SEEDS:
+        catalog, features = generate(standard_corpus_config(seed=seed))
+        oracle = LinkOracle.from_catalog(catalog)
+        for split, ids in generate_splits(catalog, GATE_SPLITS).by_split().items():
+            if ids:
+                eval_digests(f"gate{seed}.{split}", features, oracle, list(ids), seed)
+
+
+def retrieval_digests() -> None:
+    for seed in RETRIEVAL_SEEDS:
+        catalog, features = generate(standard_corpus_config(seed=seed))
+        eval_digests(f"retrieval{seed}", features, LinkOracle.from_catalog(catalog),
+                     list(features.ids), seed)
+
+
+def random_pair_digests(count: int = 400) -> None:
+    """sample_eval_pairs on small random inputs: singletons, pools with gaps."""
+    rng = np.random.default_rng(2024)
+    for case in range(count):
+        n = int(rng.integers(1, 40))
+        ids = [f"x{int(j):03d}" for j in rng.permutation(n)]
+        oracle = LinkOracle({i: f"b{int(rng.integers(1, 1 + int(rng.integers(1, 8))))}"
+                             for i in ids})
+        pool = HardNegPool({i: tuple(o for o in ids if oracle.labels[o] != oracle.labels[i]
+                                     and rng.random() < 0.5)
+                            for i in ids if rng.random() < 0.97}, k=0)
+        seed = int(rng.integers(2**63))
+        emit(f"pairs.random{case}", *pair_parts(attempt(sample_eval_pairs, ids, oracle, seed)))
+        emit(f"pairs.hard{case}",
+             *pair_parts(attempt(sample_eval_pairs, ids, oracle, seed, pool)))
+
+
+def cli_digests() -> None:
+    """The README walkthrough through cli.main; manifests carry times and paths."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        f = {name: str(d / name) for name in (
+            "catalog.csv", "features.emb", "splits.csv", "split_report.json", "model.toy1",
+            "metrics.json", "pools.json", "deduped.csv", "dedup_report.json")}
+        commands = [
+            ["synth", "--seed", "0", "--out-catalog", f["catalog.csv"],
+             "--out-features", f["features.emb"]],
+            ["split", "--catalog", f["catalog.csv"], "--seed", "0", "--out", f["splits.csv"],
+             "--report", f["split_report.json"]],
+            ["verify", "--catalog", f["catalog.csv"], "--splits", f["splits.csv"]],
+            ["train", "--catalog", f["catalog.csv"], "--splits", f["splits.csv"],
+             "--features", f["features.emb"], "--loss", "multisim", "--epochs", "30",
+             "--lr", "0.2", "--d-out", "32", "--out", f["model.toy1"]],
+            ["eval", "--catalog", f["catalog.csv"], "--model", f["model.toy1"],
+             "--features", f["features.emb"], "--splits", f["splits.csv"], "--split", "test_ss",
+             "--reference", f["features.emb"], "--hard-k", "10", "--out", f["metrics.json"]],
+            ["mine", "--catalog", f["catalog.csv"], "--embeddings", f["features.emb"],
+             "--k", "10", "--out", f["pools.json"]],
+            ["dedup", "--catalog", f["catalog.csv"], "--out", f["deduped.csv"],
+             "--report", f["dedup_report.json"]],
+            ["stats", "--catalog", f["catalog.csv"]],
+        ]
+        for argv in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            emit(f"cli.{argv[0]}.stdout", code, out.getvalue().replace(tmp, "<dir>"))
+        for path in sorted(d.iterdir()):
+            if not path.name.endswith(".manifest.json"):
+                emit(f"cli.file.{path.name}", path.read_bytes().replace(tmp.encode(), b"<dir>"))
+
+
+def main() -> int:
+    random_pair_digests()
+    retrieval_digests()
+    split_digests()
+    train_digests()
+    cli_digests()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
