@@ -13,9 +13,11 @@ follow the original publications:
 * softtriple     -- Qian et al., SoftTriple Loss, ICCV 2019
 
 Defaults not determined by our training setup are the published ones.  All
-reductions run in float64 with a fixed ascending-index order; softmax-like
-sums are log-sum-exp stabilized.  Degenerate batches (no usable pair) return
-exactly zero with zero gradients instead of raising.
+reductions run in float64 over whole B x B rows: a per-anchor sum is a masked
+row reduction (terms off the mask enter as exact zeros), so its value does
+not depend on how rows are split into calls; softmax-like sums are
+log-sum-exp stabilized.  Degenerate batches (no usable pair) return exactly
+zero with zero gradients instead of raising.
 
 ``LOSSES`` is the one place a loss kind is registered: its kernel, its bank
 type and its kink distance for the gradient checker, and whether it trains on
@@ -26,6 +28,7 @@ the trainer all read it.
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -51,6 +54,9 @@ class Batch:
             raise LossError(f"bad batch shapes {emb.shape} / {labels.shape}")
         if emb.shape[0] < 2:
             raise LossError("batch needs at least 2 rows")
+        finite = np.isfinite(emb).all(axis=1)
+        if not finite.all():
+            raise LossError(f"embedding row {np.flatnonzero(~finite)[0]} has non-finite values")
         object.__setattr__(self, "embeddings", emb)
         object.__setattr__(self, "labels", labels)
 
@@ -77,6 +83,11 @@ class LossParams:
     softtriple_centers: int = 5
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not np.isfinite(value):
+                raise LossError(f"{f.name} must be a finite {f.type}, got {value!r}")
         for name in ("circle_gamma", "multisim_alpha", "multisim_beta", "supcon_tau",
                      "proxynca_temperature", "softtriple_lambda", "softtriple_gamma"):
             if getattr(self, name) <= 0.0:
@@ -92,6 +103,8 @@ class LossParams:
     @classmethod
     def from_json(cls, path: str | Path) -> "LossParams":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise LossError("loss parameters must be a JSON object")
         known = {f.name for f in fields(cls)}
         bad = sorted(set(payload) - known)
         if bad:
@@ -142,63 +155,54 @@ class CenterBank:
         return cls(unit_rows(class_means[:, None, :] + jitter))
 
 
-def _zero(batch: Batch, aux_shape: tuple[int, ...] | None = None) -> LossResult:
-    aux = np.zeros(aux_shape) if aux_shape is not None else None
-    return LossResult(0.0, np.zeros_like(batch.embeddings), aux)
+def _zero(batch: Batch) -> LossResult:
+    return LossResult(0.0, np.zeros_like(batch.embeddings))
 
 
-def _masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch's similarity matrix, and its positive and negative pair masks."""
+    emb, labels = batch.embeddings, batch.labels
     same = labels[:, None] == labels[None, :]
     off = ~np.eye(labels.shape[0], dtype=bool)
-    return same & off, (~same) & off
+    return emb @ emb.T, same & off, (~same) & off
 
 
-def _log1p_sumexp(values: np.ndarray) -> tuple[float, np.ndarray]:
-    """Stable log(1 + sum(exp(v))) and the weights exp(v)/(1+sum(exp(v)))."""
-    if values.size == 0:
-        return 0.0, values
-    m = max(0.0, float(np.max(values)))
-    ex = np.exp(values - m)
-    denom = np.exp(-m) + float(np.sum(ex))
-    return m + np.log(denom), ex / denom
+def _masked_lse(x: np.ndarray, mask: np.ndarray,
+                floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, log(exp(floor) + sum of exp(x) over the mask), and the softmax
+    weights (zero off the mask).  ``floor = 0`` gives log(1 + sum exp), which
+    is 0 on an empty row; with the default floor every row needs a cell."""
+    m = np.maximum(floor, np.max(x, axis=1, where=mask, initial=-np.inf))
+    ex = np.exp(x - m[:, None], where=mask, out=np.zeros_like(x))
+    total = np.exp(floor - m) + ex.sum(axis=1)
+    return m + np.log(total), ex / total[:, None]
 
 
-def _masked_lse(row: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log-sum-exp over row[mask], plus full-size softmax weights (zeros off-mask)."""
-    vals = row[mask]
-    m = float(np.max(vals))
-    ex = np.exp(vals - m)
-    total = float(np.sum(ex))
-    weights = np.zeros_like(row)
-    weights[mask] = ex / total
-    return m + np.log(total), weights
+def _triplet_hinge(batch: Batch, params: LossParams) -> tuple[np.ndarray, np.ndarray]:
+    """h[i, p, n] = s_in - s_ip + margin, and which (i, p, n) are valid triplets."""
+    s, pos, neg = _pairs(batch)
+    h = s[:, None, :] - s[:, :, None] + params.triplet_margin
+    return h, pos[:, :, None] & neg[:, None, :]
 
 
 def triplet_loss(batch: Batch, params: LossParams) -> LossResult:
     """Hinge over every valid (anchor, positive, negative) triplet, averaged."""
-    emb, labels = batch.embeddings, batch.labels
-    pos, neg = _masks(labels)
-    s = emb @ emb.T
-    # h[i, p, n] = s_an - s_ap + margin
-    h = s[:, None, :] - s[:, :, None] + params.triplet_margin
-    valid = pos[:, :, None] & neg[:, None, :]
+    h, valid = _triplet_hinge(batch, params)
     count = int(valid.sum())
     if count == 0:
         return _zero(batch)
     active = valid & (h > 0.0)
     value = float(np.sum(np.where(active, h, 0.0))) / count
-    g = np.zeros_like(s)
+    g = np.zeros(valid.shape[:2])
     g += active.sum(axis=1) / count  # d/ds_an
     g -= active.sum(axis=2) / count  # d/ds_ap
-    grad = (g + g.T) @ emb
+    grad = (g + g.T) @ batch.embeddings
     return LossResult(value, grad)
 
 
 def circle_loss(batch: Batch, params: LossParams) -> LossResult:
-    emb, labels = batch.embeddings, batch.labels
     m, gamma = params.circle_m, params.circle_gamma
-    pos, neg = _masks(labels)
-    s = emb @ emb.T
+    s, pos, neg = _pairs(batch)
     b = batch.size
 
     # weighted logits; the weights are part of the function, not detached
@@ -207,87 +211,68 @@ def circle_loss(batch: Batch, params: LossParams) -> LossResult:
     da_n = np.where(s + m > 0.0, 2.0 * gamma * s, 0.0)
     da_p = np.where(1.0 + m - s > 0.0, 2.0 * gamma * (s - 1.0), 0.0)
 
-    value = 0.0
+    rows = pos.any(axis=1) & neg.any(axis=1)
+    lse_n, w_n = _masked_lse(a_n[rows], neg[rows])
+    lse_p, w_p = _masked_lse(a_p[rows], pos[rows])
+    t = lse_n + lse_p
+    # softplus(t) = log(1 + sum_n sum_p exp(a_n + a_p))
+    value = float(np.sum(np.logaddexp(0.0, t))) / b
+    sg = 1.0 / (1.0 + np.exp(-t))
     g = np.zeros_like(s)
-    for i in range(b):
-        if not (pos[i].any() and neg[i].any()):
-            continue
-        lse_n, w_n = _masked_lse(a_n[i], neg[i])
-        lse_p, w_p = _masked_lse(a_p[i], pos[i])
-        t = lse_n + lse_p
-        # softplus(t) = log(1 + sum_n sum_p exp(a_n + a_p))
-        value += np.logaddexp(0.0, t)
-        sg = 1.0 / (1.0 + np.exp(-t))
-        g[i] += sg * (w_n * da_n[i] + w_p * da_p[i])
-    value /= b
-    g /= b
-    grad = (g + g.T) @ emb
-    return LossResult(float(value), grad)
+    g[rows] = sg[:, None] * (w_n * da_n[rows] + w_p * da_p[rows]) / b
+    grad = (g + g.T) @ batch.embeddings
+    return LossResult(value, grad)
+
+
+def _multisim_pairs(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
+                    eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each anchor's hardest positive and negative similarity, and the pairs
+    mined against them: negatives above min_pos - eps, positives below
+    max_neg + eps.  An anchor without positives or negatives keeps nothing."""
+    min_pos = np.min(s, axis=1, where=pos, initial=np.inf)
+    max_neg = np.max(s, axis=1, where=neg, initial=-np.inf)
+    keep_n = neg & (s > (min_pos - eps)[:, None])
+    keep_p = pos & (s < (max_neg + eps)[:, None])
+    return min_pos, max_neg, keep_n, keep_p
 
 
 def multisim_loss(batch: Batch, params: LossParams) -> LossResult:
-    emb, labels = batch.embeddings, batch.labels
     alpha, beta = params.multisim_alpha, params.multisim_beta
     lam, eps = params.multisim_lambda, params.multisim_epsilon
-    pos, neg = _masks(labels)
-    s = emb @ emb.T
-    b = batch.size
+    s, pos, neg = _pairs(batch)
 
-    per_anchor: list[float] = []
-    g = np.zeros_like(s)
-    for i in range(b):
-        if not (pos[i].any() and neg[i].any()):
-            continue
-        min_pos = float(np.min(s[i][pos[i]]))
-        max_neg = float(np.max(s[i][neg[i]]))
-        keep_n = neg[i] & (s[i] > min_pos - eps)
-        keep_p = pos[i] & (s[i] < max_neg + eps)
-        if not (keep_n.any() or keep_p.any()):
-            continue
-        row = 0.0
-        if keep_p.any():
-            x_p = -alpha * (s[i][keep_p] - lam)
-            lp, w_p = _log1p_sumexp(x_p)
-            row += lp / alpha
-            g[i][keep_p] += -w_p
-        if keep_n.any():
-            x_n = beta * (s[i][keep_n] - lam)
-            ln, w_n = _log1p_sumexp(x_n)
-            row += ln / beta
-            g[i][keep_n] += w_n
-        per_anchor.append(row)
-    if not per_anchor:
+    _, _, keep_n, keep_p = _multisim_pairs(s, pos, neg, eps)
+    rows = keep_n.any(axis=1) | keep_p.any(axis=1)
+    m_count = int(rows.sum())
+    if m_count == 0:
         return _zero(batch)
-    m_count = len(per_anchor)
-    value = float(np.sum(per_anchor)) / m_count
-    g /= m_count
-    grad = (g + g.T) @ emb
+    lp, w_p = _masked_lse(-alpha * (s[rows] - lam), keep_p[rows], floor=0.0)
+    ln, w_n = _masked_lse(beta * (s[rows] - lam), keep_n[rows], floor=0.0)
+    value = float(np.sum(lp / alpha + ln / beta)) / m_count
+    g = np.zeros_like(s)
+    g[rows] = (w_n - w_p) / m_count
+    grad = (g + g.T) @ batch.embeddings
     return LossResult(value, grad)
 
 
 def supcon_loss(batch: Batch, params: LossParams) -> LossResult:
     """Supervised contrastive loss on an already-materialized multiview batch."""
-    emb, labels = batch.embeddings, batch.labels
     tau = params.supcon_tau
-    pos, _ = _masks(labels)
-    off = ~np.eye(batch.size, dtype=bool)
-    s = (emb @ emb.T) / tau
+    s, pos, neg = _pairs(batch)
 
-    eligible = [i for i in range(batch.size) if pos[i].any()]
-    if not eligible:
+    rows = pos.any(axis=1)
+    m_count = int(rows.sum())
+    if m_count == 0:
         return _zero(batch)
-    m_count = len(eligible)
-    value = 0.0
-    g = np.zeros_like(s)
-    for i in eligible:
-        lse, w = _masked_lse(s[i], off[i])
-        p_count = int(pos[i].sum())
-        value += -(float(np.sum(s[i][pos[i]])) - p_count * lse) / p_count
-        g[i] += w - pos[i] / p_count
-    value /= m_count
-    g /= m_count * tau
-    grad = (g + g.T) @ emb
-    return LossResult(float(value), grad)
+    off = (pos | neg)[rows]
+    s, pos = s[rows] / tau, pos[rows]
+    lse, w = _masked_lse(s, off)
+    p_count = pos.sum(axis=1)
+    value = float(np.sum(-(np.sum(s, axis=1, where=pos) - p_count * lse) / p_count)) / m_count
+    g = np.zeros((batch.size, batch.size))
+    g[rows] = (w - pos / p_count[:, None]) / (m_count * tau)
+    grad = (g + g.T) @ batch.embeddings
+    return LossResult(value, grad)
 
 
 def _check_bank(batch: Batch, vectors: np.ndarray, name: str) -> None:
@@ -329,6 +314,13 @@ def proxynca_loss(batch: Batch, proxies: ProxyBank, params: LossParams) -> LossR
     return LossResult(value, grad_emb, grad_prox)
 
 
+def _center_chords(w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Center pairs j < jj of a C x J x d bank; each class's chord sqrt(2 - 2 w_j . w_jj)."""
+    j, jj = np.triu_indices(w.shape[1], k=1)
+    dots = np.einsum("cpd,cpd->cp", w[:, j, :], w[:, jj, :])
+    return (j, jj), np.sqrt(np.maximum(2.0 - 2.0 * dots, 1e-30))
+
+
 def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> LossResult:
     emb, labels = batch.embeddings, batch.labels
     w = centers.vectors  # C x J x d
@@ -356,16 +348,13 @@ def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> Lo
 
     if n_centers >= 2 and tau_reg != 0.0:
         denom = n_classes * n_centers * (n_centers - 1)
-        reg = 0.0
-        for j in range(n_centers):
-            for jj in range(j + 1, n_centers):
-                dots = np.einsum("cd,cd->c", w[:, j, :], w[:, jj, :])
-                chord = np.sqrt(np.maximum(2.0 - 2.0 * dots, 1e-30))
-                reg += float(np.sum(chord))
-                coef = -tau_reg / (denom * chord)  # d sqrt(2-2t)/dt = -1/sqrt(2-2t)
-                grad_w[:, j, :] += coef[:, None] * w[:, jj, :]
-                grad_w[:, jj, :] += coef[:, None] * w[:, j, :]
-        value += tau_reg * reg / denom
+        (j, jj), chord = _center_chords(w)
+        # d sqrt(2-2t)/dt = -1/sqrt(2-2t), for t = w_j . w_jj on both sides of the pair
+        coef = np.zeros((n_classes, n_centers, n_centers))
+        coef[:, j, jj] = -tau_reg / (denom * chord)
+        coef[:, jj, j] = coef[:, j, jj]
+        grad_w += coef @ w
+        value += tau_reg * float(np.sum(chord)) / denom
 
     return LossResult(value, grad_emb, grad_w)
 
@@ -379,47 +368,29 @@ def _smooth(batch: Batch, params: LossParams, bank) -> float:
 
 
 def _triplet_kink(batch: Batch, params: LossParams, bank) -> float:
-    emb = batch.embeddings
-    pos, neg = _masks(batch.labels)
-    s = emb @ emb.T
-    h = s[:, None, :] - s[:, :, None] + params.triplet_margin
-    valid = pos[:, :, None] & neg[:, None, :]
-    return float(np.min(np.abs(h[valid]))) if valid.any() else np.inf
+    h, valid = _triplet_hinge(batch, params)
+    return float(np.min(np.abs(h), where=valid, initial=np.inf))
 
 
 def _circle_kink(batch: Batch, params: LossParams, bank) -> float:
-    emb = batch.embeddings
-    _, neg = _masks(batch.labels)
-    s = emb @ emb.T
+    s, _, neg = _pairs(batch)
     return float(np.min(np.abs(s[neg] + params.circle_m))) if neg.any() else np.inf
 
 
 def _multisim_kink(batch: Batch, params: LossParams, bank) -> float:
-    emb = batch.embeddings
-    pos, neg = _masks(batch.labels)
-    s = emb @ emb.T
+    s, pos, neg = _pairs(batch)
     eps = params.multisim_epsilon
-    dist = np.inf
-    for i in range(batch.size):
-        if not (pos[i].any() and neg[i].any()):
-            continue
-        min_pos = float(np.min(s[i][pos[i]]))
-        max_neg = float(np.max(s[i][neg[i]]))
-        dist = min(dist, float(np.min(np.abs(s[i][neg[i]] - (min_pos - eps)))))
-        dist = min(dist, float(np.min(np.abs(s[i][pos[i]] - (max_neg + eps)))))
-    return dist
+    # no positives (negatives) means min_pos = inf (max_neg = -inf): distance inf
+    min_pos, max_neg, _, _ = _multisim_pairs(s, pos, neg, eps)
+    near_n = np.min(np.abs(s - (min_pos - eps)[:, None]), where=neg, initial=np.inf)
+    near_p = np.min(np.abs(s - (max_neg + eps)[:, None]), where=pos, initial=np.inf)
+    return float(min(near_n, near_p))
 
 
 def _softtriple_kink(batch: Batch, params: LossParams, bank: CenterBank) -> float:
-    w = bank.vectors
-    worst = 0.05  # sqrt(2-2t) below this makes the regularizer too curved to difference
-    for j in range(w.shape[1]):
-        for jj in range(j + 1, w.shape[1]):
-            dots = np.einsum("cd,cd->c", w[:, j, :], w[:, jj, :])
-            chord = float(np.min(np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))))
-            if chord < worst:
-                return 0.0
-    return np.inf
+    # a chord sqrt(2-2t) below 0.05 makes the regularizer too curved to difference
+    _, chord = _center_chords(bank.vectors)
+    return 0.0 if np.min(chord, initial=np.inf) < 0.05 else np.inf
 
 
 @dataclass(frozen=True)

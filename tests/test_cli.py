@@ -221,6 +221,23 @@ class TestExitCodes:
         assert rc == 1
         assert "mystery_dial" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        '{"supcon_tau": "0.1"}', '{"triplet_margin": NaN}', '{"supcon_tau": true}',
+        '{"softtriple_centers": 2.5}', '{"circle_gamma": Infinity}', '5',
+    ])
+    def test_loss_params_that_are_not_finite_numbers(self, art, tmp_path, capsys, payload):
+        params = tmp_path / "p.json"
+        params.write_text(payload)
+        rc = run(
+            "train", "--catalog", art["catalog"], "--splits", art["splits"],
+            "--features", art["features"], "--loss-params", params,
+            "--epochs", 1, "--m", 4, "--k", 3, "--d-out", 8,
+            "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.toy1").exists()
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("synth", "--frobnicate")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from splitmetric.embedstore import unit_rows
 from splitmetric.losses import (
     LOSS_KINDS,
     LOSSES,
@@ -14,6 +15,9 @@ from splitmetric.losses import (
     compute_loss,
     finite_diff_check,
 )
+
+SHARP = LossParams(supcon_tau=1e-3, proxynca_temperature=1e-3, circle_gamma=300.0,
+                   multisim_beta=500.0, softtriple_gamma=1e-3)
 
 
 def unit_batch(rng, b=10, d=6, classes=3):
@@ -166,6 +170,18 @@ class TestParams:
         with pytest.raises(LossError):
             LossParams(softtriple_centers=0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("supcon_tau", "0.1"), ("triplet_margin", float("nan")), ("supcon_tau", True),
+        ("softtriple_centers", 2.5), ("softtriple_centers", 2.0), ("circle_m", float("-inf")),
+        ("multisim_epsilon", None),
+    ])
+    def test_validate_rejects_values_that_are_not_finite_numbers(self, field, value):
+        with pytest.raises(LossError, match=field):
+            LossParams(**{field: value}).validate()
+
+    def test_validate_accepts_numpy_scalars(self):
+        LossParams(supcon_tau=np.float64(0.2), softtriple_centers=np.int64(3)).validate()
+
     def test_json_round_trip(self, tmp_path):
         import json
 
@@ -186,6 +202,13 @@ class TestBatch:
     def test_single_row_rejected(self):
         with pytest.raises(LossError, match="2 rows"):
             Batch(np.ones((1, 4)), np.array([0]))
+
+    def test_non_finite_row_rejected(self):
+        emb = np.ones((4, 3))
+        emb[2, 1] = np.nan
+        emb[3, 0] = np.inf
+        with pytest.raises(LossError, match="row 2 has non-finite"):
+            Batch(emb, np.array([0, 0, 1, 1]))
 
     def test_shape_mismatch(self):
         with pytest.raises(LossError):
@@ -412,14 +435,7 @@ class TestInvariants:
         rng = np.random.default_rng(23)
         batch = unit_batch(rng, b=8, d=5, classes=3)
         bank = make_bank(rng, kind, 3, 5)
-        params = LossParams(
-            supcon_tau=1e-3,
-            proxynca_temperature=1e-3,
-            circle_gamma=300.0,
-            multisim_beta=500.0,
-            softtriple_gamma=1e-3,
-        )
-        res = compute_loss(kind, batch, params, bank)
+        res = compute_loss(kind, batch, SHARP, bank)
         assert np.isfinite(res.value)
         assert np.all(np.isfinite(res.grad_embeddings))
 
@@ -448,3 +464,317 @@ class TestGradients:
             bank = make_bank(rng, kind, 3, 6)
             err = finite_diff_check(kind, batch, LossParams(), bank=bank, rng=rng)
             assert err < 1e-4, (kind, trial, err)
+
+
+# -- per-anchor references: the loops the whole-matrix kernels replaced ------
+#
+# These are the earlier per-anchor implementations, kept verbatim in
+# structure so that each vectorised kernel, and each kink distance, can be
+# checked against them: value and gradients within 1e-12 relative, kink
+# distances bit for bit.
+
+
+def loop_masks(labels):
+    same = labels[:, None] == labels[None, :]
+    off = ~np.eye(labels.shape[0], dtype=bool)
+    return same & off, (~same) & off
+
+
+def loop_log1p_sumexp(values):
+    if values.size == 0:
+        return 0.0, values
+    m = max(0.0, float(np.max(values)))
+    ex = np.exp(values - m)
+    denom = np.exp(-m) + float(np.sum(ex))
+    return m + np.log(denom), ex / denom
+
+
+def loop_masked_lse(row, mask):
+    vals = row[mask]
+    m = float(np.max(vals))
+    ex = np.exp(vals - m)
+    total = float(np.sum(ex))
+    weights = np.zeros_like(row)
+    weights[mask] = ex / total
+    return m + np.log(total), weights
+
+
+def loop_circle(batch, params):
+    emb, labels = batch.embeddings, batch.labels
+    m, gamma = params.circle_m, params.circle_gamma
+    pos, neg = loop_masks(labels)
+    s = emb @ emb.T
+    b = batch.size
+    a_n = gamma * np.maximum(0.0, s + m) * (s - m)
+    a_p = -gamma * np.maximum(0.0, 1.0 + m - s) * (s - (1.0 - m))
+    da_n = np.where(s + m > 0.0, 2.0 * gamma * s, 0.0)
+    da_p = np.where(1.0 + m - s > 0.0, 2.0 * gamma * (s - 1.0), 0.0)
+    value = 0.0
+    g = np.zeros_like(s)
+    for i in range(b):
+        if not (pos[i].any() and neg[i].any()):
+            continue
+        lse_n, w_n = loop_masked_lse(a_n[i], neg[i])
+        lse_p, w_p = loop_masked_lse(a_p[i], pos[i])
+        t = lse_n + lse_p
+        value += np.logaddexp(0.0, t)
+        sg = 1.0 / (1.0 + np.exp(-t))
+        g[i] += sg * (w_n * da_n[i] + w_p * da_p[i])
+    value /= b
+    g /= b
+    return float(value), (g + g.T) @ emb, None
+
+
+def loop_multisim(batch, params):
+    emb, labels = batch.embeddings, batch.labels
+    alpha, beta = params.multisim_alpha, params.multisim_beta
+    lam, eps = params.multisim_lambda, params.multisim_epsilon
+    pos, neg = loop_masks(labels)
+    s = emb @ emb.T
+    per_anchor = []
+    g = np.zeros_like(s)
+    for i in range(batch.size):
+        if not (pos[i].any() and neg[i].any()):
+            continue
+        min_pos = float(np.min(s[i][pos[i]]))
+        max_neg = float(np.max(s[i][neg[i]]))
+        keep_n = neg[i] & (s[i] > min_pos - eps)
+        keep_p = pos[i] & (s[i] < max_neg + eps)
+        if not (keep_n.any() or keep_p.any()):
+            continue
+        row = 0.0
+        if keep_p.any():
+            lp, w_p = loop_log1p_sumexp(-alpha * (s[i][keep_p] - lam))
+            row += lp / alpha
+            g[i][keep_p] += -w_p
+        if keep_n.any():
+            ln, w_n = loop_log1p_sumexp(beta * (s[i][keep_n] - lam))
+            row += ln / beta
+            g[i][keep_n] += w_n
+        per_anchor.append(row)
+    if not per_anchor:
+        return 0.0, np.zeros_like(emb), None
+    m_count = len(per_anchor)
+    g /= m_count
+    return float(np.sum(per_anchor)) / m_count, (g + g.T) @ emb, None
+
+
+def loop_supcon(batch, params):
+    emb, labels = batch.embeddings, batch.labels
+    tau = params.supcon_tau
+    pos, _ = loop_masks(labels)
+    off = ~np.eye(batch.size, dtype=bool)
+    s = (emb @ emb.T) / tau
+    eligible = [i for i in range(batch.size) if pos[i].any()]
+    if not eligible:
+        return 0.0, np.zeros_like(emb), None
+    value = 0.0
+    g = np.zeros_like(s)
+    for i in eligible:
+        lse, w = loop_masked_lse(s[i], off[i])
+        p_count = int(pos[i].sum())
+        value += -(float(np.sum(s[i][pos[i]])) - p_count * lse) / p_count
+        g[i] += w - pos[i] / p_count
+    value /= len(eligible)
+    g /= len(eligible) * tau
+    return float(value), (g + g.T) @ emb, None
+
+
+def loop_softtriple(batch, bank, params):
+    emb, labels = batch.embeddings, batch.labels
+    w = bank.vectors
+    n_classes, n_centers = w.shape[0], w.shape[1]
+    lam, gamma = params.softtriple_lambda, params.softtriple_gamma
+    delta, tau_reg = params.softtriple_delta, params.softtriple_tau_reg
+    b = batch.size
+    q = np.einsum("id,cjd->icj", emb, w)
+    qs = q / gamma
+    qs -= qs.max(axis=2, keepdims=True)
+    r = np.exp(qs)
+    r /= r.sum(axis=2, keepdims=True)
+    sim = np.sum(r * q, axis=2)
+    z = lam * sim
+    z[np.arange(b), labels] -= lam * delta
+    rows = np.arange(b)
+    shift = z - z.max(axis=1, keepdims=True)
+    ex = np.exp(shift)
+    resid = ex / ex.sum(axis=1, keepdims=True)
+    resid[rows, labels] -= 1.0
+    value = float(-np.mean(shift[rows, labels] - np.log(ex.sum(axis=1))))
+    dsim = lam * (resid / b)
+    dq = dsim[:, :, None] * r * (1.0 + (q - sim[:, :, None]) / gamma)
+    grad_emb = np.einsum("icj,cjd->id", dq, w)
+    grad_w = np.einsum("icj,id->cjd", dq, emb)
+    if n_centers >= 2 and tau_reg != 0.0:
+        denom = n_classes * n_centers * (n_centers - 1)
+        reg = 0.0
+        for j in range(n_centers):
+            for jj in range(j + 1, n_centers):
+                dots = np.einsum("cd,cd->c", w[:, j, :], w[:, jj, :])
+                chord = np.sqrt(np.maximum(2.0 - 2.0 * dots, 1e-30))
+                reg += float(np.sum(chord))
+                coef = -tau_reg / (denom * chord)
+                grad_w[:, j, :] += coef[:, None] * w[:, jj, :]
+                grad_w[:, jj, :] += coef[:, None] * w[:, j, :]
+        value += tau_reg * reg / denom
+    return value, grad_emb, grad_w
+
+
+def loop_triplet_kink(batch, params):
+    emb = batch.embeddings
+    pos, neg = loop_masks(batch.labels)
+    s = emb @ emb.T
+    h = s[:, None, :] - s[:, :, None] + params.triplet_margin
+    valid = pos[:, :, None] & neg[:, None, :]
+    return float(np.min(np.abs(h[valid]))) if valid.any() else np.inf
+
+
+def loop_multisim_kink(batch, params):
+    emb = batch.embeddings
+    pos, neg = loop_masks(batch.labels)
+    s = emb @ emb.T
+    eps = params.multisim_epsilon
+    dist = np.inf
+    for i in range(batch.size):
+        if not (pos[i].any() and neg[i].any()):
+            continue
+        min_pos = float(np.min(s[i][pos[i]]))
+        max_neg = float(np.max(s[i][neg[i]]))
+        dist = min(dist, float(np.min(np.abs(s[i][neg[i]] - (min_pos - eps)))))
+        dist = min(dist, float(np.min(np.abs(s[i][pos[i]] - (max_neg + eps)))))
+    return dist
+
+
+def loop_softtriple_kink(bank):
+    w = bank.vectors
+    for j in range(w.shape[1]):
+        for jj in range(j + 1, w.shape[1]):
+            dots = np.einsum("cd,cd->c", w[:, j, :], w[:, jj, :])
+            if float(np.min(np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0)))) < 0.05:
+                return 0.0
+    return np.inf
+
+
+LOOP_KERNELS = {"circle": loop_circle, "multisim": loop_multisim, "supcon": loop_supcon}
+ONE_SIDED_EPS = 0.1
+
+
+def one_sided_rows(rng, b, d):
+    """b rows whose anchor (row 0, label 0) mines only its positive (row 1)
+    or only its hardest negative (row 2).  In exact arithmetic an anchor
+    keeps its hardest negative iff it keeps its hardest positive (both mean
+    min_pos < max_neg + eps), so only rounding separates the two sides: here
+    s_01 and s_02 sit on the epsilon boundary, where fl(s_01 - eps) and
+    fl(s_02 + eps) round to opposite sides.  Rows 3.. are negatives of the
+    anchor well below row 2."""
+    while True:
+        s_02 = float(rng.uniform(-0.9, 0.8))
+        s_01 = s_02 + ONE_SIDED_EPS
+        steps = int(rng.integers(-3, 4))
+        for _ in range(abs(steps)):
+            s_01 = float(np.nextafter(s_01, np.sign(steps) * np.inf))
+        if (s_02 > s_01 - ONE_SIDED_EPS) != (s_01 < s_02 + ONE_SIDED_EPS):
+            break
+    rows = rng.standard_normal((b, d))
+    rows[0] = 0.0
+    rows[:, 0] = [1.0, s_01, s_02] + [-2.0] * (b - 3)
+    labels = np.concatenate([[0, 0, 1], rng.integers(1, 3, size=b - 3)])
+    return rows, labels
+
+
+def reference_batches(count=1200):
+    """Seeded (family, batch, params) triples covering balanced m x k batches,
+    random labels with singletons, one-class batches, one-sided multisim rows
+    and the sharp hyperparameters."""
+    rng = np.random.default_rng(515)
+    families = ("balanced", "random", "one_class", "one_sided", "sharp")
+    for case in range(count):
+        family = families[case % len(families)]
+        d = int(rng.integers(2, 9))
+        if family in ("balanced", "sharp"):
+            m, k = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+            labels = rng.permutation(np.repeat(rng.permutation(40)[:m], k))
+        elif family == "random":
+            b = int(rng.integers(2, 25))
+            labels = rng.integers(0, int(rng.integers(1, b + 1)), size=b)
+        elif family == "one_class":
+            labels = np.full(int(rng.integers(2, 12)), int(rng.integers(5)))
+        if family == "one_sided":
+            emb, labels = one_sided_rows(rng, int(rng.integers(3, 12)), d)
+        else:
+            emb = unit_rows(rng.standard_normal((labels.size, d)))
+        yield family, Batch(emb, labels), SHARP if family == "sharp" else LossParams()
+
+
+def reference_banks(rng, n_classes, d):
+    """Center banks with J = 1..4, some with near-coincident or equal centers."""
+    j = int(rng.integers(1, 5))
+    w = unit_rows(rng.standard_normal((n_classes, j, d)))
+    if j >= 2 and rng.random() < 0.5:
+        gap = 10.0 ** -float(rng.integers(1, 9))
+        w[:, 1] = unit_rows(w[:, 0] + gap * rng.standard_normal((n_classes, d)))
+    if j >= 2 and rng.random() < 0.1:
+        w[0, -1] = w[0, 0]
+    return CenterBank(w)
+
+
+def close(got, want, rel=1e-12):
+    """Agreement within rel of the reference's own scale (exact zeros stay zero)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want), initial=0.0)) <= rel * float(
+        np.max(np.abs(want), initial=0.0))
+
+
+class TestAgainstPerAnchorReference:
+    def test_pair_kernels_match(self):
+        families = set()
+        for family, batch, params in reference_batches():
+            families.add(family)
+            for kind, loop in LOOP_KERNELS.items():
+                want_value, want_grad, _ = loop(batch, params)
+                got = compute_loss(kind, batch, params)
+                assert close(got.value, want_value), (kind, family, got.value, want_value)
+                assert close(got.grad_embeddings, want_grad), (kind, family)
+                assert got.grad_aux is None
+        assert len(families) == 5
+
+    def test_one_sided_multisim_rows_are_covered(self):
+        """The one-sided family really mines one side only on its anchor row."""
+        seen = {"pos_only": 0, "neg_only": 0}
+        for family, batch, params in reference_batches():
+            if family != "one_sided":
+                continue
+            s = batch.embeddings @ batch.embeddings.T
+            pos, neg = loop_masks(batch.labels)
+            min_pos, max_neg = s[0][pos[0]].min(), s[0][neg[0]].max()
+            keep_n = (s[0][neg[0]] > min_pos - ONE_SIDED_EPS).any()
+            keep_p = (s[0][pos[0]] < max_neg + ONE_SIDED_EPS).any()
+            if keep_p and not keep_n:
+                seen["pos_only"] += 1
+            if keep_n and not keep_p:
+                seen["neg_only"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_softtriple_matches(self):
+        rng = np.random.default_rng(516)
+        decisions = set()
+        for case, (_, batch, params) in enumerate(reference_batches()):
+            bank = reference_banks(rng, int(batch.labels.max()) + 1, batch.embeddings.shape[1])
+            if case % 7 == 0:
+                params = LossParams(softtriple_tau_reg=0.0)
+            want_value, want_emb, want_w = loop_softtriple(batch, bank, params)
+            got = compute_loss("softtriple", batch, params, bank)
+            assert close(got.value, want_value), (case, got.value, want_value)
+            assert close(got.grad_embeddings, want_emb), case
+            assert close(got.grad_aux, want_w), case
+            kink = LOSSES["softtriple"].kink(batch, params, bank)
+            assert kink == loop_softtriple_kink(bank), case
+            decisions.add(kink)
+        assert decisions == {0.0, np.inf}
+
+    def test_kink_distances_are_bit_equal(self):
+        for family, batch, params in reference_batches():
+            got = LOSSES["triplet"].kink(batch, params, None)
+            assert got == loop_triplet_kink(batch, params), family
+            got = LOSSES["multisim"].kink(batch, params, None)
+            assert got == loop_multisim_kink(batch, params), family

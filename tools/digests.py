@@ -5,10 +5,13 @@ keeps every output byte-identical:
 
     PYTHONPATH=<checkout>/src python3 tools/digests.py > digests.txt
 
-It uses only `train`, `evaluate`, `mine_hard_negatives`, `sample_eval_pairs`
-and `cli.main`, so the same script runs on either side of a change to the
-code behind them.  It covers:
+It uses only `train`, `evaluate`, `mine_hard_negatives`, `sample_eval_pairs`,
+`compute_loss`, `finite_diff_check` and `cli.main`, so the same script runs on
+either side of a change to the code behind them.  It covers:
 
+- `compute_loss` value and gradients, and the `finite_diff_check` result, of
+  all six losses on fixed seeded batches and banks (``loss.<kind>.<case>``),
+  so a change to a kernel shows up before 30 epochs of training amplify it;
 - `train()` weights, bias and history for all six losses on the gate corpus
   seeds 0-4 (the gate recipe for the pair losses, three epochs for supcon
   and the bank losses);
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from splitmetric import cli
-from splitmetric.embedstore import EmbeddingMatrix
+from splitmetric.embedstore import EmbeddingMatrix, unit_rows
 from splitmetric.linkeval import (
     EvalError,
     EvalOptions,
@@ -43,6 +46,14 @@ from splitmetric.linkeval import (
     evaluate,
     mine_hard_negatives,
     sample_eval_pairs,
+)
+from splitmetric.losses import (
+    Batch,
+    CenterBank,
+    LossParams,
+    ProxyBank,
+    compute_loss,
+    finite_diff_check,
 )
 from splitmetric.splitgen import SplitConfig, generate_splits
 from splitmetric.synth import generate, standard_corpus_config
@@ -55,6 +66,8 @@ HARD_K = 10
 # loss -> epochs; the pair losses use the gate's 30, the rest a short run
 LOSS_EPOCHS = {"triplet": 30, "multisim": 30, "circle": 30,
                "supcon": 3, "proxynca": 3, "softtriple": 3}
+SHARP = LossParams(supcon_tau=1e-3, proxynca_temperature=1e-3, circle_gamma=300.0,
+                   multisim_beta=500.0, softtriple_gamma=1e-3)
 
 
 def emit(name: str, *parts) -> None:
@@ -108,6 +121,40 @@ def eval_digests(tag: str, features: EmbeddingMatrix, oracle: LinkOracle, ids, s
     shuffled = list(np.random.default_rng(seed).permutation(ids))
     emit(f"{tag}.pairs", *pair_parts(attempt(sample_eval_pairs, shuffled, oracle, seed)))
     emit(f"{tag}.pairs_h", *pair_parts(attempt(sample_eval_pairs, shuffled, oracle, seed, pool)))
+
+
+def loss_cases():
+    """(case, labels, embeddings, params, centers per class) on fixed seeds."""
+    rng = np.random.default_rng(505)
+    balanced = unit_rows(rng.standard_normal((32, 6)))
+    yield "balanced8x4", np.repeat(np.arange(8), 4), balanced, LossParams(), 3
+    uneven = rng.integers(0, 9, size=14)  # singletons and uneven classes
+    yield "random", uneven, unit_rows(rng.standard_normal((14, 5))), LossParams(), 2
+    yield "sharp", np.repeat(np.arange(4), 3), unit_rows(rng.standard_normal((12, 5))), SHARP, 3
+    one_class = unit_rows(rng.standard_normal((6, 4)))
+    yield "one_class", np.zeros(6, dtype=int), one_class, LossParams(), 1
+    close = unit_rows(rng.standard_normal((10, 4)))
+    close[1::2] = unit_rows(close[0::2] + 1e-3 * rng.standard_normal((5, 4)))
+    yield "close_pairs", np.repeat(np.arange(5), 2), close, LossParams(), 4
+
+
+def loss_digests() -> None:
+    """Every kind on every case; the last case's second centers sit near the first."""
+    for case, labels, emb, params, centers in loss_cases():
+        n_classes, d = int(labels.max()) + 1, emb.shape[1]
+        rng = np.random.default_rng(d * 1000 + labels.size)
+        w = unit_rows(rng.standard_normal((n_classes, centers, d)))
+        if case == "close_pairs":
+            w[:, 1] = unit_rows(w[:, 0] + 0.1 * rng.standard_normal((n_classes, d)))
+        banks = {"proxynca": ProxyBank(unit_rows(rng.standard_normal((n_classes, d)))),
+                 "softtriple": CenterBank(w)}
+        for kind in LOSS_EPOCHS:
+            batch, bank = Batch(emb, labels), banks.get(kind)
+            result = compute_loss(kind, batch, params, bank)
+            emit(f"loss.{kind}.{case}", result.value, result.grad_embeddings, result.grad_aux)
+            check = finite_diff_check(kind, batch, params, bank=bank,
+                                      rng=np.random.default_rng(7))
+            emit(f"loss.{kind}.{case}.fd", check)
 
 
 def train_digests() -> None:
@@ -190,6 +237,7 @@ def cli_digests() -> None:
 
 
 def main() -> int:
+    loss_digests()
     random_pair_digests()
     retrieval_digests()
     split_digests()
