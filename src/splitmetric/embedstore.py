@@ -136,11 +136,14 @@ def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np
 
     Cells whose query and gallery groups are equal score -inf.  Each row is
     ordered by (-similarity, ascending gallery index), ties on the k-th value
-    included; needs k <= len(g).  Queries go in 512-row blocks, so each
-    thread holds O(512 * len(g)) floats.  The block shape and two separate
-    input buffers are fixed because BLAS rounding depends on both: another
-    row count changes some cells by one ulp, and ``a @ a.T`` on one buffer
-    runs a symmetric kernel that rounds differently.
+    included; needs k <= len(g).  For k = 1 that is one ``argmax`` per block:
+    its first maximum is the smallest index, and a row that is all -inf gives
+    index 0 with similarity -inf, as for any k.  Queries go in 512-row
+    blocks, so each thread holds O(512 * len(g)) floats.  The block shape
+    and two separate input buffers are fixed because BLAS rounding depends
+    on both: another row count changes some cells by one ulp, and
+    ``a @ a.T`` on one buffer runs a symmetric kernel that rounds
+    differently.
     """
     n_q, n_g = len(q), len(g)
     indices = np.empty((n_q, k), dtype=np.intp)
@@ -149,6 +152,11 @@ def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np
     def run(lo: int) -> None:
         block = q[lo:lo + 512] @ g.T
         block[q_group[lo:lo + 512, None] == g_group] = -np.inf
+        if k == 1:
+            best = block.argmax(axis=1)
+            indices[lo:lo + 512, 0] = best
+            sims[lo:lo + 512, 0] = block[np.arange(len(block)), best]
+            return
         for i, row in enumerate(block, lo):
             kth = np.partition(row, n_g - k)[n_g - k]
             candidates = np.flatnonzero(row >= kth)

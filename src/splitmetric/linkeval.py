@@ -8,6 +8,11 @@ AUC is estimated from per-anchor sampled pairs (one positive, one negative
 each); AUC_H replaces the uniform negative with a draw from a mined pool of
 the most-similar negatives under a fixed reference embedding.  Repeats are
 independent, with repeat r seeded as seed+r, and reduced in repeat order.
+
+`evaluate` builds one pair index per mode (branch order, ranks, draw bounds
+and the checked hard pool, all as row positions) and scores each repeat's
+seeded draw straight from the unit rows; `sample_eval_pairs` returns the
+same index's draw as id pairs.
 """
 
 from __future__ import annotations
@@ -117,6 +122,79 @@ def auroc(pos_scores, neg_scores) -> float:
     return float(u / (pos.size * neg.size))
 
 
+class _PairIndex:
+    """Sorted ids grouped into branches once, for any number of seeded draws.
+
+    ``ids`` must be sorted and ``codes`` are their branch codes; every
+    position below indexes ``ids``.  An anchor is eligible when its branch
+    has another member; the others are ``skipped``.  With a hard pool, the
+    eligible anchors' pools are checked once (each entry must be an id here,
+    from another branch) and kept as a padded array of positions plus the
+    pool lengths, which bound the negative draws.
+    """
+
+    def __init__(self, ids: list, codes: np.ndarray, hard_pool: HardNegPool | None) -> None:
+        sizes = np.bincount(codes)
+        if len(sizes) < 2:
+            raise EvalError(f"need at least 2 branches to sample negatives, got {len(sizes)}")
+        n = len(ids)
+        self.order = np.argsort(codes, kind="stable")  # each branch's members, in id order
+        start = np.cumsum(sizes) - sizes  # where each branch begins in `order`
+        rank = np.empty(n, dtype=np.intp)  # an id's position among its branch's members
+        rank[self.order] = np.arange(n) - start[codes[self.order]]
+        self.anchors = np.flatnonzero(sizes[codes] >= 2)
+        self.skipped = n - len(self.anchors)
+        branch = codes[self.anchors]
+        self.first_mate = start[branch]
+        self.anchor_rank = rank[self.anchors]
+        self.pooled = self.pool = None
+        if hard_pool is None:
+            available = n - sizes[branch]
+            # the r-th outsider sits past every member with at most r outsiders
+            # before it; keys offset by branch make one sorted array for all
+            self.keys = codes[self.order] * (n + 1) + self.order - rank[self.order]
+            self.key_base = branch * (n + 1)
+        else:
+            self.pooled = [hard_pool.negatives.get(ids[a]) for a in self.anchors]
+            missing = next((ids[a] for a, p in zip(self.anchors, self.pooled) if not p), None)
+            if missing is not None:
+                raise EvalError(f"hard pool has no negatives for anchor {missing!r}")
+            available = np.array([len(p) for p in self.pooled], dtype=np.int64)
+            position = {image_id: j for j, image_id in enumerate(ids)}
+            entries = [entry for p in self.pooled for entry in p]
+            at = np.array([position.get(entry, -1) for entry in entries], dtype=np.intp)
+            owner = np.repeat(self.anchors, available)
+            bad = np.flatnonzero((at < 0) | (codes[at] == codes[owner]))
+            if bad.size:
+                anchor, entry = ids[owner[bad[0]]], entries[bad[0]]
+                why = "not an evaluated id" if at[bad[0]] < 0 else "in the anchor's own branch"
+                raise EvalError(f"hard pool of anchor {anchor!r} holds {entry!r}, which is {why}")
+            self.pool = np.zeros((len(available), available.max(initial=0)), dtype=np.intp)
+            self.pool[np.arange(self.pool.shape[1]) < available[:, None]] = at
+        self.bounds = np.stack([sizes[branch] - 1, available], axis=1).ravel()
+
+    def draw(self, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(positives, negatives, negative draws), one each per eligible anchor.
+
+        Positives and negatives are positions; a negative draw is the
+        negative's slot in the anchor's pool in hard mode.  One
+        ``rng.integers`` call draws every index: numpy fills array bounds
+        element by element, the same stream as one scalar call per anchor and
+        side, positive first.
+        """
+        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        draws = rng.integers(0, self.bounds)
+        r_pos, r_neg = draws[0::2], draws[1::2]
+        # the r-th mate skips the anchor's own slot in its branch
+        positives = self.order[self.first_mate + r_pos + (r_pos >= self.anchor_rank)]
+        if self.pool is None:
+            members_before = np.searchsorted(self.keys, self.key_base + r_neg, side="right")
+            negatives = r_neg + members_before - self.first_mate
+        else:
+            negatives = self.pool[np.arange(len(r_neg)), r_neg]
+        return positives, negatives, r_neg
+
+
 def sample_eval_pairs(
     image_ids,
     oracle: LinkOracle,
@@ -127,51 +205,26 @@ def sample_eval_pairs(
 
     Anchors are visited in sorted id order; a singleton-branch anchor is
     skipped (no positive exists) and consumes no random draws.  Negatives come
-    uniformly from the other branches, or from ``hard_pool`` when given.  One
-    ``rng.integers`` call draws every index: numpy fills array bounds element
-    by element, the same stream as one scalar call per anchor and side.
+    uniformly from the other branches, or from ``hard_pool`` when given, as
+    the pool's own id objects.  The ids are the caller's; `evaluate` draws the
+    same pairs as positions.
     """
     ids = sorted(image_ids)
     if len(set(ids)) != len(ids):
         raise EvalError("image ids must be unique")
-    codes = oracle.codes(ids)
-    sizes = np.bincount(codes)
-    if len(sizes) < 2:
-        raise EvalError(f"need at least 2 branches to sample negatives, got {len(sizes)}")
-    n = len(ids)
-    order = np.argsort(codes, kind="stable")  # each branch's members, in id order
-    start = np.cumsum(sizes) - sizes  # where each branch begins in `order`
-    rank = np.empty(n, dtype=np.intp)  # an id's position among its branch's members
-    rank[order] = np.arange(n) - start[codes[order]]
-    anchors = np.flatnonzero(sizes[codes] >= 2)
-    branch = codes[anchors]
-    if hard_pool is None:
-        available = n - sizes[branch]
-    else:
-        pooled = [hard_pool.negatives.get(ids[a]) for a in anchors]
-        missing = next((ids[a] for a, p in zip(anchors, pooled) if not p), None)
-        if missing is not None:
-            raise EvalError(f"hard pool has no negatives for anchor {missing!r}")
-        available = np.array([len(p) for p in pooled], dtype=np.int64)
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    draws = rng.integers(0, np.stack([sizes[branch] - 1, available], axis=1).ravel())
-    r_pos, r_neg = draws[0::2], draws[1::2]
-    # the r-th mate skips the anchor's own slot in its branch
-    positives = order[start[branch] + r_pos + (r_pos >= rank[anchors])]
+    index = _PairIndex(ids, oracle.codes(ids), hard_pool)
+    positives, negatives, r_neg = index.draw(seed)
     all_ids = np.array(ids, dtype=object)
     if hard_pool is None:
-        # the r-th outsider sits past every member with at most r outsiders
-        # before it; keys offset by branch make one sorted array for all
-        keys = codes[order] * (n + 1) + order - rank[order]
-        members_before = np.searchsorted(keys, branch * (n + 1) + r_neg, side="right")
-        negatives = all_ids[r_neg + members_before - start[branch]].tolist()
+        negatives = all_ids[negatives].tolist()
     else:
-        negatives = [p[r] for p, r in zip(pooled, r_neg.tolist())]
+        negatives = [p[r] for p, r in zip(index.pooled, r_neg.tolist())]
     pairs = []
-    for anchor, pos, neg in zip(all_ids[anchors].tolist(), all_ids[positives].tolist(), negatives):
+    for anchor, pos, neg in zip(all_ids[index.anchors].tolist(), all_ids[positives].tolist(),
+                                negatives):
         pairs += ((anchor, pos, 1), (anchor, neg, 0))
     return PairSet(tuple(pairs), seed, "hard" if hard_pool is not None else "random",
-                   n - len(anchors))
+                   index.skipped)
 
 
 def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int = 10,
@@ -196,19 +249,15 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
                         for qi, anchor in enumerate(ids)}, k)
 
 
-def _pair_scores(unit: np.ndarray, row_of: dict, pair_set: PairSet):
-    a_idx = np.array([row_of[a] for a, _, _ in pair_set.pairs], dtype=np.intp)
-    b_idx = np.array([row_of[b] for _, b, _ in pair_set.pairs], dtype=np.intp)
-    links = np.array([y for _, _, y in pair_set.pairs], dtype=bool)
-    scores = np.einsum("ij,ij->i", unit[a_idx], unit[b_idx])
-    return scores[links], scores[~links]
-
-
 def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptions) -> MetricReport:
-    """R@1 plus AUC (and AUC_H when a hard pool is supplied) over repeats."""
+    """R@1 plus AUC (and AUC_H when a hard pool is supplied) over repeats.
+
+    Each mode builds one pair index over the sorted ids; every repeat draws
+    positions from it, which one row array maps to the unit embeddings.
+    """
     if options.repeats < 1:
         raise EvalError("repeats must be >= 1")
-    ids = list(embeddings.ids)
+    ids = embeddings.ids
     codes = oracle.codes(ids)
     eligible = np.bincount(codes)[codes] >= 2
     if not eligible.any():
@@ -217,18 +266,19 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
     knn = cosine_knn(embeddings, embeddings, k=1, exclude_self=True, threads=options.threads)
     r_at_1 = float(np.mean(codes[knn.indices[eligible, 0]] == codes[eligible]))
 
-    unit = unit_rows(embeddings.data)
-    row_of = {image_id: i for i, image_id in enumerate(ids)}
+    rows = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)  # in id order
+    unit = unit_rows(embeddings.data)[rows]
+    sorted_ids = [ids[r] for r in rows]
 
     def auc_over_repeats(hard_pool):
+        index = _PairIndex(sorted_ids, codes[rows], hard_pool)
+        anchors = unit[index.anchors]
         vals = []
-        skipped = 0
         for r in range(options.repeats):
-            ps = sample_eval_pairs(ids, oracle, options.seed + r, hard_pool)
-            skipped = ps.skipped
-            pos, neg = _pair_scores(unit, row_of, ps)
-            vals.append(auroc(pos, neg))
-        return vals, skipped
+            positives, negatives, _ = index.draw(options.seed + r)
+            vals.append(auroc(np.einsum("ij,ij->i", anchors, unit[positives]),
+                              np.einsum("ij,ij->i", anchors, unit[negatives])))
+        return vals, index.skipped
 
     auc_vals, skipped = auc_over_repeats(None)
     auc_h_vals = None

@@ -228,6 +228,30 @@ class TestKnn:
                     assert np.array_equal(res.indices, idx[:, :k]), (exclude, k, threads)
                     assert np.allclose(res.similarities, sim[:, :k], atol=1e-12)
 
+    def test_k1_argmax_matches_brute_force_across_block_edge(self):
+        # 700 duplicated and rescaled directions: each query ties with many
+        # gallery rows, and equal queries sit on both sides of query row 512
+        rng = np.random.default_rng(17)
+        palette = np.array([[1, 0], [0, 1], [1, 1], [-1, 1], [1, -1], [-1, 0]])
+
+        def tied(n, ids=None):
+            rows = palette[rng.integers(len(palette), size=n)] * rng.choice([1, 2], (n, 1))
+            return matrix(rows, ids=ids)
+
+        g = tied(700)
+        q = tied(700, ids=tuple(f"q{j}" for j in range(700)))
+        window = np.arange(448, 576)
+        for queries, exclude in ((q, False), (g, True)):
+            idx, sim = brute_knn(queries.data[window], g.data, 1,
+                                 exclude=list(window) if exclude else None)
+            general = cosine_knn(queries, g, k=2, exclude_self=exclude)  # the k > 1 path
+            for threads in (1, 2):
+                res = cosine_knn(queries, g, k=1, exclude_self=exclude, threads=threads)
+                assert np.array_equal(res.indices, general.indices[:, :1]), (exclude, threads)
+                assert np.array_equal(res.similarities, general.similarities[:, :1])
+                assert np.array_equal(res.indices[window], idx), (exclude, threads)
+                assert np.allclose(res.similarities[window], sim, atol=1e-12)
+
     def test_neighbor_ids_align_with_indices(self):
         g = matrix([[1.0, 0.0], [0.0, 1.0]], ids=("x", "y"))
         q = matrix([[0.0, 2.0]], ids=("q",))

@@ -226,6 +226,29 @@ class TestSampling:
         with pytest.raises(EvalError, match="anchor 'b2'"):
             sample_eval_pairs(list(reversed(labels)), oracle_of(labels), seed=0, hard_pool=pool)
 
+    def test_pool_entry_from_the_anchors_own_branch_rejected(self):
+        # drawn as a "negative", it would turn AUC_H into a plausible 0.5
+        labels = {"i1": "a", "i2": "a", "i3": "b", "i4": "b"}
+        pool = HardNegPool({"i1": ("i3", "i2"), "i2": ("i1",), "i3": ("i1",), "i4": ("i1",)},
+                           k=2)
+        emb = EmbeddingMatrix(tuple(labels), np.eye(4, dtype=np.float32))
+        message = "anchor 'i1' holds 'i2', which is in the anchor's own branch"
+        with pytest.raises(EvalError, match=message):
+            sample_eval_pairs(list(labels), oracle_of(labels), seed=0, hard_pool=pool)
+        with pytest.raises(EvalError, match=message):
+            evaluate(emb, oracle_of(labels), EvalOptions(repeats=2, hard_pool=pool))
+
+    def test_pool_id_outside_the_evaluated_ids_rejected(self):
+        # a stray id has no embedding row to score, and is no valid negative
+        labels = {"i1": "a", "i2": "a", "i3": "b", "i4": "b"}
+        pool = HardNegPool({"i1": ("i3",), "i2": ("i4",), "i3": ("z",), "i4": ("i1",)}, k=1)
+        emb = EmbeddingMatrix(tuple(labels), np.eye(4, dtype=np.float32))
+        message = "anchor 'i3' holds 'z', which is not an evaluated id"
+        with pytest.raises(EvalError, match=message):
+            sample_eval_pairs(list(labels), oracle_of(labels), seed=0, hard_pool=pool)
+        with pytest.raises(EvalError, match=message):
+            evaluate(emb, oracle_of(labels), EvalOptions(repeats=2, hard_pool=pool))
+
     def test_hard_mode_missing_anchor(self):
         oracle = oracle_of({"i1": "a", "i2": "a", "i3": "b", "i4": "b"})
         pool = HardNegPool({"i1": ("i4",)}, k=1)
@@ -299,8 +322,32 @@ class TestMining:
     def test_same_branch_only_gives_empty_pools(self):
         oracle = oracle_of({"a": "x", "b": "x"})
         emb = EmbeddingMatrix(("a", "b"), np.eye(2, dtype=np.float32))
-        pool = mine_hard_negatives(emb, oracle, k=3)
-        assert pool.negatives == {"a": (), "b": ()}
+        for k in (1, 3):  # every cell scores -inf; k = 1 takes the argmax path
+            pool = mine_hard_negatives(emb, oracle, k=k)
+            assert pool.negatives == {"a": (), "b": ()}
+
+    def test_k1_matches_brute_force_across_block_edge(self):
+        rng = np.random.default_rng(76)
+        palette = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1], [-1, 1, 1]])
+        n = 700  # two 512-row query blocks
+        data = palette[rng.integers(len(palette), size=n)] * rng.choice([1, 2], (n, 1))
+        ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
+        emb = EmbeddingMatrix(ids, data.astype(np.float32))
+        oracle = oracle_of({i: f"b{int(rng.integers(6))}" for i in ids})
+        unit = data / np.linalg.norm(data, axis=1, keepdims=True)
+        row = {i: j for j, i in enumerate(ids)}
+        general = mine_hard_negatives(emb, oracle, k=2)  # the k > 1 path
+        for threads in (1, 2):
+            pool = mine_hard_negatives(emb, oracle, k=1, threads=threads)
+            assert pool.negatives == {a: p[:1] for a, p in general.negatives.items()}
+        for anchor in sorted(ids)[448:576]:  # the anchors on both sides of row 512
+            scored = sorted(
+                (-float(unit[row[anchor]] @ unit[row[other]]), other)
+                for other in ids if oracle.branch(other) != oracle.branch(anchor)
+            )
+            assert pool.negatives[anchor] == (scored[0][1],)
+        one_branch = mine_hard_negatives(emb, oracle_of(dict.fromkeys(ids, "x")), k=1)
+        assert one_branch.negatives == dict.fromkeys(ids, ())
 
     def test_tie_breaks_toward_smaller_id(self):
         data = np.array([[1.0, 0.0], [0.9, 0.1], [0.9, 0.1]], dtype=np.float32)
@@ -470,6 +517,45 @@ class TestEvaluate:
             assert report.r_at_1 == want_r1
             assert report.skipped == sum(1 for b in labels.values() if sizes[b] == 1) > 0
             assert report.auc_repeats == pytest.approx(want_aucs, abs=1e-12)
+
+    def test_both_modes_match_public_pairs_scored_by_brute_force(self):
+        rng = np.random.default_rng(86)
+        checked = 0
+        for _ in range(8):
+            n = int(rng.integers(20, 60))
+            ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
+            labels = {i: f"b{int(rng.integers(n // 2))}" for i in ids}
+            oracle = oracle_of(labels)
+            sizes = {}
+            for b in labels.values():
+                sizes[b] = sizes.get(b, 0) + 1
+            if len(sizes) < 2 or max(sizes.values()) < 2:
+                continue
+            emb = EmbeddingMatrix(ids, rng.standard_normal((n, 3)).astype(np.float32))
+            pool = HardNegPool({
+                i: tuple(o for o in rng.permutation(ids) if labels[o] != labels[i])[
+                    : int(rng.integers(1, 6))]
+                for i in ids
+            }, k=5)
+            report = evaluate(emb, oracle, EvalOptions(repeats=3, seed=5, hard_pool=pool))
+            unit = emb.data.astype(np.float64)
+            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+            row = {i: j for j, i in enumerate(ids)}
+
+            def pair_auroc(pairs):
+                scores = {0: [], 1: []}
+                for a, b, y in pairs:
+                    scores[y].append(float(unit[row[a]] @ unit[row[b]]))
+                return brute_auroc(scores[1], scores[0])
+
+            for r in range(3):
+                hard_pairs, _, _ = reference_eval_pairs(ids, oracle, 5 + r, pool)
+                assert report.auc_h_repeats[r] == pytest.approx(pair_auroc(hard_pairs), abs=1e-12)
+                for hard_pool, got in ((None, report.auc_repeats), (pool, report.auc_h_repeats)):
+                    pairs = sample_eval_pairs(ids, oracle, 5 + r, hard_pool).pairs
+                    assert got[r] == pytest.approx(pair_auroc(pairs), abs=1e-12)
+            checked += report.skipped > 0
+        assert checked > 0
 
     def test_all_singletons_rejected(self):
         emb = EmbeddingMatrix(("a", "b"), np.eye(2, dtype=np.float32))

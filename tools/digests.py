@@ -6,12 +6,16 @@ keeps every output byte-identical:
     PYTHONPATH=<checkout>/src python3 tools/digests.py > digests.txt
 
 It uses only `train`, `evaluate`, `mine_hard_negatives`, `sample_eval_pairs`,
-`compute_loss`, `finite_diff_check` and `cli.main`, so the same script runs on
-either side of a change to the code behind them.  It covers:
+`cosine_knn`, `compute_loss`, `finite_diff_check` and `cli.main`, so the same
+script runs on either side of a change to the code behind them.  It covers:
 
 - `compute_loss` value and gradients, and the `finite_diff_check` result, of
   all six losses on fixed seeded batches and banks (``loss.<kind>.<case>``),
   so a change to a kernel shows up before 30 epochs of training amplify it;
+- `cosine_knn` k = 1 indices and similarities (``knn1.<case>``) and
+  `mine_hard_negatives` k = 1 pools (``mine1.<case>``) on quantized,
+  tie-heavy inputs of more than 512 rows, with and without self-exclusion,
+  on one and two threads;
 - `train()` weights, bias and history for all six losses on the gate corpus
   seeds 0-4 (the gate recipe for the pair losses, three epochs for supcon
   and the bank losses);
@@ -22,7 +26,7 @@ either side of a change to the code behind them.  It covers:
 - every file of the README CLI walkthrough except ``*.manifest.json``, and
   each command's stdout.
 
-A full run takes about two minutes on two cores.
+A full run takes about one minute on two cores.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from splitmetric import cli
-from splitmetric.embedstore import EmbeddingMatrix, unit_rows
+from splitmetric.embedstore import EmbeddingMatrix, cosine_knn, unit_rows
 from splitmetric.linkeval import (
     EvalError,
     EvalOptions,
@@ -157,6 +161,37 @@ def loss_digests() -> None:
             emit(f"loss.{kind}.{case}.fd", check)
 
 
+def tie_cases():
+    """(case, matrix) with many exactly tied similarities, all over 512 rows."""
+    rng = np.random.default_rng(606)
+    palette = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [-1, 1, 1], [1, -1, 0], [0, 0, -1]])
+    n = 1100  # three 512-row blocks; tie groups straddle both block edges
+    scaled = palette[rng.integers(len(palette), size=n)] * rng.choice([1, 2, 3], (n, 1))
+    yield "palette", scaled
+    small = rng.integers(-1, 2, size=(n, 4))
+    small[~small.any(axis=1), 0] = 1  # a zero row has no direction
+    yield "small_ints", small
+    yield "constant", np.ones((600, 2))
+
+
+def tie_digests() -> None:
+    for case, rows in tie_cases():
+        ids = tuple(f"t{j:04d}" for j in range(len(rows)))
+        emb = EmbeddingMatrix(ids, rows.astype(np.float32))
+        queries = EmbeddingMatrix(ids[:700], emb.data[::-1][:700])
+        labels = np.random.default_rng(len(rows)).integers(5, size=len(rows))
+        oracles = {"branches": LinkOracle({i: f"b{b}" for i, b in zip(ids, labels)}),
+                   "one_branch": LinkOracle(dict.fromkeys(ids, "b"))}
+        for threads in (1, 2):
+            for exclude, q in ((True, emb), (False, queries)):
+                knn = cosine_knn(q, emb, k=1, exclude_self=exclude, threads=threads)
+                emit(f"knn1.{case}.exclude{int(exclude)}.threads{threads}",
+                     knn.indices, knn.similarities)
+            for name, oracle in oracles.items():
+                pool = mine_hard_negatives(emb, oracle, k=1, threads=threads)
+                emit(f"mine1.{case}.{name}.threads{threads}", *pool_parts(pool))
+
+
 def train_digests() -> None:
     for seed in GATE_SEEDS:
         catalog, features = generate(standard_corpus_config(seed=seed))
@@ -238,6 +273,7 @@ def cli_digests() -> None:
 
 def main() -> int:
     loss_digests()
+    tie_digests()
     random_pair_digests()
     retrieval_digests()
     split_digests()
