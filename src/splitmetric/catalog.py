@@ -74,9 +74,8 @@ class Catalog:
         return {r.image_id: r.branch_id for r in self.records}
 
     def branch_chain_map(self) -> dict[str, str | None]:
-        out: dict[str, str | None] = {}
-        for rec in self.records:
-            out.setdefault(rec.branch_id, rec.chain_id)
+        out: dict[str, str | None] = {b: c for c, bs in self.chain_index.items() for b in bs}
+        out.update(dict.fromkeys(self.unknown_branches))
         return out
 
     def unknown_images(self) -> frozenset[str]:

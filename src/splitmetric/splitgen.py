@@ -7,6 +7,12 @@ branches of chains still present in train, ``*_uu`` from fully held-out
 chains, and ``test_unk`` holds every unknown-chain image.  Validation splits
 are carved from the train portion by the same recipe; there is deliberately
 no ``val_unk``.
+
+One carve stage serves both rounds: ``_carve_stage`` draws the uu chains, su
+branches and ss images of one stage, assigns them, and hands the images it
+leaves to the next round (test, then val, then the final train fill).  The
+verifier builds one table, a count of images per branch in each split, and
+every check and every reported count reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from collections import Counter
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +55,14 @@ class SplitConfig:
     ss_divisor: int = 5
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            ok = isinstance(value, numbers.Integral) or (
+                f.type == "float" and isinstance(value, numbers.Real) and math.isfinite(value)
+            )
+            if isinstance(value, bool) or not ok:
+                kind = "an int" if f.type == "int" else "a finite number"
+                raise SplitError(f"{f.name} must be {kind}, got {value!r}")
         if not 0.0 < self.uu_chain_fraction < 1.0:
             raise SplitError("uu_chain_fraction must be in (0,1)")
         if not 0.0 < self.su_branch_fraction < 1.0:
@@ -60,14 +76,7 @@ class SplitConfig:
             raise SplitError("t1 must be >= ss_divisor * t2")
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "uu_chain_fraction": self.uu_chain_fraction,
-            "su_branch_fraction": self.su_branch_fraction,
-            "t1": self.t1,
-            "t2": self.t2,
-            "ss_divisor": self.ss_divisor,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -114,20 +123,27 @@ class ConstraintReport:
 
 def _carve_stage(
     rng: np.random.Generator,
-    branch_images: dict[str, list[str]],
-    branch_chain: dict[str, str],
+    pool: dict[str, list[str]],
+    branch_chain: dict[str, str | None],
     config: SplitConfig,
-    uu_blocked: frozenset[str],
-    su_blocked: frozenset[str],
+    assignment: dict[str, str],
     stage: str,
-) -> tuple[set[str], set[str], dict[str, list[str]]]:
-    """One round of the carve: returns (uu chains, su branches, ss draws)."""
-    chains = sorted({branch_chain[b] for b in branch_images})
+    protected_chains: frozenset[str] = frozenset(),
+    protected_branches: frozenset[str] = frozenset(),
+) -> tuple[dict[str, list[str]], set[str], set[str]]:
+    """One round of the carve over ``pool`` (branch -> sorted images).
+
+    Assigns the ``<stage>_uu``, ``<stage>_su`` and ``<stage>_ss`` images and
+    returns the images left in each remaining branch, plus the su branches and
+    the ss branches (those that gave up images) that a later stage must
+    protect.  Protected chains never go uu; protected branches never go su.
+    """
+    chains = sorted({branch_chain[b] for b in pool})
     if not chains:
         raise SplitError(f"{stage}: empty chain pool")
 
     # whole-chain holdout: every branch of a sampled chain leaves the pool
-    uu_candidates = [c for c in chains if c not in uu_blocked]
+    uu_candidates = [c for c in chains if c not in protected_chains]
     n_uu = math.ceil(config.uu_chain_fraction * len(chains))
     n_uu = min(n_uu, len(uu_candidates), len(chains) - 1)
     uu_chains: set[str] = set()
@@ -136,12 +152,10 @@ def _carve_stage(
         uu_chains = {uu_candidates[i] for i in picked}
 
     # branch holdout, constrained so every remaining chain keeps >= 1 branch
-    rest = sorted(b for b in branch_images if branch_chain[b] not in uu_chains)
-    chain_remaining: dict[str, int] = {}
-    for b in rest:
-        chain_remaining[branch_chain[b]] = chain_remaining.get(branch_chain[b], 0) + 1
+    rest = sorted(b for b in pool if branch_chain[b] not in uu_chains)
+    chain_remaining = Counter(branch_chain[b] for b in rest)
     quota = math.ceil(config.su_branch_fraction * len(rest))
-    candidates = [b for b in rest if b not in su_blocked]
+    candidates = [b for b in rest if b not in protected_branches]
     su_branches: set[str] = set()
     while len(su_branches) < quota and candidates:
         j = int(rng.integers(len(candidates)))
@@ -151,20 +165,27 @@ def _carve_stage(
             su_branches.add(b)
             chain_remaining[c] -= 1
 
-    # per-branch image holdout for branches big enough to spare t2..N/div
-    ss_draws: dict[str, list[str]] = {}
-    for b in rest:
-        if b in su_branches:
-            continue
-        images = branch_images[b]
+    # per-branch image holdout for branches big enough to spare t2..N/div,
+    # drawn in sorted branch order after every uu and su draw
+    left: dict[str, list[str]] = {}
+    ss_branches: set[str] = set()
+    for b in sorted(pool):
+        images = pool[b]
         n = len(images)
-        if n < config.t1:
-            continue
-        hi = n // config.ss_divisor
-        k = int(rng.integers(config.t2, hi + 1))
-        picked = rng.choice(n, size=k, replace=False)
-        ss_draws[b] = [images[i] for i in sorted(picked)]
-    return uu_chains, su_branches, ss_draws
+        if branch_chain[b] in uu_chains:
+            assignment.update(dict.fromkeys(images, f"{stage}_uu"))
+        elif b in su_branches:
+            assignment.update(dict.fromkeys(images, f"{stage}_su"))
+        elif n < config.t1:
+            left[b] = images
+        else:
+            k = int(rng.integers(config.t2, n // config.ss_divisor + 1))
+            picked = sorted(rng.choice(n, size=k, replace=False).tolist())
+            held = dict.fromkeys([images[j] for j in picked], f"{stage}_ss")
+            assignment.update(held)
+            left[b] = [image for image in images if image not in held]
+            ss_branches.add(b)
+    return left, su_branches, ss_branches
 
 
 def generate_splits(catalog: Catalog, config: SplitConfig) -> SplitAssignment:
@@ -175,142 +196,70 @@ def generate_splits(catalog: Catalog, config: SplitConfig) -> SplitAssignment:
     if len(catalog.chain_index) < 2:
         raise SplitError("need at least 2 known chains")
 
-    rng = np.random.default_rng(config.seed & 0xFFFFFFFFFFFFFFFF)
-    assignment: dict[str, str] = {}
-    branch_chain_all = catalog.branch_chain_map()
-
-    for b in sorted(catalog.unknown_branches):
-        for image in catalog.branch_index[b]:
-            assignment[image] = "test_unk"
-
-    known_branches = {
-        b: sorted(catalog.branch_index[b]) for b in catalog.branch_index if b not in catalog.unknown_branches
+    rng = np.random.default_rng(int(config.seed) & 0xFFFFFFFFFFFFFFFF)
+    branch_chain = catalog.branch_chain_map()
+    assignment = {
+        image: "test_unk" for b in sorted(catalog.unknown_branches) for image in catalog.branch_index[b]
     }
-    branch_chain = {b: branch_chain_all[b] for b in known_branches}
-
-    uu_chains, su_branches, ss_draws = _carve_stage(
-        rng, known_branches, branch_chain, config, frozenset(), frozenset(), "test"
-    )
-    train_pool: dict[str, list[str]] = {}
-    for b in sorted(known_branches):
-        images = known_branches[b]
-        if branch_chain[b] in uu_chains:
-            for image in images:
-                assignment[image] = "test_uu"
-        elif b in su_branches:
-            for image in images:
-                assignment[image] = "test_su"
-        else:
-            held = set(ss_draws.get(b, ()))
-            for image in images:
-                if image in held:
-                    assignment[image] = "test_ss"
-            train_pool[b] = [i for i in images if i not in held]
+    known = {
+        b: sorted(images) for b, images in catalog.branch_index.items() if b not in catalog.unknown_branches
+    }
+    left, su_branches, ss_branches = _carve_stage(rng, known, branch_chain, config, assignment, "test")
 
     # the val carve must not starve the test splits of their train support:
     # chains holding a test_ss or test_su branch stay out of val_uu, and
     # test_ss branches stay out of val_su
-    protected_chains = frozenset(branch_chain[b] for b in su_branches) | frozenset(
-        branch_chain[b] for b in ss_draws
+    protected_chains = frozenset(branch_chain[b] for b in su_branches | ss_branches)
+    left, _, _ = _carve_stage(
+        rng, left, branch_chain, config, assignment, "val", protected_chains, frozenset(ss_branches)
     )
-    protected_branches = frozenset(ss_draws)
-
-    val_uu, val_su, val_ss = _carve_stage(
-        rng, train_pool, branch_chain, config, protected_chains, protected_branches, "val"
-    )
-    for b in sorted(train_pool):
-        images = train_pool[b]
-        if branch_chain[b] in val_uu:
-            for image in images:
-                assignment[image] = "val_uu"
-        elif b in val_su:
-            for image in images:
-                assignment[image] = "val_su"
-        else:
-            held = set(val_ss.get(b, ()))
-            for image in images:
-                assignment[image] = "val_ss" if image in held else "train"
-
+    for images in left.values():
+        assignment.update(dict.fromkeys(images, "train"))
     return SplitAssignment(assignment=assignment, config=config)
 
 
 def verify_splits(catalog: Catalog, assignment: SplitAssignment) -> ConstraintReport:
-    """Re-derive every structural constraint from raw sets; failures are report
-    entries, never exceptions."""
+    """Re-derive every structural constraint from one table, the images per
+    branch in each split; failures are report entries, never exceptions."""
     branch_of = catalog.branch_of()
     branch_chain = catalog.branch_chain_map()
     t2 = assignment.config.t2 if assignment.config is not None else 1
-    sets = {name: set(images) for name, images in assignment.by_split().items()}
+    images = assignment.by_split()
+    table = {name: Counter(branch_of[i] for i in ids if i in branch_of) for name, ids in images.items()}
+    chains = {name: {branch_chain[b] for b in table[name]} - {None} for name in SPLIT_NAMES}
+    trainval = ("train", "val_ss", "val_su", "val_uu")
+    trainval_branches = set().union(*(table[name] for name in trainval))
+    trainval_chains = set().union(*(chains[name] for name in trainval))
+    train = table["train"]
 
-    def branches(name: str) -> set[str]:
-        return {branch_of[i] for i in sets[name] if i in branch_of}
+    def support(name: str) -> list[str]:
+        # every ss branch keeps a train image and holds at least t2 images
+        return [b for b, k in sorted(table[name].items()) if train[b] < 1 or k < t2]
 
-    def chains(name: str) -> set[str]:
-        return {branch_chain[b] for b in branches(name) if branch_chain[b] is not None}
-
-    checks: list[CheckResult] = []
-    catalog_ids = set(branch_of)
-    assigned_ids = set(assignment.assignment)
-    bad_names = sorted({n for n in assignment.assignment.values() if n not in SPLIT_NAMES})
-    offenders_a = sorted(catalog_ids ^ assigned_ids) + bad_names
-    checks.append(CheckResult("a_total_disjoint", not offenders_a, tuple(offenders_a)))
-
-    trainval = sets["train"] | sets["val_ss"] | sets["val_su"] | sets["val_uu"]
-    trainval_branches = {branch_of[i] for i in trainval if i in branch_of}
-    train_branches = branches("train")
-    train_chains = chains("train")
-
-    def ss_check(name: str) -> list[str]:
-        bad: list[str] = []
-        per_branch: dict[str, int] = {}
-        for i in sets[name]:
-            if i in branch_of:
-                per_branch[branch_of[i]] = per_branch.get(branch_of[i], 0) + 1
-        train_count: dict[str, int] = {}
-        for i in sets["train"]:
-            if i in branch_of:
-                train_count[branch_of[i]] = train_count.get(branch_of[i], 0) + 1
-        for b, k in sorted(per_branch.items()):
-            if train_count.get(b, 0) < 1:
-                bad.append(b)
-            elif k < t2:
-                bad.append(b)
-        return bad
-
-    bad_b = ss_check("test_ss")
-    checks.append(CheckResult("b_test_ss_support", not bad_b, tuple(bad_b)))
-
-    bad_c = sorted(branches("test_su") & trainval_branches) + sorted(chains("test_su") - train_chains)
-    checks.append(CheckResult("c_test_su_isolation", not bad_c, tuple(bad_c)))
-
-    trainval_chains = {branch_chain[b] for b in trainval_branches if branch_chain[b] is not None}
-    bad_d = sorted(chains("test_uu") & trainval_chains)
-    checks.append(CheckResult("d_test_uu_isolation", not bad_d, tuple(bad_d)))
-
-    unknown = catalog.unknown_images()
-    bad_e = sorted((sets["test_unk"] ^ unknown))
-    checks.append(CheckResult("e_test_unk_exact", not bad_e, tuple(bad_e)))
-
-    bad_f = ss_check("val_ss")
-    checks.append(CheckResult("f_val_ss_support", not bad_f, tuple(bad_f)))
-    bad_fsu = sorted(branches("val_su") & train_branches) + sorted(chains("val_su") - train_chains)
-    checks.append(CheckResult("f_val_su_isolation", not bad_fsu, tuple(bad_fsu)))
-    bad_fuu = sorted(chains("val_uu") & train_chains)
-    checks.append(CheckResult("f_val_uu_isolation", not bad_fuu, tuple(bad_fuu)))
+    def isolation(name: str, seen_branches) -> list[str]:
+        # a held-out branch is unseen, yet its chain is in train
+        return sorted(table[name].keys() & seen_branches) + sorted(chains[name] - chains["train"])
 
     # the chains surviving both whole-chain holdouts must all reach train
-    expected = set(catalog.chain_index) - chains("test_uu") - chains("val_uu")
-    bad_g = sorted(train_chains ^ expected)
-    checks.append(CheckResult("g_train_chain_coverage", not bad_g, tuple(bad_g)))
-
-    counts: dict[str, dict[str, int]] = {}
-    for name in SPLIT_NAMES:
-        images = sets[name]
-        bs = {branch_of[i] for i in images if i in branch_of}
-        cs = {branch_chain[b] for b in bs if branch_chain.get(b) is not None}
-        counts[name] = {"images": len(images), "branches": len(bs), "chains": len(cs)}
-
-    return ConstraintReport(checks=tuple(checks), counts=counts)
+    expected = set(catalog.chain_index) - chains["test_uu"] - chains["val_uu"]
+    offenders = {
+        "a_total_disjoint": sorted(set(branch_of) ^ set(assignment.assignment))
+        + sorted(set(images) - set(SPLIT_NAMES)),
+        "b_test_ss_support": support("test_ss"),
+        "c_test_su_isolation": isolation("test_su", trainval_branches),
+        "d_test_uu_isolation": sorted(chains["test_uu"] & trainval_chains),
+        "e_test_unk_exact": sorted(set(images["test_unk"]) ^ catalog.unknown_images()),
+        "f_val_ss_support": support("val_ss"),
+        "f_val_su_isolation": isolation("val_su", train.keys()),
+        "f_val_uu_isolation": sorted(chains["val_uu"] & chains["train"]),
+        "g_train_chain_coverage": sorted(chains["train"] ^ expected),
+    }
+    checks = tuple(CheckResult(name, not bad, tuple(bad)) for name, bad in offenders.items())
+    counts = {
+        name: {"images": len(images[name]), "branches": len(table[name]), "chains": len(chains[name])}
+        for name in SPLIT_NAMES
+    }
+    return ConstraintReport(checks=checks, counts=counts)
 
 
 def save_assignment(assignment: SplitAssignment, path: str | Path) -> None:

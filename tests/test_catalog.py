@@ -193,3 +193,28 @@ class TestStats:
                 for r in records:
                     sizes[r.branch_id] = sizes.get(r.branch_id, 0) + 1
                 assert count == sum(1 for v in sizes.values() if v == size)
+
+
+class TestViews:
+    @staticmethod
+    def record_pass(catalog):
+        """branch -> chain from each branch's first record, as a reference."""
+        out = {}
+        for r in catalog.records:
+            out.setdefault(r.branch_id, r.chain_id)
+        return out
+
+    def test_branch_chain_map_matches_a_pass_over_the_records(self):
+        import numpy as np
+
+        from splitmetric.synth import generate, standard_corpus_config
+        from test_acceptance import _small_catalog
+
+        rng = np.random.default_rng(11)
+        catalogs = [_small_catalog(rng) for _ in range(200)]
+        catalogs.append(generate(standard_corpus_config(seed=0))[0])
+        # records out of branch order, an empty-string chain, an unknown branch
+        catalogs.append(Catalog.from_records((rec("z", "b2", ""), rec("a", "b1", "c1"),
+                                              rec("m", "b3"), rec("q", "b2", ""))))
+        for catalog in catalogs:
+            assert catalog.branch_chain_map() == self.record_pass(catalog)

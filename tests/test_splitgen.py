@@ -4,6 +4,8 @@ import pytest
 from splitmetric.catalog import Catalog, ImageRecord
 from splitmetric.splitgen import (
     SPLIT_NAMES,
+    CheckResult,
+    ConstraintReport,
     SplitAssignment,
     SplitConfig,
     SplitError,
@@ -13,6 +15,7 @@ from splitmetric.splitgen import (
     verify_splits,
 )
 from splitmetric.synth import generate, standard_corpus_config
+from test_acceptance import _random_catalog, _random_split_config, _skewed_catalog, _small_catalog
 
 
 def make_catalog(rng, n_chains=None, unknown_frac=0.1, size_lo=3, size_hi=40):
@@ -81,24 +84,141 @@ def recheck(catalog, assignment, config):
     assert not branches("val_su") & branches("train")
     assert not chains("val_uu") & chains("train")
 
-    # per-branch holdout sizes stay inside the configured band
+    # per-branch holdout sizes stay inside the configured band; the val carve
+    # draws from what the test carve left
+    held_by = {}
     for name in ("test_ss", "val_ss"):
-        held = {}
+        held = held_by[name] = {}
         for i in by[name]:
             held.setdefault(branch_of[i], []).append(i)
         pool = by["train"] | (trainish if name == "test_ss" else by["train"])
         for b, images in held.items():
             total = len(catalog.branch_index[b])
+            if name == "val_ss":
+                total -= len(held_by["test_ss"].get(b, ()))
             donors = [i for i in pool if branch_of[i] == b]
             assert len(donors) >= 1, (name, b)
             assert len(images) >= config.t2, (name, b)
-            if name == "test_ss":
-                assert total >= config.t1
-                assert len(images) <= total // config.ss_divisor
+            assert total >= config.t1, (name, b)
+            assert len(images) <= total // config.ss_divisor, (name, b)
+
+    # the val carve leaves the test splits their train support
+    assert not branches("val_su") & branches("test_ss")
+    assert not chains("val_uu") & (chains("test_ss") | chains("test_su"))
 
     # chains that survive both whole-chain holdouts all reach train
     known = set(catalog.chain_index)
     assert chains("train") == known - chains("test_uu") - chains("val_uu")
+
+
+def reference_verify(catalog, assignment):
+    """The closure-based verifier the one count table replaced, kept as its
+    reference; it maps branches to chains with a pass over the records."""
+    branch_of = catalog.branch_of()
+    branch_chain = {}
+    for rec in catalog.records:
+        branch_chain.setdefault(rec.branch_id, rec.chain_id)
+    t2 = assignment.config.t2 if assignment.config is not None else 1
+    sets = {name: set(images) for name, images in assignment.by_split().items()}
+
+    def branches(name):
+        return {branch_of[i] for i in sets[name] if i in branch_of}
+
+    def chains(name):
+        return {branch_chain[b] for b in branches(name) if branch_chain[b] is not None}
+
+    checks = []
+    catalog_ids = set(branch_of)
+    assigned_ids = set(assignment.assignment)
+    bad_names = sorted({n for n in assignment.assignment.values() if n not in SPLIT_NAMES})
+    offenders_a = sorted(catalog_ids ^ assigned_ids) + bad_names
+    checks.append(CheckResult("a_total_disjoint", not offenders_a, tuple(offenders_a)))
+
+    trainval = sets["train"] | sets["val_ss"] | sets["val_su"] | sets["val_uu"]
+    trainval_branches = {branch_of[i] for i in trainval if i in branch_of}
+    train_branches = branches("train")
+    train_chains = chains("train")
+
+    def ss_check(name):
+        bad = []
+        per_branch = {}
+        for i in sets[name]:
+            if i in branch_of:
+                per_branch[branch_of[i]] = per_branch.get(branch_of[i], 0) + 1
+        train_count = {}
+        for i in sets["train"]:
+            if i in branch_of:
+                train_count[branch_of[i]] = train_count.get(branch_of[i], 0) + 1
+        for b, k in sorted(per_branch.items()):
+            if train_count.get(b, 0) < 1:
+                bad.append(b)
+            elif k < t2:
+                bad.append(b)
+        return bad
+
+    bad_b = ss_check("test_ss")
+    checks.append(CheckResult("b_test_ss_support", not bad_b, tuple(bad_b)))
+    bad_c = sorted(branches("test_su") & trainval_branches) + sorted(chains("test_su") - train_chains)
+    checks.append(CheckResult("c_test_su_isolation", not bad_c, tuple(bad_c)))
+    trainval_chains = {branch_chain[b] for b in trainval_branches if branch_chain[b] is not None}
+    bad_d = sorted(chains("test_uu") & trainval_chains)
+    checks.append(CheckResult("d_test_uu_isolation", not bad_d, tuple(bad_d)))
+    bad_e = sorted(sets["test_unk"] ^ catalog.unknown_images())
+    checks.append(CheckResult("e_test_unk_exact", not bad_e, tuple(bad_e)))
+    bad_f = ss_check("val_ss")
+    checks.append(CheckResult("f_val_ss_support", not bad_f, tuple(bad_f)))
+    bad_fsu = sorted(branches("val_su") & train_branches) + sorted(chains("val_su") - train_chains)
+    checks.append(CheckResult("f_val_su_isolation", not bad_fsu, tuple(bad_fsu)))
+    bad_fuu = sorted(chains("val_uu") & train_chains)
+    checks.append(CheckResult("f_val_uu_isolation", not bad_fuu, tuple(bad_fuu)))
+    expected = set(catalog.chain_index) - chains("test_uu") - chains("val_uu")
+    bad_g = sorted(train_chains ^ expected)
+    checks.append(CheckResult("g_train_chain_coverage", not bad_g, tuple(bad_g)))
+
+    counts = {}
+    for name in SPLIT_NAMES:
+        images = sets[name]
+        bs = {branch_of[i] for i in images if i in branch_of}
+        cs = {branch_chain[b] for b in bs if branch_chain.get(b) is not None}
+        counts[name] = {"images": len(images), "branches": len(bs), "chains": len(cs)}
+    return ConstraintReport(checks=tuple(checks), counts=counts)
+
+
+def fuzz_cases(small=186, random=6, skewed=8):
+    """(case, catalog, config) from the acceptance gate's catalog generators."""
+    rng = np.random.default_rng(700)
+    for trial in range(small):
+        catalog = _small_catalog(rng)
+        while len(catalog.chain_index) < 2:
+            catalog = _small_catalog(rng)
+        yield f"small{trial}", catalog, _random_split_config(rng)
+    for trial in range(random):
+        yield f"fuzz{trial}", _random_catalog(rng), _random_split_config(rng)
+    skewed_catalog = _skewed_catalog()
+    for seed in range(skewed):
+        config = SplitConfig(seed=seed, uu_chain_fraction=0.2, su_branch_fraction=0.2, t1=10, t2=2)
+        yield f"skewed{seed}", skewed_catalog, config
+
+
+def mutations(catalog, assignment, seed):
+    """(case, mapping): the carve itself, then seeded breaks of it.  Each
+    ``to_<name>`` case moves some images of one branch, plus one random image,
+    to that name, ``val_unk`` included."""
+    rng = np.random.default_rng(seed)
+    ids = sorted(assignment)
+    branches = sorted(catalog.branch_index)
+    yield "carved", assignment
+    for target in SPLIT_NAMES + ("val_unk",):
+        images = catalog.branch_index[branches[int(rng.integers(len(branches)))]]
+        picked = rng.choice(len(images), size=int(rng.integers(1, len(images) + 1)), replace=False)
+        moved = dict(assignment)
+        for image in [images[j] for j in picked] + [ids[int(rng.integers(len(ids)))]]:
+            moved[image] = target
+        yield f"to_{target}", moved
+    dropped = dict(assignment)
+    del dropped[ids[int(rng.integers(len(ids)))]]
+    yield "dropped", dropped
+    yield "foreign", {**assignment, "zz_not_in_catalog": SPLIT_NAMES[int(rng.integers(8))]}
 
 
 class TestProperties:
@@ -175,6 +295,25 @@ class TestProperties:
         assert assignment.images_of("test_unk") == ()
 
 
+class TestReference:
+    def test_verify_matches_reference_on_fuzz_catalogs_and_mutations(self):
+        # the config rides on every other case, so each catalog and each
+        # mutation is checked both with it and with none (t2 = 1)
+        failing, attached_seen = set(), set()
+        for n, (case, catalog, config) in enumerate(fuzz_cases()):
+            carved = generate_splits(catalog, config).assignment
+            for m, (mutation, mapping) in enumerate(mutations(catalog, carved, n)):
+                attached = config if (n + m) % 2 == 0 else None
+                assignment = SplitAssignment(mapping, attached)
+                report = verify_splits(catalog, assignment).to_json_dict()
+                assert report == reference_verify(catalog, assignment).to_json_dict(), (case, mutation)
+                failing.update(c["name"] for c in report["checks"] if not c["passed"])
+                attached_seen.add((mutation, attached is None))
+        assert n + 1 >= 200
+        assert failing == {c.name for c in verify_splits(catalog, assignment).checks}
+        assert len(attached_seen) == 2 * (m + 1)
+
+
 class TestChecks:
     @pytest.fixture()
     def case(self):
@@ -248,6 +387,32 @@ class TestConfig:
                 SplitConfig(0, bad, 0.1, t1=10, t2=2).validate()
             with pytest.raises(SplitError):
                 SplitConfig(0, 0.1, bad, t1=10, t2=2).validate()
+
+    def test_validate_rejects_values_of_the_wrong_type(self):
+        base = dict(seed=0, uu_chain_fraction=0.2, su_branch_fraction=0.2, t1=10, t2=2)
+        for field, value in (("t1", 10.5), ("ss_divisor", 2.5), ("t2", True), ("seed", 1.5),
+                             ("seed", "3")):
+            config = SplitConfig(**{**base, field: value})
+            with pytest.raises(SplitError, match=field):
+                config.validate()
+            catalog = make_catalog(np.random.default_rng(1), n_chains=6)
+            with pytest.raises(SplitError, match=field):
+                generate_splits(catalog, config)
+
+    def test_validate_rejects_fractions_that_are_not_finite_numbers(self):
+        for value in (float("nan"), float("inf"), True, "0.2", None):
+            with pytest.raises(SplitError, match="uu_chain_fraction"):
+                SplitConfig(0, value, 0.2, t1=10, t2=2).validate()
+            with pytest.raises(SplitError, match="su_branch_fraction"):
+                SplitConfig(0, 0.2, value, t1=10, t2=2).validate()
+
+    def test_numpy_scalars_accepted_and_carve_like_python_numbers(self):
+        catalog = make_catalog(np.random.default_rng(2), n_chains=8)
+        plain = SplitConfig(3, 0.2, 0.25, t1=10, t2=2, ss_divisor=4)
+        numpy = SplitConfig(np.int64(3), np.float64(0.2), np.float32(0.25), t1=np.int32(10),
+                            t2=np.uint8(2), ss_divisor=np.int64(4))
+        numpy.validate()
+        assert generate_splits(catalog, numpy).assignment == generate_splits(catalog, plain).assignment
 
     def test_divisor_floor(self):
         with pytest.raises(SplitError, match="ss_divisor"):

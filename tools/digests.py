@@ -6,8 +6,10 @@ keeps every output byte-identical:
     PYTHONPATH=<checkout>/src python3 tools/digests.py > digests.txt
 
 It uses only `train`, `evaluate`, `mine_hard_negatives`, `sample_eval_pairs`,
-`cosine_knn`, `compute_loss`, `finite_diff_check` and `cli.main`, so the same
-script runs on either side of a change to the code behind them.  It covers:
+`cosine_knn`, `compute_loss`, `finite_diff_check`, `generate_splits`,
+`verify_splits` and `cli.main`, plus the catalog generators and seeded
+mutations in ``tests/``, so the same script runs on either side of a change to
+the code behind them.  It covers:
 
 - `compute_loss` value and gradients, and the `finite_diff_check` result, of
   all six losses on fixed seeded batches and banks (``loss.<kind>.<case>``),
@@ -16,6 +18,10 @@ script runs on either side of a change to the code behind them.  It covers:
   `mine_hard_negatives` k = 1 pools (``mine1.<case>``) on quantized,
   tie-heavy inputs of more than 512 rows, with and without self-exclusion,
   on one and two threads;
+- the `generate_splits` assignment (``split.<case>.assignment``) and the
+  `verify_splits` report, with the carve's config attached and with none, of
+  the carve and of seeded breaks of it (``split.<case>.<mutation>``), on the
+  acceptance gate's fuzz, small and skewed catalogs and on the gate corpora;
 - `train()` weights, bias and history for all six losses on the gate corpus
   seeds 0-4 (the gate recipe for the pair losses, three epochs for supcon
   and the bank losses);
@@ -24,9 +30,9 @@ script runs on either side of a change to the code behind them.  It covers:
 - `sample_eval_pairs` in both modes, on those corpora and on random inputs,
   error messages included;
 - every file of the README CLI walkthrough except ``*.manifest.json``, and
-  each command's stdout.
+  each command's stdout; every file is written inside a temporary directory.
 
-A full run takes about one minute on two cores.
+A full run takes about two minutes on two cores.
 """
 
 from __future__ import annotations
@@ -59,9 +65,12 @@ from splitmetric.losses import (
     compute_loss,
     finite_diff_check,
 )
-from splitmetric.splitgen import SplitConfig, generate_splits
+from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits, verify_splits
 from splitmetric.synth import generate, standard_corpus_config
 from splitmetric.trainer import TrainConfig, forward, init_model, train
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_splitgen import fuzz_cases, mutations  # noqa: E402
 
 GATE_SEEDS = range(5)
 RETRIEVAL_SEEDS = range(80, 85)
@@ -212,6 +221,19 @@ def split_digests() -> None:
                 eval_digests(f"gate{seed}.{split}", features, oracle, list(ids), seed)
 
 
+def carve_digests() -> None:
+    cases = list(fuzz_cases(random=50))
+    cases += [(f"gate{seed}", generate(standard_corpus_config(seed=seed))[0], GATE_SPLITS)
+              for seed in GATE_SEEDS]
+    for n, (case, catalog, config) in enumerate(cases):
+        carved = generate_splits(catalog, config)
+        emit(f"split.{case}.assignment", sorted(carved.assignment.items()))
+        for mutation, mapping in mutations(catalog, carved.assignment, n):
+            emit(f"split.{case}.{mutation}",
+                 *(verify_splits(catalog, SplitAssignment(mapping, c)).to_json_dict()
+                   for c in (config, None)))
+
+
 def retrieval_digests() -> None:
     for seed in RETRIEVAL_SEEDS:
         catalog, features = generate(standard_corpus_config(seed=seed))
@@ -241,17 +263,20 @@ def cli_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         f = {name: str(d / name) for name in (
-            "catalog.csv", "features.emb", "splits.csv", "split_report.json", "model.toy1",
-            "metrics.json", "pools.json", "deduped.csv", "dedup_report.json")}
+            "catalog.csv", "features.emb", "splits.csv", "split_report.json",
+            "verify.report.json", "model.toy1", "history.csv", "metrics.json", "pools.json",
+            "deduped.csv", "dedup_report.json")}
         commands = [
             ["synth", "--seed", "0", "--out-catalog", f["catalog.csv"],
              "--out-features", f["features.emb"]],
             ["split", "--catalog", f["catalog.csv"], "--seed", "0", "--out", f["splits.csv"],
              "--report", f["split_report.json"]],
-            ["verify", "--catalog", f["catalog.csv"], "--splits", f["splits.csv"]],
+            ["verify", "--catalog", f["catalog.csv"], "--splits", f["splits.csv"],
+             "--report", f["verify.report.json"]],
             ["train", "--catalog", f["catalog.csv"], "--splits", f["splits.csv"],
              "--features", f["features.emb"], "--loss", "multisim", "--epochs", "30",
-             "--lr", "0.2", "--d-out", "32", "--out", f["model.toy1"]],
+             "--lr", "0.2", "--d-out", "32", "--out", f["model.toy1"],
+             "--history", f["history.csv"]],
             ["eval", "--catalog", f["catalog.csv"], "--model", f["model.toy1"],
              "--features", f["features.emb"], "--splits", f["splits.csv"], "--split", "test_ss",
              "--reference", f["features.emb"], "--hard-k", "10", "--out", f["metrics.json"]],
@@ -275,6 +300,7 @@ def main() -> int:
     loss_digests()
     tie_digests()
     random_pair_digests()
+    carve_digests()
     retrieval_digests()
     split_digests()
     train_digests()
