@@ -148,9 +148,7 @@ def cmd_train(args):
     params = LossParams.from_json(args.loss_params) if args.loss_params else LossParams()
     config = TrainConfig(
         loss=args.loss, params=params, lr=args.lr, momentum=args.momentum,
-        epochs=args.epochs, seed=args.seed, sigma_aug=args.sigma_aug,
-        proxy_lr=args.proxy_lr, m=args.m, k=args.k, d_out=args.d_out,
-        steps_per_epoch=args.steps_per_epoch, eval_repeats=args.eval_repeats,
+        epochs=args.epochs, seed=args.seed, m=args.m, k=args.k, d_out=args.d_out,
     )
     model, history = train(catalog, assignment, features, config)
     save_model(args.out, model)
@@ -158,8 +156,9 @@ def cmd_train(args):
     last = history.rows[-1]
     print(f"trained {args.loss} for {config.epochs} epochs; "
           f"final val R@1 {last[2]:.4f}, val AUC {last[3]:.4f}")
-    return args.out, {"catalog": args.catalog, "splits": args.splits,
-                      "features": args.features}, {"model": args.out, "history": args.history}
+    inputs = {"catalog": args.catalog, "splits": args.splits, "features": args.features,
+              "loss_params": args.loss_params}
+    return args.out, inputs, {"model": args.out, "history": args.history}
 
 
 def _embeddings_for_eval(args):
@@ -223,7 +222,8 @@ def cmd_mine(args):
     sizes = [len(v) for v in payload.values()]
     print(f"mined pools for {len(payload)} images (k={args.k}, "
           f"min pool {min(sizes) if sizes else 0})")
-    return args.out, {"catalog": args.catalog, "embeddings": args.embeddings}, {"pool": args.out}
+    inputs = {"catalog": args.catalog, "embeddings": args.embeddings, "splits": args.splits}
+    return args.out, inputs, {"pool": args.out}
 
 
 def cmd_stats(args):
@@ -306,13 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma-aug", type=float, default=0.05)
-    p.add_argument("--proxy-lr", type=float, default=None)
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--d-out", type=int, default=512)
-    p.add_argument("--steps-per-epoch", type=int, default=None)
-    p.add_argument("--eval-repeats", type=int, default=3)
     p.add_argument("--out", default="model.toy1")
     p.add_argument("--history", default="history.csv")
 

@@ -178,24 +178,28 @@ def _masked_lse(x: np.ndarray, mask: np.ndarray,
     return m + np.log(total), ex / total[:, None]
 
 
-def _triplet_hinge(batch: Batch, params: LossParams) -> tuple[np.ndarray, np.ndarray]:
-    """h[i, p, n] = s_in - s_ip + margin, and which (i, p, n) are valid triplets."""
+def _triplet_hinge(batch: Batch, params: LossParams) -> tuple[np.ndarray, ...]:
+    """One row per positive pair (a, p), anchor-major: the anchors a and
+    positives p, h[r, n] = s_an - s_ap + margin, and which n are negatives of a."""
     s, pos, neg = _pairs(batch)
-    h = s[:, None, :] - s[:, :, None] + params.triplet_margin
-    return h, pos[:, :, None] & neg[:, None, :]
+    a, p = np.nonzero(pos)
+    return a, p, s[a] - s[a, p][:, None] + params.triplet_margin, neg[a]
 
 
 def triplet_loss(batch: Batch, params: LossParams) -> LossResult:
     """Hinge over every valid (anchor, positive, negative) triplet, averaged."""
-    h, valid = _triplet_hinge(batch, params)
+    a, p, h, valid = _triplet_hinge(batch, params)
     count = int(valid.sum())
     if count == 0:
         return _zero(batch)
     active = valid & (h > 0.0)
     value = float(np.sum(np.where(active, h, 0.0))) / count
-    g = np.zeros(valid.shape[:2])
-    g += active.sum(axis=1) / count  # d/ds_an
-    g -= active.sum(axis=2) / count  # d/ds_ap
+    # active triplets counted per (a, n) over each anchor's rows and per (a, p)
+    starts = np.flatnonzero(np.diff(a, prepend=-1))
+    g = np.zeros((batch.size, batch.size), dtype=np.int64)
+    g[a[starts]] = np.add.reduceat(active, starts, axis=0, dtype=np.int64)  # d/ds_an
+    g[a, p] -= active.sum(axis=1)  # d/ds_ap
+    g = g / count
     grad = (g + g.T) @ batch.embeddings
     return LossResult(value, grad)
 
@@ -368,7 +372,7 @@ def _smooth(batch: Batch, params: LossParams, bank) -> float:
 
 
 def _triplet_kink(batch: Batch, params: LossParams, bank) -> float:
-    h, valid = _triplet_hinge(batch, params)
+    _, _, h, valid = _triplet_hinge(batch, params)
     return float(np.min(np.abs(h), where=valid, initial=np.inf))
 
 

@@ -1,18 +1,20 @@
 """Desk-scale embedding-head trainer.
 
 The head is layernorm (affine-free) -> linear projection -> L2 normalize,
-trained on raw synthetic features with class-balanced m x k batches and plain
-SGD with momentum.  Proxy/center banks, where a loss has them, start at the
-initial head's class-mean directions, take their own learning rate without
-momentum and are re-normalized after every step.
-Model selection monitors R@1 on the val_ss split.
+trained on raw synthetic features with plain SGD with momentum over
+class-balanced m x k batches, n_train // (m*k) of them (at least one) an
+epoch.  Proxy and center banks, where a loss has them, start at the initial
+head's class-mean directions, step at the head's learning rate without
+momentum and are re-normalized after every step.  Model selection monitors
+R@1 on the val_ss split.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ from .losses import LOSSES, Batch, CenterBank, LossParams, ProxyBank, compute_lo
 
 MODEL_MAGIC = b"TOY1"
 LN_EPS = 1e-5  # layernorm variance floor; TOY1 does not store it
+SIGMA_AUG = 0.05  # view noise of the two-view losses
+EVAL_REPEATS = 3  # val_ss AUC repeats per epoch
 
 
 class TrainError(ValueError):
@@ -62,28 +66,25 @@ def init_model(d_in: int, d_out: int, seed: int) -> ToyModel:
     return ToyModel(weight, np.zeros(d_out))
 
 
-def _layernorm(features: np.ndarray) -> np.ndarray:
-    mu = features.mean(axis=1, keepdims=True)
-    var = features.var(axis=1, keepdims=True)
-    return (features - mu) / np.sqrt(var + LN_EPS)
+def _head(model: ToyModel, features: np.ndarray):
+    """The layernormed rows z, their projection y = W.z + b and its norm nu."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.d_in:
+        raise TrainError(f"features must be B x {model.d_in}, got {x.shape}")
+    z = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS)
+    y = z @ model.weight.T + model.bias
+    return z, y, np.sqrt(np.sum(y * y, axis=1, keepdims=True) + 1e-12)
 
 
 def forward(model: ToyModel, features: np.ndarray) -> np.ndarray:
     """Row-wise layernorm -> W.x + b -> unit normalization; output B x d_out."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.d_in:
-        raise TrainError(f"features must be B x {model.d_in}, got {x.shape}")
-    y = _layernorm(x) @ model.weight.T + model.bias
-    nu = np.sqrt(np.sum(y * y, axis=1, keepdims=True) + 1e-12)
+    _, y, nu = _head(model, features)
     return y / nu
 
 
 def head_backward(model: ToyModel, features: np.ndarray, grad_embeddings: np.ndarray):
     """Gradient of the loss w.r.t. (W, b) given dL/d(normalized output)."""
-    x = np.asarray(features, dtype=np.float64)
-    z = _layernorm(x)
-    y = z @ model.weight.T + model.bias
-    nu = np.sqrt(np.sum(y * y, axis=1, keepdims=True) + 1e-12)
+    z, y, nu = _head(model, features)
     g = np.asarray(grad_embeddings, dtype=np.float64)
     # h = y / nu  =>  dL/dy = g/nu - y * (y.g) / nu^3
     dy = g / nu - y * np.sum(y * g, axis=1, keepdims=True) / nu**3
@@ -131,32 +132,26 @@ class TrainConfig:
     momentum: float = 0.9
     epochs: int = 10
     seed: int = 0
-    sigma_aug: float = 0.05  # supcon view noise
-    proxy_lr: float | None = None  # None -> lr
     m: int = 8
     k: int = 4
     d_out: int = 512
-    steps_per_epoch: int | None = None  # None -> n_train // (m*k), at least 1
-    eval_repeats: int = 3
 
     def validate(self) -> None:
         if self.loss not in LOSSES:
             raise TrainError(f"unknown loss {self.loss!r}")
         self.params.validate()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)
+                         or f.type == "float" and not np.isfinite(value)):
+                raise TrainError(f"{f.name} must be a finite {f.type}, got {value!r}")
         if self.lr <= 0:
             raise TrainError("lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise TrainError("momentum must be in [0, 1)")
         if self.epochs < 1:
             raise TrainError("epochs must be >= 1")
-        if self.sigma_aug < 0:
-            raise TrainError("sigma_aug must be >= 0")
-        if self.proxy_lr is not None and self.proxy_lr <= 0:
-            raise TrainError("proxy_lr must be > 0")
-        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
-            raise TrainError("steps_per_epoch must be >= 1")
-        if self.eval_repeats < 1:
-            raise TrainError("eval_repeats must be >= 1")
         BatchSpec(self.m, self.k)
         if self.d_out < 2:
             raise TrainError("d_out must be >= 2")
@@ -187,8 +182,8 @@ def train_step(
     if LOSSES[config.loss].two_views:
         # two noisy views per sample stand in for image augmentations
         feats = np.concatenate([
-            feats + config.sigma_aug * rng.standard_normal(feats.shape),
-            feats + config.sigma_aug * rng.standard_normal(feats.shape),
+            feats + SIGMA_AUG * rng.standard_normal(feats.shape),
+            feats + SIGMA_AUG * rng.standard_normal(feats.shape),
         ])
         labels = np.concatenate([labels, labels])
     emb = forward(model, feats)
@@ -203,9 +198,8 @@ def train_step(
     model.weight -= config.lr * state.v_weight
     model.bias -= config.lr * state.v_bias
     if state.bank is not None and result.grad_aux is not None:
-        plr = config.proxy_lr if config.proxy_lr is not None else config.lr
         # proxies live on the unit sphere; renormalize after each step
-        state.bank = type(state.bank)(unit_rows(state.bank.vectors - plr * result.grad_aux))
+        state.bank = type(state.bank)(unit_rows(state.bank.vectors - config.lr * result.grad_aux))
     return result.value
 
 
@@ -244,7 +238,7 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     val_feat = features.data[[row_of[i] for i in val_ids]].astype(np.float64)
     codes = oracle.codes(train_ids)
 
-    rng = np.random.default_rng(config.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(int(config.seed) & 0xFFFFFFFFFFFFFFFF)
     model = init_model(features.d, config.d_out, int(rng.integers(2**63)))
     bank_type = LOSSES[config.loss].bank
     bank = None
@@ -255,7 +249,7 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
         bank = bank_type.seeded(unit_rows(sums), config.params, rng)
     state = OptimizerState.for_model(model, bank)
     spec = BatchSpec(config.m, config.k)
-    steps = config.steps_per_epoch or max(1, len(train_ids) // spec.size)
+    steps = max(1, len(train_ids) // spec.size)
 
     history = TrainHistory([])
     best = model.copy()
@@ -268,7 +262,7 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
                                            rng))
         emb = EmbeddingMatrix(tuple(val_ids), forward(model, val_feat).astype(np.float32),
                               normalized=True)
-        report = evaluate(emb, oracle, EvalOptions(repeats=config.eval_repeats,
+        report = evaluate(emb, oracle, EvalOptions(repeats=EVAL_REPEATS,
                                                    seed=int(rng.integers(2**31))))
         history.rows.append((epoch, float(np.mean(epoch_losses)), report.r_at_1, report.auc_mean))
         if report.r_at_1 > best_r1:

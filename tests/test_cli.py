@@ -132,6 +132,27 @@ class TestPipeline:
         manifest = json.loads((tmp_path / "splits.csv.manifest.json").read_text())
         assert manifest["wall_time_s"] >= 0.0
 
+    def test_manifests_list_every_input_file(self, art, tmp_path):
+        params = tmp_path / "loss.json"
+        params.write_text('{"multisim_alpha": 2.5}')
+        model = tmp_path / "model.toy1"
+        assert run(
+            "train", "--catalog", art["catalog"], "--splits", art["splits"],
+            "--features", art["features"], "--loss-params", params, "--epochs", 1,
+            "--d-out", 8, "--m", 4, "--k", 3, "--out", model, "--history", tmp_path / "h.csv",
+        ) == 0
+        pool = tmp_path / "pool.json"
+        assert run(
+            "mine", "--catalog", art["catalog"], "--embeddings", art["features"],
+            "--splits", art["splits"], "--split", "test_ss", "--k", 3, "--out", pool,
+        ) == 0
+        train_inputs = json.loads((tmp_path / "model.toy1.manifest.json").read_text())["inputs"]
+        assert train_inputs == {"catalog": str(art["catalog"]), "splits": str(art["splits"]),
+                                "features": str(art["features"]), "loss_params": str(params)}
+        mine_inputs = json.loads((tmp_path / "pool.json.manifest.json").read_text())["inputs"]
+        assert mine_inputs == {"catalog": str(art["catalog"]),
+                               "embeddings": str(art["features"]), "splits": str(art["splits"])}
+
     def test_stats_to_file(self, art):
         assert run("stats", "--catalog", art["catalog"], "--out", art["stats"]) == 0
         payload = json.loads(art["stats"].read_text())
@@ -236,6 +257,18 @@ class TestExitCodes:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.toy1").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_rejected_before_training(self, art, tmp_path, capsys, lr):
+        rc = run(
+            "train", "--catalog", art["catalog"], "--splits", art["splits"],
+            "--features", art["features"], "--lr", lr,
+            "--epochs", 1, "--m", 4, "--k", 3, "--d-out", 8,
+            "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: lr ")
         assert not (tmp_path / "m.toy1").exists()
 
     def test_unknown_flag_exits_two(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,48 @@ def ref_triplet(emb, labels, margin):
                     continue
                 terms.append(max(0.0, s[a, n] - s[a, p] + margin))
     return sum(terms) / len(terms) if terms else 0.0
+
+
+def reference_triplet(batch, params):
+    """The B x B x B triplet kernel that the per-positive-pair one replaced."""
+    emb, labels = batch.embeddings, batch.labels
+    same = labels[:, None] == labels[None, :]
+    off = ~np.eye(labels.shape[0], dtype=bool)
+    s, pos, neg = emb @ emb.T, same & off, (~same) & off
+    h = s[:, None, :] - s[:, :, None] + params.triplet_margin
+    valid = pos[:, :, None] & neg[:, None, :]
+    count = int(valid.sum())
+    if count == 0:
+        return 0.0, np.zeros_like(emb)
+    active = valid & (h > 0.0)
+    value = float(np.sum(np.where(active, h, 0.0))) / count
+    g = np.zeros(valid.shape[:2])
+    g += active.sum(axis=1) / count
+    g -= active.sum(axis=2) / count
+    return value, (g + g.T) @ emb
+
+
+def dense_triplet_cases(rng, count=400):
+    """(family, batch, margin): balanced, singleton, one-class, tied, margin-0."""
+    families = ("balanced", "singleton", "one_class", "tied", "margin0")
+    for case in range(count):
+        family = families[case % len(families)]
+        d = int(rng.integers(2, 9))
+        if family in ("balanced", "margin0"):
+            m, k = int(rng.integers(1, 9)), int(rng.integers(2, 5))
+            labels = rng.permutation(np.repeat(rng.permutation(40)[:m], k))
+        elif family == "one_class":
+            labels = np.full(int(rng.integers(2, 12)), int(rng.integers(5)))
+        else:
+            b = int(rng.integers(2, 30))
+            labels = rng.integers(0, int(rng.integers(1, b + 1)), size=b)
+        emb = unit_rows(rng.standard_normal((labels.size, d)))
+        if family == "tied":  # coarse rows: many exactly equal similarities and hinges
+            emb = rng.integers(-1, 2, size=emb.shape).astype(float)
+            emb[~emb.any(axis=1), 0] = 1.0
+            emb = unit_rows(emb)
+        margin = 0.0 if family == "margin0" or (family == "tied" and case % 2) else 0.1
+        yield family, Batch(emb, labels), margin
 
 
 def ref_circle(emb, labels, m, gamma):
@@ -260,6 +303,30 @@ class TestTriplet:
             got = compute_loss("triplet", batch, LossParams(triplet_margin=0.2)).value
             want = ref_triplet(batch.embeddings, batch.labels, 0.2)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_matches_dense_kernel(self):
+        """Same gradient bytes as the B x B x B kernel; the value only re-associates."""
+        families = set()
+        for family, batch, margin in dense_triplet_cases(np.random.default_rng(17)):
+            families.add(family)
+            params = LossParams(triplet_margin=margin)
+            want_value, want_grad = reference_triplet(batch, params)
+            got = compute_loss("triplet", batch, params)
+            assert got.grad_embeddings.tobytes() == want_grad.tobytes(), family
+            assert abs(got.value - want_value) <= 1e-14 * abs(want_value), family
+        assert len(families) == 5
+
+    def test_memory_stays_below_one_b_cubed_array(self):
+        b = 128
+        rng = np.random.default_rng(18)
+        batch = Batch(unit_rows(rng.standard_normal((b, 8))), np.repeat(np.arange(16), 8))
+        tracemalloc.start()
+        try:
+            compute_loss("triplet", batch, LossParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b**3 * 8, peak  # one B x B x B float64 array is 16 MiB
 
 
 class TestCircle:

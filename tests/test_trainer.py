@@ -212,7 +212,7 @@ class TestTrainStep:
         feats, labels = self.separable_batch(rng)
         model = init_model(8, 4, seed=4)
         before = model.weight.copy()
-        config = TrainConfig(loss="supcon", lr=0.05, sigma_aug=0.05)
+        config = TrainConfig(loss="supcon", lr=0.05)
         value = train_step(model, feats, labels, config, OptimizerState.for_model(model), rng)
         assert np.isfinite(value)
         assert not np.array_equal(model.weight, before)
@@ -308,14 +308,30 @@ class TestTrainLoop:
             TrainConfig(momentum=1.0),
             TrainConfig(epochs=0),
             TrainConfig(m=1),
-            TrainConfig(eval_repeats=0),
-            TrainConfig(steps_per_epoch=0),
-            TrainConfig(proxy_lr=0.0),
             TrainConfig(d_out=1),
         )
         for config in bad:
             with pytest.raises(TrainError):
                 config.validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", True), ("lr", "0.1"),
+        ("momentum", float("nan")), ("epochs", 1.5), ("d_out", 4.0), ("m", 4.0), ("k", None),
+        ("seed", True),
+    ])
+    def test_config_rejects_values_that_are_not_finite_numbers(self, field, value):
+        with pytest.raises(TrainError, match=f"^{field} must be a finite"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_numpy_scalars_train_like_python_numbers(self):
+        catalog, assignment, features = toy_corpus()
+        plain = TrainConfig(lr=0.5, momentum=0.5, epochs=1, seed=3, m=4, k=3, d_out=8)
+        scalars = TrainConfig(lr=np.float64(0.5), momentum=np.float32(0.5), epochs=np.int64(1),
+                              seed=np.int64(3), m=np.int64(4), k=np.int16(3), d_out=np.int64(8))
+        a, ha = train(catalog, assignment, features, plain)
+        b, hb = train(catalog, assignment, features, scalars)
+        assert a.weight.tobytes() == b.weight.tobytes()
+        assert ha.rows == hb.rows
 
 
 class TestCheckpoint:

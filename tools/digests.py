@@ -13,7 +13,8 @@ the code behind them.  It covers:
 
 - `compute_loss` value and gradients, and the `finite_diff_check` result, of
   all six losses on fixed seeded batches and banks (``loss.<kind>.<case>``),
-  so a change to a kernel shows up before 30 epochs of training amplify it;
+  among them a 128-row 16 x 8 batch (``balanced16x8``), so a change to a
+  kernel shows up before 30 epochs of training amplify it;
 - `cosine_knn` k = 1 indices and similarities (``knn1.<case>``) and
   `mine_hard_negatives` k = 1 pools (``mine1.<case>``) on quantized,
   tie-heavy inputs of more than 512 rows, with and without self-exclusion,
@@ -141,6 +142,9 @@ def loss_cases():
     rng = np.random.default_rng(505)
     balanced = unit_rows(rng.standard_normal((32, 6)))
     yield "balanced8x4", np.repeat(np.arange(8), 4), balanced, LossParams(), 3
+    # drawn from its own stream so the cases after it keep their draws
+    wide = unit_rows(np.random.default_rng(516).standard_normal((128, 6)))
+    yield "balanced16x8", np.repeat(np.arange(16), 8), wide, LossParams(), 3
     uneven = rng.integers(0, 9, size=14)  # singletons and uneven classes
     yield "random", uneven, unit_rows(rng.standard_normal((14, 5))), LossParams(), 2
     yield "sharp", np.repeat(np.arange(4), 3), unit_rows(rng.standard_normal((12, 5))), SHARP, 3
