@@ -154,28 +154,6 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
             writer.writerow([rec.image_id, rec.branch_id, rec.chain_id or "", rec.content_key or ""])
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller id wins so group roots are deterministic
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def dedup_merge(catalog: Catalog) -> tuple[Catalog, DedupReport]:
     """Merge branches that share image content and drop the extra copies.
 
@@ -186,69 +164,58 @@ def dedup_merge(catalog: Catalog) -> tuple[Catalog, DedupReport]:
     per content_key is kept (smallest image_id); records without a
     content_key always pass through.
     """
-    by_key: dict[str, list[ImageRecord]] = {}
+    root = {b: b for b in catalog.branch_index}
+
+    def find(b: str) -> str:
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        return b
+
+    # each keyed record links its branch to the first branch seen with the key;
+    # the smaller root wins, so a group's root is its smallest branch id
+    first_branch: dict[str, str] = {}
     for rec in catalog.records:
         if rec.content_key is not None:
-            by_key.setdefault(rec.content_key, []).append(rec)
-
-    uf = _UnionFind()
-    for key in sorted(by_key):
-        branches = sorted({r.branch_id for r in by_key[key]})
-        for other in branches[1:]:
-            uf.union(branches[0], other)
-
+            a = find(first_branch.setdefault(rec.content_key, rec.branch_id))
+            b = find(rec.branch_id)
+            root[max(a, b)] = min(a, b)
     groups: dict[str, list[str]] = {}
-    for rec in catalog.records:
-        root = uf.find(rec.branch_id)
-        members = groups.setdefault(root, [])
-        if rec.branch_id not in members:
-            members.append(rec.branch_id)
+    for b in sorted(catalog.branch_index):
+        groups.setdefault(find(b), []).append(b)
 
     branch_chain = catalog.branch_chain_map()
     merged_groups: list[tuple[str, ...]] = []
     skipped: list[dict] = []
-    target: dict[str, str] = {}
-    for root in sorted(groups):
-        members = sorted(groups[root])
+    target: dict[str, tuple[str, str | None]] = {}  # branch -> (merged branch, its chain)
+    for members in groups.values():
         if len(members) == 1:
             continue
-        chains = sorted({branch_chain[b] for b in members if branch_chain[b] is not None})
+        chains = sorted({branch_chain[b] for b in members} - {None})
         if len(chains) > 1:
             skipped.append({"branches": members, "chains": chains})
             continue
         merged_groups.append(tuple(members))
-        for b in members:
-            target[b] = members[0]
+        target.update(dict.fromkeys(members, (members[0], chains[0] if chains else None)))
 
+    # first pass fixes, per (branch, content_key), the surviving image id
+    kept_key: dict[tuple[str, str], str] = {}
+    for rec in catalog.records:
+        if rec.content_key is not None:
+            slot = (target.get(rec.branch_id, (rec.branch_id, None))[0], rec.content_key)
+            kept_key[slot] = min(kept_key.get(slot, rec.image_id), rec.image_id)
     out_records: list[ImageRecord] = []
     dropped: list[str] = []
-    kept_key: dict[tuple[str, str], str] = {}
-    # first pass fixes, per (branch, content_key), the surviving image id
     for rec in catalog.records:
-        new_branch = target.get(rec.branch_id, rec.branch_id)
-        if rec.content_key is None:
-            continue
-        slot = (new_branch, rec.content_key)
-        if slot not in kept_key or rec.image_id < kept_key[slot]:
-            kept_key[slot] = rec.image_id
-    for rec in catalog.records:
-        new_branch = target.get(rec.branch_id, rec.branch_id)
-        if rec.content_key is not None and kept_key[(new_branch, rec.content_key)] != rec.image_id:
+        branch, chain = target.get(rec.branch_id, (rec.branch_id, rec.chain_id))
+        if rec.content_key is not None and kept_key[(branch, rec.content_key)] != rec.image_id:
             dropped.append(rec.image_id)
-            continue
-        new_chain = rec.chain_id
-        if rec.branch_id in target:
-            merged = [b for b in groups[uf.find(rec.branch_id)] if branch_chain[b] is not None]
-            new_chain = branch_chain[merged[0]] if merged else None
-        if new_branch != rec.branch_id or new_chain != rec.chain_id:
-            rec = ImageRecord(rec.image_id, new_branch, new_chain, rec.content_key)
-        out_records.append(rec)
+        elif (branch, chain) == (rec.branch_id, rec.chain_id):
+            out_records.append(rec)
+        else:
+            out_records.append(ImageRecord(rec.image_id, branch, chain, rec.content_key))
 
-    report = DedupReport(
-        merged_groups=tuple(merged_groups),
-        dropped=tuple(sorted(dropped)),
-        skipped=tuple(skipped),
-    )
+    report = DedupReport(tuple(merged_groups), tuple(sorted(dropped)), tuple(skipped))
     return Catalog.from_records(out_records), report
 
 

@@ -186,6 +186,8 @@ def _in_split(args, emb: EmbeddingMatrix) -> EmbeddingMatrix:
 
 
 def cmd_eval(args):
+    if bool(args.embeddings) == bool(args.model) or bool(args.model) != bool(args.features):
+        raise UsageError("eval needs either --embeddings or --model with --features")
     _require_files(args.catalog)
     threads = _threads(args)
     catalog = load_catalog(args.catalog)
@@ -356,8 +358,6 @@ def main(argv=None) -> int:
     args.raw_argv = raw
     started = time.perf_counter()
     try:
-        if args.command == "eval" and not args.embeddings and not args.model:
-            raise UsageError("eval needs --embeddings or --model/--features")
         if "split" in vars(args) and bool(args.split) != bool(args.splits):
             raise UsageError("--split and --splits go together")
         primary, inputs, outputs = args.func(args)

@@ -86,8 +86,11 @@ class LossParams:
         for f in fields(self):
             value = getattr(self, f.name)
             kind = numbers.Integral if f.type == "int" else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind) or not np.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or f.type == "float" and not np.isfinite(value)):
                 raise LossError(f"{f.name} must be a finite {f.type}, got {value!r}")
+            if f.type == "int" and not -2**63 <= value < 2**63:  # numpy shapes are int64
+                raise LossError(f"{f.name} must fit in int64, got {value!r}")
         for name in ("circle_gamma", "multisim_alpha", "multisim_beta", "supcon_tau",
                      "proxynca_temperature", "softtriple_lambda", "softtriple_gamma"):
             if getattr(self, name) <= 0.0:
@@ -457,15 +460,20 @@ def finite_diff_check(
     per-coordinate quotient would demand more absolute precision than the
     float64 difference quotient can deliver on near-zero coordinates.)
     Batches (and banks) sitting closer to a hinge/mining kink than the
-    difference step can resolve are redrawn from ``rng`` first, up to 50 times.
+    difference step can resolve are redrawn from ``rng`` first, up to 50 times;
+    if the last redraw still sits on a kink, `LossError` is raised.
     """
     spec = _spec(kind, bank)
     if rng is None:
         rng = np.random.default_rng(0)
     window = max(1e-6, 4.0 * eps)
-    for _ in range(50):
-        if spec.kink(batch, params, bank) >= window:
+    for redraws in range(51):
+        kink = spec.kink(batch, params, bank)
+        if kink >= window:
             break
+        if redraws == 50:
+            raise LossError(f"{kind} batch sits on a kink after 50 redraws: kink distance "
+                            f"{kink:.3g} is inside the window {window:.3g}")
         batch = Batch(unit_rows(rng.standard_normal(batch.embeddings.shape)), batch.labels)
         if bank is not None:
             bank = type(bank)(unit_rows(rng.standard_normal(bank.vectors.shape)))

@@ -8,6 +8,7 @@ images from other chains.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ def standard_corpus_config(seed: int = 0, d_in: int = 48) -> SynthConfig:
 
 def generate(config: SynthConfig) -> tuple[Catalog, EmbeddingMatrix]:
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(operator.index(config.seed) & 0xFFFFFFFFFFFFFFFF)
     n_unknown = int(round(config.unknown_chain_fraction * config.n_chains))
 
     records: list[ImageRecord] = []

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from splitmetric.catalog import (
     Catalog,
     CatalogError,
+    DedupReport,
     ImageRecord,
     dedup_merge,
     load_catalog,
@@ -22,6 +24,92 @@ def write(tmp_path, text, name="catalog.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def reference_dedup(catalog):
+    """The union-find `dedup_merge` that the one-pass version replaced."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    by_key = {}
+    for r in catalog.records:
+        if r.content_key is not None:
+            by_key.setdefault(r.content_key, []).append(r)
+    for key in sorted(by_key):
+        branches = sorted({r.branch_id for r in by_key[key]})
+        for other in branches[1:]:
+            union(branches[0], other)
+    groups = {}
+    for r in catalog.records:
+        members = groups.setdefault(find(r.branch_id), [])
+        if r.branch_id not in members:
+            members.append(r.branch_id)
+    branch_chain = catalog.branch_chain_map()
+    merged_groups, skipped, target = [], [], {}
+    for root in sorted(groups):
+        members = sorted(groups[root])
+        if len(members) == 1:
+            continue
+        chains = sorted({branch_chain[b] for b in members if branch_chain[b] is not None})
+        if len(chains) > 1:
+            skipped.append({"branches": members, "chains": chains})
+            continue
+        merged_groups.append(tuple(members))
+        for b in members:
+            target[b] = members[0]
+    kept_key = {}
+    for r in catalog.records:
+        if r.content_key is not None:
+            slot = (target.get(r.branch_id, r.branch_id), r.content_key)
+            if slot not in kept_key or r.image_id < kept_key[slot]:
+                kept_key[slot] = r.image_id
+    out, dropped = [], []
+    for r in catalog.records:
+        new_branch = target.get(r.branch_id, r.branch_id)
+        if r.content_key is not None and kept_key[(new_branch, r.content_key)] != r.image_id:
+            dropped.append(r.image_id)
+            continue
+        new_chain = r.chain_id
+        if r.branch_id in target:
+            known = [b for b in groups[find(r.branch_id)] if branch_chain[b] is not None]
+            new_chain = branch_chain[known[0]] if known else None
+        out.append(ImageRecord(r.image_id, new_branch, new_chain, r.content_key))
+    report = DedupReport(tuple(merged_groups), tuple(sorted(dropped)), tuple(skipped))
+    return Catalog.from_records(out), report
+
+
+def random_keyed_catalog(rng):
+    """Up to 80 records on up to 25 branches: unknown and empty-string chains,
+    keys shared within a branch, across branches and across chains."""
+    n_branches = int(rng.integers(1, 26))
+    chain_of = {}
+    for b in range(n_branches):
+        draw = rng.random()
+        chain_of[f"b{b:02d}"] = (None if draw < 0.25 else "" if draw < 0.3
+                                 else f"c{int(rng.integers(int(rng.integers(1, 6))))}")
+    n_keys = int(rng.integers(1, 40))
+    key_rate = rng.random()
+    records = []
+    for i in rng.permutation(int(rng.integers(0, 81))):
+        branch = f"b{int(rng.integers(n_branches)):02d}"
+        key = f"k{int(rng.integers(n_keys)):02d}" if rng.random() < key_rate else None
+        records.append(rec(f"i{int(i):02d}", branch, chain_of[branch], key))
+    return Catalog.from_records(records)
 
 
 class TestLoad:
@@ -122,8 +210,6 @@ class TestDedup:
         assert report.dropped == ()
 
     def test_idempotent(self):
-        import numpy as np
-
         rng = np.random.default_rng(42)
         records = []
         chain_of = {}
@@ -149,6 +235,21 @@ class TestDedup:
         keys = {r.content_key for r in merged.records}
         assert keys == {"k1", "k2"}
 
+    def test_matches_reference_on_random_catalogs(self):
+        rng = np.random.default_rng(2026)
+        merges = skips = drops = 0
+        for _ in range(1200):
+            catalog = random_keyed_catalog(rng)
+            merged, report = dedup_merge(catalog)
+            want, want_report = reference_dedup(catalog)
+            assert merged.records == want.records
+            assert report == want_report
+            assert report.to_json_dict() == want_report.to_json_dict()
+            merges += len(report.merged_groups)
+            skips += len(report.skipped)
+            drops += len(report.dropped)
+        assert min(merges, skips, drops) > 100  # every decision is exercised
+
     def test_report_json_shape(self, tmp_path):
         cat = Catalog.from_records((rec("i1", "b1", "c1", "k"), rec("i2", "b2", "c1", "k")))
         _, report = dedup_merge(cat)
@@ -172,8 +273,6 @@ class TestStats:
         assert (s.images, s.branches, s.chains) == (0, 0, 0)
 
     def test_matches_brute_force_recount(self):
-        import numpy as np
-
         rng = np.random.default_rng(7)
         for _ in range(10):
             records = []
@@ -205,8 +304,6 @@ class TestViews:
         return out
 
     def test_branch_chain_map_matches_a_pass_over_the_records(self):
-        import numpy as np
-
         from splitmetric.synth import generate, standard_corpus_config
         from test_acceptance import _small_catalog
 

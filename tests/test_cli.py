@@ -193,6 +193,22 @@ class TestExitCodes:
     def test_eval_without_embedding_source(self, art):
         assert run("eval", "--catalog", art["catalog"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        {"--model": "model"},
+        {"--embeddings": "features", "--model": None},  # None: a file that does not exist
+        {"--embeddings": "features", "--features": "features"},
+        {"--features": "features"},
+    ], ids=["model_only", "embeddings_and_missing_model", "embeddings_and_features",
+            "features_only"])
+    def test_eval_rejects_a_wrong_mix_of_input_flags(self, art, tmp_path, capsys, flags):
+        argv = [arg for flag, key in flags.items()
+                for arg in (flag, art[key] if key else tmp_path / "missing.toy1")]
+        rc = run("eval", "--catalog", art["catalog"], *argv, "--out", tmp_path / "m.json")
+        assert rc == 2
+        assert "eval needs either --embeddings or --model with --features" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
+
     def test_eval_split_without_splits(self, art):
         assert run(
             "eval", "--catalog", art["catalog"], "--embeddings", art["features"],
@@ -258,6 +274,28 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "m.toy1").exists()
+
+    def test_loss_param_beyond_int64_is_a_domain_error(self, art, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"softtriple_centers": 100000000000000000000000}')
+        rc = run(
+            "train", "--catalog", art["catalog"], "--splits", art["splits"],
+            "--features", art["features"], "--loss", "softtriple", "--loss-params", params,
+            "--epochs", 1, "--m", 4, "--k", 3, "--d-out", 8,
+            "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: softtriple_centers ")
+        assert not (tmp_path / "m.toy1").exists()
+
+    def test_negative_synth_seed_is_masked(self, tmp_path):
+        small = ("--chains", 3, "--branches-per-chain", 2, "--images-per-branch", 3)
+        for seed in ("-1", "18446744073709551615"):
+            assert run("synth", "--out-catalog", tmp_path / f"c{seed}.csv",
+                       "--out-features", tmp_path / f"f{seed}.emb", *small, "--seed", seed) == 0
+        for name in ("c{}.csv", "f{}.emb"):
+            assert ((tmp_path / name.format("-1")).read_bytes()
+                    == (tmp_path / name.format("18446744073709551615")).read_bytes())
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_is_rejected_before_training(self, art, tmp_path, capsys, lr):

@@ -222,6 +222,11 @@ class TestParams:
         with pytest.raises(LossError, match=field):
             LossParams(**{field: value}).validate()
 
+    @pytest.mark.parametrize("value", [10**23, -2**63 - 1, 2**63])
+    def test_validate_rejects_ints_beyond_int64(self, value):
+        with pytest.raises(LossError, match="softtriple_centers must fit in int64"):
+            LossParams(softtriple_centers=value).validate()
+
     def test_validate_accepts_numpy_scalars(self):
         LossParams(supcon_tau=np.float64(0.2), softtriple_centers=np.int64(3)).validate()
 
@@ -531,6 +536,14 @@ class TestGradients:
             bank = make_bank(rng, kind, 3, 6)
             err = finite_diff_check(kind, batch, LossParams(), bank=bank, rng=rng)
             assert err < 1e-4, (kind, trial, err)
+
+    def test_raises_when_no_redraw_clears_the_kink_window(self):
+        # 128 triplet rows in 6-d: every one of the 51 draws has a hinge within 4e-5
+        emb = unit_rows(np.random.default_rng(516).standard_normal((128, 6)))
+        batch = Batch(emb, np.repeat(np.arange(16), 8))
+        with pytest.raises(LossError, match=r"after 50 redraws: kink distance \S+ is inside "
+                                            r"the window 4e-05"):
+            finite_diff_check("triplet", batch, LossParams(), rng=np.random.default_rng(7))
 
 
 # -- per-anchor references: the loops the whole-matrix kernels replaced ------

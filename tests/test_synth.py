@@ -61,6 +61,14 @@ class TestDeterminism:
         assert a_cat.records == b_cat.records
         assert a_feat.data.tobytes() == b_feat.data.tobytes()
 
+    def test_seed_is_masked_to_64_bits(self):
+        cat, feat = generate(config(seed=-1))
+        same_cat, same_feat = generate(config(seed=2**64 - 1))
+        assert cat.records == same_cat.records
+        assert feat.data.tobytes() == same_feat.data.tobytes()
+        _, np_feat = generate(config(seed=np.int64(9)))
+        assert np_feat.data.tobytes() == generate(config(seed=9))[1].data.tobytes()
+
     def test_different_seed_differs(self):
         _, a = generate(config(seed=1))
         _, b = generate(config(seed=2))

@@ -7,14 +7,16 @@ keeps every output byte-identical:
 
 It uses only `train`, `evaluate`, `mine_hard_negatives`, `sample_eval_pairs`,
 `cosine_knn`, `compute_loss`, `finite_diff_check`, `generate_splits`,
-`verify_splits` and `cli.main`, plus the catalog generators and seeded
-mutations in ``tests/``, so the same script runs on either side of a change to
-the code behind them.  It covers:
+`verify_splits`, `dedup_merge`, `save_catalog`, `save_dedup_report` and
+`cli.main`, plus the catalog generators and seeded mutations in ``tests/``, so
+the same script runs on either side of a change to the code behind them.  It
+covers:
 
-- `compute_loss` value and gradients, and the `finite_diff_check` result, of
-  all six losses on fixed seeded batches and banks (``loss.<kind>.<case>``),
-  among them a 128-row 16 x 8 batch (``balanced16x8``), so a change to a
-  kernel shows up before 30 epochs of training amplify it;
+- `compute_loss` value and gradients, and the `finite_diff_check` result (or
+  its error text), of all six losses on fixed seeded batches and banks
+  (``loss.<kind>.<case>``), among them a 128-row 16 x 8 batch
+  (``balanced16x8``), so a change to a kernel shows up before 30 epochs of
+  training amplify it;
 - `cosine_knn` k = 1 indices and similarities (``knn1.<case>``) and
   `mine_hard_negatives` k = 1 pools (``mine1.<case>``) on quantized,
   tie-heavy inputs of more than 512 rows, with and without self-exclusion,
@@ -23,6 +25,10 @@ the code behind them.  It covers:
   `verify_splits` report, with the carve's config attached and with none, of
   the carve and of seeded breaks of it (``split.<case>.<mutation>``), on the
   acceptance gate's fuzz, small and skewed catalogs and on the gate corpora;
+- the saved `dedup_merge` report and merged catalog (``dedup.<case>``) of
+  catalogs with content keys: transitive links, chain conflicts,
+  unknown-chain branches and copies within one branch, seeded random keyed
+  catalogs, and the full corpus with some keys copied across branches;
 - `train()` weights, bias and history for all six losses on the gate corpus
   seeds 0-4 (the gate recipe for the pair losses, three epochs for supcon
   and the bank losses);
@@ -48,6 +54,13 @@ from pathlib import Path
 import numpy as np
 
 from splitmetric import cli
+from splitmetric.catalog import (
+    Catalog,
+    ImageRecord,
+    dedup_merge,
+    save_catalog,
+    save_dedup_report,
+)
 from splitmetric.embedstore import EmbeddingMatrix, cosine_knn, unit_rows
 from splitmetric.linkeval import (
     EvalError,
@@ -61,6 +74,7 @@ from splitmetric.linkeval import (
 from splitmetric.losses import (
     Batch,
     CenterBank,
+    LossError,
     LossParams,
     ProxyBank,
     compute_loss,
@@ -71,6 +85,7 @@ from splitmetric.synth import generate, standard_corpus_config
 from splitmetric.trainer import TrainConfig, forward, init_model, train
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_catalog import random_keyed_catalog  # noqa: E402
 from test_splitgen import fuzz_cases, mutations  # noqa: E402
 
 GATE_SEEDS = range(5)
@@ -96,8 +111,8 @@ def attempt(fn, *args, **kwargs):
     """The call's result, or the text of the domain error it raised."""
     try:
         return fn(*args, **kwargs)
-    except EvalError as exc:
-        return f"EvalError: {exc}"
+    except (EvalError, LossError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def report_parts(report):
@@ -169,8 +184,8 @@ def loss_digests() -> None:
             batch, bank = Batch(emb, labels), banks.get(kind)
             result = compute_loss(kind, batch, params, bank)
             emit(f"loss.{kind}.{case}", result.value, result.grad_embeddings, result.grad_aux)
-            check = finite_diff_check(kind, batch, params, bank=bank,
-                                      rng=np.random.default_rng(7))
+            check = attempt(finite_diff_check, kind, batch, params, bank=bank,
+                            rng=np.random.default_rng(7))
             emit(f"loss.{kind}.{case}.fd", check)
 
 
@@ -236,6 +251,43 @@ def carve_digests() -> None:
             emit(f"split.{case}.{mutation}",
                  *(verify_splits(catalog, SplitAssignment(mapping, c)).to_json_dict()
                    for c in (config, None)))
+
+
+def dedup_cases():
+    """(case, catalog) with content keys; ``ImageRecord`` fields are id, branch, chain, key."""
+    r = ImageRecord
+    yield "transitive", Catalog.from_records([
+        r("i1", "b9", "c1", "k1"), r("i2", "b5", "c1", "k1"), r("i3", "b5", "c1", "k2"),
+        r("i4", "b2", "c1", "k2"), r("i5", "b7", "c2", "k3"), r("i0", "b9", "c1")])
+    yield "chain_conflict", Catalog.from_records([
+        r("i1", "b1", "c1", "k"), r("i2", "b2", None, "k"), r("i3", "b2", None, "k2"),
+        r("i4", "b3", "c2", "k2"), r("i5", "b4", "c3", "k4"), r("i6", "b5", "c3", "k4")])
+    yield "unknown_chains", Catalog.from_records([
+        r("i1", "b3", None, "k"), r("i2", "b1", None, "k"), r("i3", "b2", None, "k5"),
+        r("i4", "b4", "", "k5"), r("i5", "b6", None, "k6"), r("i6", "b8", "c1", "k6")])
+    yield "within_branch", Catalog.from_records([
+        r("i9", "b1", "c1", "k"), r("i3", "b1", "c1", "k"), r("i5", "b1", "c1", "k"),
+        r("i4", "b1", "c1"), r("i1", "b2", "c1", "k2"), r("i2", "b2", "c1", "k2")])
+    rng = np.random.default_rng(909)
+    for n in range(300):
+        yield f"random{n}", random_keyed_catalog(rng)
+    catalog, _ = generate(standard_corpus_config(seed=0))
+    records = [r(x.image_id, x.branch_id, x.chain_id, f"k{j}")
+               for j, x in enumerate(catalog.records)]
+    for j in rng.integers(len(records), size=60):  # copy a key from up to 25 records away
+        src = int(np.clip(j + rng.integers(-25, 26), 0, len(records) - 1))
+        records[j] = r(records[j].image_id, records[j].branch_id, records[j].chain_id, f"k{src}")
+    yield "corpus", Catalog.from_records(records)
+
+
+def dedup_digests() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        merged_path, report_path = Path(tmp) / "merged.csv", Path(tmp) / "report.json"
+        for case, catalog in dedup_cases():
+            merged, report = dedup_merge(catalog)
+            save_catalog(merged, merged_path)
+            save_dedup_report(report, report_path)
+            emit(f"dedup.{case}", report_path.read_bytes(), merged_path.read_bytes())
 
 
 def retrieval_digests() -> None:
@@ -305,6 +357,7 @@ def main() -> int:
     tie_digests()
     random_pair_digests()
     carve_digests()
+    dedup_digests()
     retrieval_digests()
     split_digests()
     train_digests()
