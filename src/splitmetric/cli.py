@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -57,16 +56,9 @@ def _require_files(*paths) -> None:
 
 
 def _threads(args) -> int:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("SPLITMETRIC_THREADS", "").strip()
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            raise UsageError(f"SPLITMETRIC_THREADS is not an integer: {env!r}") from None
-    if threads < 1:
-        raise UsageError(f"--threads / SPLITMETRIC_THREADS must be >= 1, got {threads}")
-    return threads
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _write_manifest(primary_out, args, inputs: dict, outputs: dict, started: float) -> None:
@@ -92,9 +84,6 @@ def cmd_synth(args):
         images_per_branch=args.images_per_branch,
         unknown_chain_fraction=args.unknown_frac,
         d_in=args.d_in,
-        sigma_chain=args.sigma_chain,
-        sigma_branch=args.sigma_branch,
-        sigma_noise=args.sigma_noise,
         seed=args.seed,
     )
     catalog, features = generate(config)
@@ -263,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
         if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="k-NN worker threads (default: SPLITMETRIC_THREADS or 1)")
+            p.add_argument("--threads", type=int, default=1, help="k-NN worker threads")
         return p
 
     p = add("synth", cmd_synth, "generate a synthetic catalog + feature matrix")
@@ -275,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-per-branch", type=int, default=20)
     p.add_argument("--unknown-frac", type=float, default=0.15)
     p.add_argument("--d-in", type=int, default=48)
-    p.add_argument("--sigma-chain", type=float, default=1.0)
-    p.add_argument("--sigma-branch", type=float, default=0.5)
-    p.add_argument("--sigma-noise", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("split", cmd_split, "assign images to the 8 difficulty splits")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import check_fields, seeded_rng
 from .embedstore import EmbeddingMatrix, cosine_knn, top_k, unit_rows
 
 
@@ -73,6 +74,11 @@ class EvalOptions:
     seed: int = 0
     hard_pool: HardNegPool | None = None
     threads: int = 1
+
+    def validate(self) -> None:
+        check_fields(self, EvalError)
+        if self.repeats < 1:
+            raise EvalError("repeats must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,7 @@ class _PairIndex:
         branch = codes[self.anchors]
         self.first_mate = start[branch]
         self.anchor_rank = rank[self.anchors]
-        self.pooled = self.pool = None
+        self.pool = None
         if hard_pool is None:
             available = n - sizes[branch]
             # the r-th outsider sits past every member with at most r outsiders
@@ -155,13 +161,13 @@ class _PairIndex:
             self.keys = codes[self.order] * (n + 1) + self.order - rank[self.order]
             self.key_base = branch * (n + 1)
         else:
-            self.pooled = [hard_pool.negatives.get(ids[a]) for a in self.anchors]
-            missing = next((ids[a] for a, p in zip(self.anchors, self.pooled) if not p), None)
+            pooled = [hard_pool.negatives.get(ids[a]) for a in self.anchors]
+            missing = next((ids[a] for a, p in zip(self.anchors, pooled) if not p), None)
             if missing is not None:
                 raise EvalError(f"hard pool has no negatives for anchor {missing!r}")
-            available = np.array([len(p) for p in self.pooled], dtype=np.int64)
+            available = np.array([len(p) for p in pooled], dtype=np.int64)
             position = {image_id: j for j, image_id in enumerate(ids)}
-            entries = [entry for p in self.pooled for entry in p]
+            entries = [entry for p in pooled for entry in p]
             at = np.array([position.get(entry, -1) for entry in entries], dtype=np.intp)
             owner = np.repeat(self.anchors, available)
             bad = np.flatnonzero((at < 0) | (codes[at] == codes[owner]))
@@ -173,16 +179,14 @@ class _PairIndex:
             self.pool[np.arange(self.pool.shape[1]) < available[:, None]] = at
         self.bounds = np.stack([sizes[branch] - 1, available], axis=1).ravel()
 
-    def draw(self, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(positives, negatives, negative draws), one each per eligible anchor.
+    def draw(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positives, negatives) as positions, one each per eligible anchor.
 
-        Positives and negatives are positions; a negative draw is the
-        negative's slot in the anchor's pool in hard mode.  One
-        ``rng.integers`` call draws every index: numpy fills array bounds
+        One ``rng.integers`` call draws every index: numpy fills array bounds
         element by element, the same stream as one scalar call per anchor and
         side, positive first.
         """
-        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        rng = seeded_rng(seed)
         draws = rng.integers(0, self.bounds)
         r_pos, r_neg = draws[0::2], draws[1::2]
         # the r-th mate skips the anchor's own slot in its branch
@@ -192,7 +196,7 @@ class _PairIndex:
             negatives = r_neg + members_before - self.first_mate
         else:
             negatives = self.pool[np.arange(len(r_neg)), r_neg]
-        return positives, negatives, r_neg
+        return positives, negatives
 
 
 def sample_eval_pairs(
@@ -205,23 +209,19 @@ def sample_eval_pairs(
 
     Anchors are visited in sorted id order; a singleton-branch anchor is
     skipped (no positive exists) and consumes no random draws.  Negatives come
-    uniformly from the other branches, or from ``hard_pool`` when given, as
-    the pool's own id objects.  The ids are the caller's; `evaluate` draws the
-    same pairs as positions.
+    uniformly from the other branches, or from ``hard_pool`` when given.
+    Every id is the caller's object; `evaluate` draws the same pairs as
+    positions.
     """
     ids = sorted(image_ids)
     if len(set(ids)) != len(ids):
         raise EvalError("image ids must be unique")
     index = _PairIndex(ids, oracle.codes(ids), hard_pool)
-    positives, negatives, r_neg = index.draw(seed)
+    positives, negatives = index.draw(seed)
     all_ids = np.array(ids, dtype=object)
-    if hard_pool is None:
-        negatives = all_ids[negatives].tolist()
-    else:
-        negatives = [p[r] for p, r in zip(index.pooled, r_neg.tolist())]
     pairs = []
     for anchor, pos, neg in zip(all_ids[index.anchors].tolist(), all_ids[positives].tolist(),
-                                negatives):
+                                all_ids[negatives].tolist()):
         pairs += ((anchor, pos, 1), (anchor, neg, 0))
     return PairSet(tuple(pairs), seed, "hard" if hard_pool is not None else "random",
                    index.skipped)
@@ -255,8 +255,7 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
     Each mode builds one pair index over the sorted ids; every repeat draws
     positions from it, which one row array maps to the unit embeddings.
     """
-    if options.repeats < 1:
-        raise EvalError("repeats must be >= 1")
+    options.validate()
     ids = embeddings.ids
     codes = oracle.codes(ids)
     eligible = np.bincount(codes)[codes] >= 2
@@ -275,7 +274,7 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
         anchors = unit[index.anchors]
         vals = []
         for r in range(options.repeats):
-            positives, negatives, _ = index.draw(options.seed + r)
+            positives, negatives = index.draw(options.seed + r)
             vals.append(auroc(np.einsum("ij,ij->i", anchors, unit[positives]),
                               np.einsum("ij,ij->i", anchors, unit[negatives])))
         return vals, index.skipped

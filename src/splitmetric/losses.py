@@ -28,13 +28,13 @@ the trainer all read it.
 from __future__ import annotations
 
 import json
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import check_fields
 from .embedstore import unit_rows
 
 
@@ -83,14 +83,7 @@ class LossParams:
     softtriple_centers: int = 5
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = numbers.Integral if f.type == "int" else numbers.Real
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or f.type == "float" and not np.isfinite(value)):
-                raise LossError(f"{f.name} must be a finite {f.type}, got {value!r}")
-            if f.type == "int" and not -2**63 <= value < 2**63:  # numpy shapes are int64
-                raise LossError(f"{f.name} must fit in int64, got {value!r}")
+        check_fields(self, LossError)
         for name in ("circle_gamma", "multisim_alpha", "multisim_beta", "supcon_tau",
                      "proxynca_temperature", "softtriple_lambda", "softtriple_gamma"):
             if getattr(self, name) <= 0.0:

@@ -20,13 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import check_fields, seeded_rng
 from .catalog import Catalog
 
 SPLIT_NAMES = (
@@ -55,14 +55,7 @@ class SplitConfig:
     ss_divisor: int = 5
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            ok = isinstance(value, numbers.Integral) or (
-                f.type == "float" and isinstance(value, numbers.Real) and math.isfinite(value)
-            )
-            if isinstance(value, bool) or not ok:
-                kind = "an int" if f.type == "int" else "a finite number"
-                raise SplitError(f"{f.name} must be {kind}, got {value!r}")
+        check_fields(self, SplitError)
         if not 0.0 < self.uu_chain_fraction < 1.0:
             raise SplitError("uu_chain_fraction must be in (0,1)")
         if not 0.0 < self.su_branch_fraction < 1.0:
@@ -196,7 +189,7 @@ def generate_splits(catalog: Catalog, config: SplitConfig) -> SplitAssignment:
     if len(catalog.chain_index) < 2:
         raise SplitError("need at least 2 known chains")
 
-    rng = np.random.default_rng(int(config.seed) & 0xFFFFFFFFFFFFFFFF)
+    rng = seeded_rng(config.seed)
     branch_chain = catalog.branch_chain_map()
     assignment = {
         image: "test_unk" for b in sorted(catalog.unknown_branches) for image in catalog.branch_index[b]

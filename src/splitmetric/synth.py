@@ -8,13 +8,15 @@ images from other chains.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import check_fields, seeded_rng
 from .catalog import Catalog, ImageRecord
 from .embedstore import EmbeddingMatrix
+
+SIGMA_CHAIN, SIGMA_BRANCH, SIGMA_NOISE = 1.0, 0.5, 0.1  # chain, branch and image offset scales
 
 
 class SynthError(ValueError):
@@ -28,20 +30,14 @@ class SynthConfig:
     images_per_branch: int
     unknown_chain_fraction: float
     d_in: int
-    sigma_chain: float
-    sigma_branch: float
-    sigma_noise: float
     seed: int
 
     def validate(self) -> None:
+        check_fields(self, SynthError)
         if min(self.n_chains, self.branches_per_chain, self.images_per_branch, self.d_in) < 1:
             raise SynthError("counts and d_in must be >= 1")
         if not 0.0 <= self.unknown_chain_fraction < 1.0:
             raise SynthError("unknown_chain_fraction must be in [0,1)")
-        if not (self.sigma_branch > self.sigma_noise > 0.0):
-            raise SynthError("need sigma_branch > sigma_noise > 0")
-        if self.sigma_chain <= 0.0:
-            raise SynthError("sigma_chain must be > 0")
 
 
 def standard_corpus_config(seed: int = 0, d_in: int = 48) -> SynthConfig:
@@ -51,16 +47,13 @@ def standard_corpus_config(seed: int = 0, d_in: int = 48) -> SynthConfig:
         images_per_branch=20,
         unknown_chain_fraction=0.15,
         d_in=d_in,
-        sigma_chain=1.0,
-        sigma_branch=0.5,
-        sigma_noise=0.1,
         seed=seed,
     )
 
 
 def generate(config: SynthConfig) -> tuple[Catalog, EmbeddingMatrix]:
     config.validate()
-    rng = np.random.default_rng(operator.index(config.seed) & 0xFFFFFFFFFFFFFFFF)
+    rng = seeded_rng(config.seed)
     n_unknown = int(round(config.unknown_chain_fraction * config.n_chains))
 
     records: list[ImageRecord] = []
@@ -71,13 +64,13 @@ def generate(config: SynthConfig) -> tuple[Catalog, EmbeddingMatrix]:
     for c in range(config.n_chains):
         chain_id = f"c{c:0{cw}d}"
         known = c >= n_unknown  # leading chains are the unknown ones
-        u = rng.normal(0.0, config.sigma_chain, config.d_in)
+        u = rng.normal(0.0, SIGMA_CHAIN, config.d_in)
         for b in range(config.branches_per_chain):
             branch_id = f"{chain_id}_b{b:0{bw}d}"
-            v = u + rng.normal(0.0, config.sigma_branch, config.d_in)
+            v = u + rng.normal(0.0, SIGMA_BRANCH, config.d_in)
             for i in range(config.images_per_branch):
                 image_id = f"{branch_id}_i{i:0{iw}d}"
-                rows.append(v + rng.normal(0.0, config.sigma_noise, config.d_in))
+                rows.append(v + rng.normal(0.0, SIGMA_NOISE, config.d_in))
                 records.append(ImageRecord(image_id, branch_id, chain_id if known else None))
 
     features = EmbeddingMatrix(

@@ -12,13 +12,13 @@ R@1 on the val_ss split.
 from __future__ import annotations
 
 import csv
-import numbers
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import check_fields, seeded_rng
 from .embedstore import EmbeddingMatrix, unit_rows
 from .linkeval import EvalOptions, LinkOracle, evaluate
 from .losses import LOSSES, Batch, CenterBank, LossParams, ProxyBank, compute_loss
@@ -61,7 +61,7 @@ class ToyModel:
 
 
 def init_model(d_in: int, d_out: int, seed: int) -> ToyModel:
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = seeded_rng(seed)
     weight = rng.standard_normal((d_out, d_in)) / np.sqrt(d_in)
     return ToyModel(weight, np.zeros(d_out))
 
@@ -116,7 +116,7 @@ def sample_batch(codes: np.ndarray, spec: BatchSpec, seed: int) -> np.ndarray:
         raise TrainError(
             f"need {spec.m} classes with >= {spec.k} images, only {len(eligible)} eligible"
         )
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = seeded_rng(seed)
     picked = rng.choice(len(eligible), size=spec.m, replace=False)
     return np.concatenate([
         np.flatnonzero(codes == c)[rng.choice(int(sizes[c]), size=spec.k, replace=False)]
@@ -140,12 +140,7 @@ class TrainConfig:
         if self.loss not in LOSSES:
             raise TrainError(f"unknown loss {self.loss!r}")
         self.params.validate()
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)
-                         or f.type == "float" and not np.isfinite(value)):
-                raise TrainError(f"{f.name} must be a finite {f.type}, got {value!r}")
+        check_fields(self, TrainError)
         if self.lr <= 0:
             raise TrainError("lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -238,8 +233,8 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     val_feat = features.data[[row_of[i] for i in val_ids]].astype(np.float64)
     codes = oracle.codes(train_ids)
 
-    rng = np.random.default_rng(int(config.seed) & 0xFFFFFFFFFFFFFFFF)
-    model = init_model(features.d, config.d_out, int(rng.integers(2**63)))
+    rng = seeded_rng(config.seed)
+    model = init_model(features.d, config.d_out, rng.integers(2**63))
     bank_type = LOSSES[config.loss].bank
     bank = None
     if bank_type is not None:
@@ -257,13 +252,13 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
         for _ in range(steps):
-            rows = sample_batch(codes, spec, int(rng.integers(2**63)))
+            rows = sample_batch(codes, spec, rng.integers(2**63))
             epoch_losses.append(train_step(model, train_feat[rows], codes[rows], config, state,
                                            rng))
         emb = EmbeddingMatrix(tuple(val_ids), forward(model, val_feat).astype(np.float32),
                               normalized=True)
         report = evaluate(emb, oracle, EvalOptions(repeats=EVAL_REPEATS,
-                                                   seed=int(rng.integers(2**31))))
+                                                   seed=rng.integers(2**31)))
         history.rows.append((epoch, float(np.mean(epoch_losses)), report.r_at_1, report.auc_mean))
         if report.r_at_1 > best_r1:
             best_r1 = report.r_at_1

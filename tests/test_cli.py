@@ -288,6 +288,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: softtriple_centers ")
         assert not (tmp_path / "m.toy1").exists()
 
+    def test_loss_param_too_large_for_a_float_is_a_domain_error(self, art, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text('{"triplet_margin": 1%s}' % ("0" * 400))
+        rc = run(
+            "train", "--catalog", art["catalog"], "--splits", art["splits"],
+            "--features", art["features"], "--loss", "triplet", "--loss-params", params,
+            "--epochs", 1, "--m", 4, "--k", 3, "--d-out", 8,
+            "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: triplet_margin must be a finite float")
+        assert not (tmp_path / "m.toy1").exists()
+
+    def test_d_out_beyond_int64_is_a_domain_error(self, art, tmp_path, capsys):
+        rc = run(
+            "train", "--catalog", art["catalog"], "--splits", art["splits"],
+            "--features", art["features"], "--epochs", 1, "--m", 4, "--k", 3,
+            "--d-out", 10**23, "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: d_out must fit in int64")
+        assert not (tmp_path / "m.toy1").exists()
+
     def test_negative_synth_seed_is_masked(self, tmp_path):
         small = ("--chains", 3, "--branches-per-chain", 2, "--images-per-branch", 3)
         for seed in ("-1", "18446744073709551615"):
@@ -331,40 +354,10 @@ class TestExitCodes:
 
 
 class TestThreadsEnv:
-    def test_env_thread_count_used(self, art, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPLITMETRIC_THREADS", "2")
-        assert run(
-            "mine", "--catalog", art["catalog"], "--embeddings", art["features"],
-            "--k", 3, "--out", tmp_path / "p.json",
-        ) == 0
-
-    def test_env_gibberish_rejected(self, art, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SPLITMETRIC_THREADS", "many")
-        rc = run(
-            "mine", "--catalog", art["catalog"], "--embeddings", art["features"],
-            "--k", 3, "--out", tmp_path / "p.json",
-        )
-        assert rc == 2
-        assert "SPLITMETRIC_THREADS" in capsys.readouterr().err
-
-    def test_flag_beats_env(self, art, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPLITMETRIC_THREADS", "not-a-number")
-        assert run(
-            "mine", "--catalog", art["catalog"], "--embeddings", art["features"],
-            "--k", 3, "--threads", 1, "--out", tmp_path / "p.json",
-        ) == 0
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_thread_count_below_one_rejected(self, art, tmp_path, monkeypatch, capsys,
-                                             threads):
-        monkeypatch.delenv("SPLITMETRIC_THREADS", raising=False)
+    def test_thread_count_below_one_rejected(self, art, tmp_path, capsys, threads):
         rc = run("eval", "--catalog", art["catalog"], "--embeddings", art["features"],
                  "--repeats", 1, "--threads", threads, "--out", tmp_path / "m.json")
-        assert rc == 2
-        assert "must be >= 1" in capsys.readouterr().err
-        monkeypatch.setenv("SPLITMETRIC_THREADS", threads)
-        rc = run("mine", "--catalog", art["catalog"], "--embeddings", art["features"],
-                 "--k", 3, "--out", tmp_path / "p.json")
         assert rc == 2
         assert "must be >= 1" in capsys.readouterr().err
 

@@ -190,6 +190,16 @@ class TestSampling:
         negatives = {p[0]: p[1] for p in ps.pairs if p[2] == 0}
         assert negatives == {"i1": "i4", "i2": "i4", "i3": "i1", "i4": "i1"}
 
+    def test_hard_mode_pairs_hold_the_callers_id_objects(self):
+        # the pool holds plain str; a pair must not mix it with the caller's np.str_
+        labels = {"i1": "a", "i2": "a", "i3": "b", "i4": "b"}
+        pool = HardNegPool({"i1": ("i3", "i4"), "i2": ("i4",), "i3": ("i1",),
+                            "i4": ("i2", "i1")}, k=2)
+        ids = list(np.array(list(labels)))
+        ps = sample_eval_pairs(ids, oracle_of(labels), seed=0, hard_pool=pool)
+        assert {type(i) for anchor, partner, _ in ps.pairs for i in (anchor, partner)} == {
+            np.str_}
+
     def test_matches_per_anchor_reference(self):
         rng = np.random.default_rng(62)
         seen = {"singleton": 0, "two_branches": 0, "error": 0}

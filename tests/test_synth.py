@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitmetric import synth
 from splitmetric.synth import SynthConfig, SynthError, generate, standard_corpus_config
 
 
@@ -11,9 +12,6 @@ def config(**kw):
         images_per_branch=10,
         unknown_chain_fraction=0.25,
         d_in=16,
-        sigma_chain=1.0,
-        sigma_branch=0.5,
-        sigma_noise=0.1,
         seed=0,
     )
     base.update(kw)
@@ -50,7 +48,7 @@ class TestShape:
     def test_standard_corpus_shape(self):
         cfg = standard_corpus_config(seed=5)
         assert (cfg.n_chains, cfg.branches_per_chain, cfg.images_per_branch) == (40, 8, 20)
-        assert (cfg.sigma_chain, cfg.sigma_branch, cfg.sigma_noise) == (1.0, 0.5, 0.1)
+        assert (synth.SIGMA_CHAIN, synth.SIGMA_BRANCH, synth.SIGMA_NOISE) == (1.0, 0.5, 0.1)
         assert cfg.unknown_chain_fraction == 0.15
 
 
@@ -80,8 +78,7 @@ class TestSeparation:
         """mean within-branch < mean cross-branch-within-chain < mean cross-chain."""
         cat, feats = generate(
             config(n_chains=6, branches_per_chain=4, images_per_branch=12,
-                   unknown_chain_fraction=0.0, sigma_chain=2.0, sigma_branch=0.8,
-                   sigma_noise=0.15, d_in=24, seed=21)
+                   unknown_chain_fraction=0.0, d_in=24, seed=21)
         )
         x = feats.data.astype(np.float64)
         branch = np.array([r.branch_id for r in cat.records])
@@ -104,9 +101,3 @@ class TestValidation:
     def test_bad_fraction(self):
         with pytest.raises(SynthError):
             generate(config(unknown_chain_fraction=1.0))
-
-    def test_sigma_ordering(self):
-        with pytest.raises(SynthError):
-            generate(config(sigma_branch=0.05, sigma_noise=0.1))
-        with pytest.raises(SynthError):
-            generate(config(sigma_noise=0.0))

@@ -26,8 +26,7 @@ from splitmetric.trainer import (
 def toy_corpus(seed=5):
     cfg = SynthConfig(
         n_chains=6, branches_per_chain=3, images_per_branch=12,
-        unknown_chain_fraction=0.0, d_in=12,
-        sigma_chain=1.0, sigma_branch=0.5, sigma_noise=0.1, seed=seed,
+        unknown_chain_fraction=0.0, d_in=12, seed=seed,
     )
     catalog, features = generate(cfg)
     assignment = generate_splits(

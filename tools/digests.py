@@ -7,11 +7,14 @@ keeps every output byte-identical:
 
 It uses only `train`, `evaluate`, `mine_hard_negatives`, `sample_eval_pairs`,
 `cosine_knn`, `compute_loss`, `finite_diff_check`, `generate_splits`,
-`verify_splits`, `dedup_merge`, `save_catalog`, `save_dedup_report` and
-`cli.main`, plus the catalog generators and seeded mutations in ``tests/``, so
-the same script runs on either side of a change to the code behind them.  It
-covers:
+`verify_splits`, `dedup_merge`, `save_catalog`, `save_dedup_report`,
+`generate`, `write_embeddings` and `cli.main`, plus the catalog generators
+and seeded mutations in ``tests/``, so the same script runs on either side
+of a change to the code behind them.  It covers:
 
+- the saved catalog CSV and EMB1 bytes of `generate` (``synth.<case>``) for
+  the standard corpus at seeds 0-4, at seeds -1, 2**64 - 1 and numpy int64 9,
+  and at ``d_in=8``, which pins how a seed becomes a generator;
 - `compute_loss` value and gradients, and the `finite_diff_check` result (or
   its error text), of all six losses on fixed seeded batches and banks
   (``loss.<kind>.<case>``), among them a 128-row 16 x 8 batch
@@ -61,7 +64,7 @@ from splitmetric.catalog import (
     save_catalog,
     save_dedup_report,
 )
-from splitmetric.embedstore import EmbeddingMatrix, cosine_knn, unit_rows
+from splitmetric.embedstore import EmbeddingMatrix, cosine_knn, unit_rows, write_embeddings
 from splitmetric.linkeval import (
     EvalError,
     EvalOptions,
@@ -280,6 +283,21 @@ def dedup_cases():
     yield "corpus", Catalog.from_records(records)
 
 
+def synth_digests() -> None:
+    cases = [(f"seed{seed}", standard_corpus_config(seed=seed)) for seed in GATE_SEEDS]
+    cases += [("seed_minus1", standard_corpus_config(seed=-1)),
+              ("seed_2to64_minus1", standard_corpus_config(seed=2**64 - 1)),
+              ("seed_np_int64_9", standard_corpus_config(seed=np.int64(9))),
+              ("d_in8", standard_corpus_config(seed=0, d_in=8))]
+    with tempfile.TemporaryDirectory() as tmp:
+        catalog_path, features_path = Path(tmp) / "catalog.csv", Path(tmp) / "features.emb"
+        for case, config in cases:
+            catalog, features = generate(config)
+            save_catalog(catalog, catalog_path)
+            write_embeddings(features, features_path)
+            emit(f"synth.{case}", catalog_path.read_bytes(), features_path.read_bytes())
+
+
 def dedup_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         merged_path, report_path = Path(tmp) / "merged.csv", Path(tmp) / "report.json"
@@ -353,6 +371,7 @@ def cli_digests() -> None:
 
 
 def main() -> int:
+    synth_digests()
     loss_digests()
     tie_digests()
     random_pair_digests()
