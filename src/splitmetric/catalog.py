@@ -126,22 +126,17 @@ def load_catalog(path: str | Path) -> Catalog:
             raise CatalogError(f"{path}: bad header {header!r}, expected prefix of {','.join(CSV_HEADER)}")
         records: list[ImageRecord] = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) > 4:
+            n = len(row)
+            if n < 4:
+                if n == 0 or (n == 1 and not row[0].strip()):
+                    continue
+                row += [""] * (4 - n)
+            elif n > 4:
                 raise CatalogError(f"{path}:{lineno}: too many columns")
-            row = list(row) + [""] * (4 - len(row))
-            image_id, branch_id, chain_id, content_key = (c.strip() for c in row)
+            image_id, branch_id, chain_id, content_key = map(str.strip, row)
             if not image_id or not branch_id:
                 raise CatalogError(f"{path}:{lineno}: image_id and branch_id are required")
-            records.append(
-                ImageRecord(
-                    image_id=image_id,
-                    branch_id=branch_id,
-                    chain_id=chain_id or None,
-                    content_key=content_key or None,
-                )
-            )
+            records.append(ImageRecord(image_id, branch_id, chain_id or None, content_key or None))
     return Catalog.from_records(records)
 
 

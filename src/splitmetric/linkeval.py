@@ -213,6 +213,7 @@ def sample_eval_pairs(
     Every id is the caller's object; `evaluate` draws the same pairs as
     positions.
     """
+    EvalOptions(seed=seed).validate()  # the seed rule of `evaluate`
     ids = sorted(image_ids)
     if len(set(ids)) != len(ids):
         raise EvalError("image ids must be unique")
@@ -274,7 +275,7 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
         anchors = unit[index.anchors]
         vals = []
         for r in range(options.repeats):
-            positives, negatives = index.draw(options.seed + r)
+            positives, negatives = index.draw(int(options.seed) + r)  # no int64 wrap
             vals.append(auroc(np.einsum("ij,ij->i", anchors, unit[positives]),
                               np.einsum("ij,ij->i", anchors, unit[negatives])))
         return vals, index.skipped

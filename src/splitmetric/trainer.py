@@ -7,6 +7,12 @@ epoch.  Proxy and center banks, where a loss has them, start at the initial
 head's class-mean directions, step at the head's learning rate without
 momentum and are re-normalized after every step.  Model selection monitors
 R@1 on the val_ss split.
+
+The layernorm has no parameters and reduces each row on its own, so `train`
+layernorms the val rows, and for single-view losses the train rows, once per
+run (two-view losses add noise first, so their views are layernormed each
+step).  Each step runs the head once for both the loss and its gradient, and
+draws its batch from a class index built once per run.
 """
 
 from __future__ import annotations
@@ -66,29 +72,41 @@ def init_model(d_in: int, d_out: int, seed: int) -> ToyModel:
     return ToyModel(weight, np.zeros(d_out))
 
 
-def _head(model: ToyModel, features: np.ndarray):
-    """The layernormed rows z, their projection y = W.z + b and its norm nu."""
+def _layernorm(model: ToyModel, features: np.ndarray) -> np.ndarray:
+    """Affine-free layernorm of B x d_in rows; each row is reduced on its own."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.d_in:
         raise TrainError(f"features must be B x {model.d_in}, got {x.shape}")
-    z = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS)
+    return (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS)
+
+
+def _norm(y: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(y * y, axis=1, keepdims=True) + 1e-12)
+
+
+def _project(model: ToyModel, z: np.ndarray):
+    """The projection y = W.z + b of layernormed rows z, and its row norm nu."""
     y = z @ model.weight.T + model.bias
-    return z, y, np.sqrt(np.sum(y * y, axis=1, keepdims=True) + 1e-12)
+    return y, _norm(y)
+
+
+def _backward(z: np.ndarray, y: np.ndarray, nu: np.ndarray, g: np.ndarray):
+    """Gradient w.r.t. (W, b) from the head's (z, y, nu) and g = dL/d(y / nu)."""
+    # h = y / nu  =>  dL/dy = g/nu - y * (y.g) / nu^3
+    dy = g / nu - y * np.sum(y * g, axis=1, keepdims=True) / nu**3
+    return dy.T @ z, dy.sum(axis=0)
 
 
 def forward(model: ToyModel, features: np.ndarray) -> np.ndarray:
     """Row-wise layernorm -> W.x + b -> unit normalization; output B x d_out."""
-    _, y, nu = _head(model, features)
-    return y / nu
+    y = _layernorm(model, features) @ model.weight.T + model.bias  # frees z before the norm
+    return y / _norm(y)
 
 
 def head_backward(model: ToyModel, features: np.ndarray, grad_embeddings: np.ndarray):
     """Gradient of the loss w.r.t. (W, b) given dL/d(normalized output)."""
-    z, y, nu = _head(model, features)
-    g = np.asarray(grad_embeddings, dtype=np.float64)
-    # h = y / nu  =>  dL/dy = g/nu - y * (y.g) / nu^3
-    dy = g / nu - y * np.sum(y * g, axis=1, keepdims=True) / nu**3
-    return dy.T @ z, dy.sum(axis=0)
+    z = _layernorm(model, features)
+    return _backward(z, *_project(model, z), np.asarray(grad_embeddings, dtype=np.float64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,23 +123,41 @@ class BatchSpec:
         return self.m * self.k
 
 
+class _ClassIndex:
+    """Train rows grouped by class once, for any number of seeded batch draws.
+
+    ``order`` lists each class's rows in ascending order, class by class, and
+    class c's rows start at ``starts[c]``, so ``order[starts[c] + off]`` is
+    ``np.flatnonzero(codes == c)[off]``.
+    """
+
+    def __init__(self, codes: np.ndarray, spec: BatchSpec) -> None:
+        self.sizes = np.bincount(codes)
+        self.eligible = np.flatnonzero(self.sizes >= spec.k)
+        if len(self.eligible) < spec.m:
+            raise TrainError(
+                f"need {spec.m} classes with >= {spec.k} images, only {len(self.eligible)} eligible"
+            )
+        self.order = np.argsort(codes, kind="stable")
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.spec = spec
+
+    def draw(self, seed: int) -> np.ndarray:
+        """m distinct eligible classes, then k distinct rows of each, in that order."""
+        rng = seeded_rng(seed)
+        m, k = self.spec.m, self.spec.k
+        classes = self.eligible[rng.choice(len(self.eligible), size=m, replace=False)]
+        offsets = [rng.choice(int(self.sizes[c]), size=k, replace=False) for c in classes]
+        return self.order[np.repeat(self.starts[classes], k) + np.concatenate(offsets)]
+
+
 def sample_batch(codes: np.ndarray, spec: BatchSpec, seed: int) -> np.ndarray:
     """m distinct classes, k rows each, uniformly without replacement.
 
-    Rows index ``codes``, the branch codes of the sorted train ids.
+    Rows index ``codes``, the branch codes of the sorted train ids.  `train`
+    builds the class index once and draws from it every step.
     """
-    sizes = np.bincount(codes)
-    eligible = np.flatnonzero(sizes >= spec.k)
-    if len(eligible) < spec.m:
-        raise TrainError(
-            f"need {spec.m} classes with >= {spec.k} images, only {len(eligible)} eligible"
-        )
-    rng = seeded_rng(seed)
-    picked = rng.choice(len(eligible), size=spec.m, replace=False)
-    return np.concatenate([
-        np.flatnonzero(codes == c)[rng.choice(int(sizes[c]), size=spec.k, replace=False)]
-        for c in eligible[picked]
-    ])
+    return _ClassIndex(codes, spec).draw(seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,6 +199,26 @@ class OptimizerState:
         return cls(np.zeros_like(model.weight), np.zeros_like(model.bias), bank)
 
 
+def _step(model: ToyModel, z: np.ndarray, labels: np.ndarray, config: TrainConfig,
+          state: OptimizerState) -> float:
+    """One SGD step in place on layernormed rows z; returns the batch loss."""
+    y, nu = _project(model, z)
+    result = compute_loss(config.loss, Batch(y / nu, labels), config.params, state.bank)
+    if not np.isfinite(result.value):
+        raise TrainError(
+            f"non-finite {config.loss} loss ({result.value}) on batch of {len(labels)}"
+        )
+    d_weight, d_bias = _backward(z, y, nu, result.grad_embeddings)
+    state.v_weight = config.momentum * state.v_weight + d_weight
+    state.v_bias = config.momentum * state.v_bias + d_bias
+    model.weight -= config.lr * state.v_weight
+    model.bias -= config.lr * state.v_bias
+    if state.bank is not None and result.grad_aux is not None:
+        # proxies live on the unit sphere; renormalize after each step
+        state.bank = type(state.bank)(unit_rows(state.bank.vectors - config.lr * result.grad_aux))
+    return result.value
+
+
 def train_step(
     model: ToyModel,
     features: np.ndarray,
@@ -181,21 +237,7 @@ def train_step(
             feats + SIGMA_AUG * rng.standard_normal(feats.shape),
         ])
         labels = np.concatenate([labels, labels])
-    emb = forward(model, feats)
-    result = compute_loss(config.loss, Batch(emb, labels), config.params, state.bank)
-    if not np.isfinite(result.value):
-        raise TrainError(
-            f"non-finite {config.loss} loss ({result.value}) on batch of {len(labels)}"
-        )
-    d_weight, d_bias = head_backward(model, feats, result.grad_embeddings)
-    state.v_weight = config.momentum * state.v_weight + d_weight
-    state.v_bias = config.momentum * state.v_bias + d_bias
-    model.weight -= config.lr * state.v_weight
-    model.bias -= config.lr * state.v_bias
-    if state.bank is not None and result.grad_aux is not None:
-        # proxies live on the unit sphere; renormalize after each step
-        state.bank = type(state.bank)(unit_rows(state.bank.vectors - config.lr * result.grad_aux))
-    return result.value
+    return _step(model, _layernorm(model, feats), labels, config, state)
 
 
 @dataclass(eq=False)
@@ -244,7 +286,11 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
         bank = bank_type.seeded(unit_rows(sums), config.params, rng)
     state = OptimizerState.for_model(model, bank)
     spec = BatchSpec(config.m, config.k)
+    index = _ClassIndex(codes, spec)
     steps = max(1, len(train_ids) // spec.size)
+    # layernorm is affine-free, so rows are normalized once; views add noise first
+    train_z = None if LOSSES[config.loss].two_views else _layernorm(model, train_feat)
+    val_z = _layernorm(model, val_feat)
 
     history = TrainHistory([])
     best = model.copy()
@@ -252,11 +298,14 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
         for _ in range(steps):
-            rows = sample_batch(codes, spec, rng.integers(2**63))
-            epoch_losses.append(train_step(model, train_feat[rows], codes[rows], config, state,
-                                           rng))
-        emb = EmbeddingMatrix(tuple(val_ids), forward(model, val_feat).astype(np.float32),
-                              normalized=True)
+            rows = index.draw(rng.integers(2**63))
+            if train_z is None:
+                loss = train_step(model, train_feat[rows], codes[rows], config, state, rng)
+            else:
+                loss = _step(model, train_z[rows], codes[rows], config, state)
+            epoch_losses.append(loss)
+        y, nu = _project(model, val_z)
+        emb = EmbeddingMatrix(tuple(val_ids), (y / nu).astype(np.float32), normalized=True)
         report = evaluate(emb, oracle, EvalOptions(repeats=EVAL_REPEATS,
                                                    seed=rng.integers(2**31)))
         history.rows.append((epoch, float(np.mean(epoch_losses)), report.r_at_1, report.auc_mean))

@@ -139,6 +139,32 @@ class TestLoad:
         with pytest.raises(CatalogError, match="header"):
             load_catalog(write(tmp_path, "id,branch\na,b1\n"))
 
+    def test_empty_file_has_no_header(self, tmp_path):
+        p = write(tmp_path, "")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(p)
+        assert str(err.value) == f"{p}: missing header"
+
+    def test_too_many_columns_names_the_line(self, tmp_path):
+        p = write(tmp_path, "image_id,branch_id\na,b1\n\nb,b1,c1,k1,extra\n")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(p)
+        assert str(err.value) == f"{p}:4: too many columns"  # the blank line counts
+
+    @pytest.mark.parametrize("row", ["a", " a ,  ", ",b1,c1", "  ,b1", "a,,c1,k1"])
+    def test_missing_image_or_branch_names_the_line(self, tmp_path, row):
+        p = write(tmp_path, f"image_id,branch_id,chain_id\nx,b0\n{row}\n")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(p)
+        assert str(err.value) == f"{p}:3: image_id and branch_id are required"
+
+    def test_short_rows_are_padded_and_cells_stripped(self, tmp_path):
+        p = write(tmp_path, "image_id,branch_id,chain_id,content_key\n"
+                            " a , b1 \n\n   \nb,b2, c1 \nc,b3,,k\n")
+        assert load_catalog(p).records == (
+            rec("a", "b1"), rec("b", "b2", "c1"), rec("c", "b3", None, "k"),
+        )
+
     def test_four_columns_with_content_key(self, tmp_path):
         p = write(tmp_path, "image_id,branch_id,chain_id,content_key\na,b1,c1,k1\nb,b2,,\n")
         cat = load_catalog(p)

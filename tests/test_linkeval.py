@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ class TestSampling:
             ("i1", "i2", 1), ("i1", "i3", 0),
             ("i2", "i1", 1), ("i2", "i3", 0),
         )
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True])
+    def test_seed_must_be_an_integer(self, seed):
+        oracle = oracle_of({"i1": "a", "i2": "a", "i3": "b"})
+        with pytest.raises(EvalError, match="^seed must be a finite int"):
+            sample_eval_pairs(["i1", "i2", "i3"], oracle, seed=seed)
+
+    def test_numpy_integer_seed_draws_like_the_python_int(self):
+        emb, oracle = random_instance(np.random.default_rng(61), n=30)
+        want = sample_eval_pairs(emb.ids, oracle, seed=7).pairs
+        assert sample_eval_pairs(emb.ids, oracle, seed=np.int64(7)).pairs == want
 
     def test_pair_count_is_two_per_eligible_anchor(self):
         rng = np.random.default_rng(60)
@@ -462,6 +474,14 @@ class TestEvaluate:
         report = evaluate(EmbeddingMatrix(ids, data), oracle, EvalOptions(repeats=3, seed=1))
         assert report.auc_repeats == (0.5, 0.5, 0.5)
         assert report.auc_std == 0.0
+
+    def test_numpy_seed_near_int64_max_does_not_overflow(self):
+        emb, oracle = random_instance(np.random.default_rng(83), n=12, branches=3)
+        want = evaluate(emb, oracle, EvalOptions(repeats=3, seed=2**63 - 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(emb, oracle, EvalOptions(repeats=3, seed=np.int64(2**63 - 2)))
+        assert got.auc_repeats == want.auc_repeats
 
     def test_matches_loop_reimplementation(self):
         rng = np.random.default_rng(80)

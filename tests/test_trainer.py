@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from splitmetric.linkeval import LinkOracle
-from splitmetric.losses import CenterBank, LossParams, ProxyBank
+from splitmetric.embedstore import EmbeddingMatrix, unit_rows
+from splitmetric.linkeval import EvalOptions, LinkOracle, evaluate
+from splitmetric.losses import LOSSES, CenterBank, LossParams, ProxyBank
 from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits
 from splitmetric.synth import SynthConfig, generate
 from splitmetric.trainer import (
@@ -12,6 +15,8 @@ from splitmetric.trainer import (
     TrainConfig,
     TrainError,
     TrainHistory,
+    _ClassIndex,
+    _layernorm,
     forward,
     head_backward,
     init_model,
@@ -59,6 +64,29 @@ class TestForward:
         model = init_model(5, 4, seed=0)
         with pytest.raises(TrainError, match="features"):
             forward(model, np.ones((3, 7)))
+
+    def test_rows_layernorm_on_their_own(self):
+        rng = np.random.default_rng(12)
+        for d_in in (5, 48, 100):
+            model = init_model(d_in, 2, seed=0)
+            x = rng.standard_normal((300, d_in)) * rng.uniform(0.1, 50.0, size=(300, 1))
+            whole = _layernorm(model, x)
+            for _ in range(20):
+                rows = rng.integers(0, 300, size=int(rng.integers(1, 80)))  # duplicates too
+                assert whole[rows].tobytes() == _layernorm(model, x[rows]).tobytes()
+
+    def test_forward_frees_the_layernormed_rows_before_the_norm(self):
+        x = np.random.default_rng(0).standard_normal((6400, 48))
+        model = init_model(48, 32, seed=0)
+        forward(model, x[:10])
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the layernorm's own peak; z (2.3 MiB) kept through y * y would reach 5.58 MiB
+        assert peak <= 4.90 * 2**20
 
     def test_model_validation(self):
         with pytest.raises(TrainError, match="d_out"):
@@ -168,6 +196,19 @@ class TestSampleBatch:
             rows = sample_batch(oracle.codes(ids), spec, seed)
             assert tuple(ids[r] for r in rows) == want
 
+    def test_one_index_draws_like_the_reference_on_200_seeds(self):
+        rng = np.random.default_rng(21)
+        labels = {f"i{j:03d}": f"b{int(rng.integers(40)) % int(rng.integers(1, 40))}"
+                  for j in rng.permutation(300)}
+        oracle = LinkOracle(labels)
+        ids = sorted(labels)
+        spec = BatchSpec(8, 4)
+        index = _ClassIndex(oracle.codes(ids), spec)
+        for _ in range(200):
+            seed = int(rng.integers(2**63))
+            rows = index.draw(seed)
+            assert tuple(ids[r] for r in rows) == reference_batch(labels, oracle, spec, seed)
+
     def test_spec_bounds(self):
         with pytest.raises(TrainError):
             BatchSpec(m=1, k=2)
@@ -244,7 +285,54 @@ class TestTrainStep:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
+def reference_train(catalog, assignment, features, config):
+    """`train` as the loop over the public per-step functions that it fused."""
+    oracle = LinkOracle.from_catalog(catalog)
+    split_map = assignment.by_split()
+    train_ids = sorted(split_map["train"])
+    val_ids = sorted(split_map["val_ss"])
+    row_of = {image_id: i for i, image_id in enumerate(features.ids)}
+    train_feat = features.data[[row_of[i] for i in train_ids]].astype(np.float64)
+    val_feat = features.data[[row_of[i] for i in val_ids]].astype(np.float64)
+    codes = oracle.codes(train_ids)
+    rng = np.random.default_rng(config.seed)
+    model = init_model(features.d, config.d_out, rng.integers(2**63))
+    bank = None
+    if LOSSES[config.loss].bank is not None:
+        sums = np.zeros((codes.max() + 1, config.d_out))
+        np.add.at(sums, codes, forward(model, train_feat))
+        bank = LOSSES[config.loss].bank.seeded(unit_rows(sums), config.params, rng)
+    state = OptimizerState.for_model(model, bank)
+    spec = BatchSpec(config.m, config.k)
+    rows_out = []
+    best, best_r1 = model.copy(), -1.0
+    for epoch in range(1, config.epochs + 1):
+        epoch_losses = []
+        for _ in range(max(1, len(train_ids) // spec.size)):
+            rows = sample_batch(codes, spec, rng.integers(2**63))
+            epoch_losses.append(train_step(model, train_feat[rows], codes[rows], config, state,
+                                           rng))
+        emb = EmbeddingMatrix(tuple(val_ids), forward(model, val_feat).astype(np.float32),
+                              normalized=True)
+        report = evaluate(emb, oracle, EvalOptions(repeats=3, seed=rng.integers(2**31)))
+        rows_out.append((epoch, float(np.mean(epoch_losses)), report.r_at_1, report.auc_mean))
+        if report.r_at_1 > best_r1:
+            best_r1, best = report.r_at_1, model.copy()
+    return best, rows_out
+
+
 class TestTrainLoop:
+    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    def test_matches_the_per_step_reference_loop(self, loss):
+        catalog, assignment, features = toy_corpus()
+        config = TrainConfig(loss=loss, lr=0.1, epochs=2, d_out=6, seed=4, m=4, k=3,
+                             params=LossParams(softtriple_centers=2))
+        best, history = train(catalog, assignment, features, config)
+        want, want_rows = reference_train(catalog, assignment, features, config)
+        assert best.weight.tobytes() == want.weight.tobytes()
+        assert best.bias.tobytes() == want.bias.tobytes()
+        assert repr(history.rows) == repr(want_rows)
+
     def test_history_and_selection(self):
         catalog, assignment, features = toy_corpus()
         config = TrainConfig(loss="multisim", epochs=3, d_out=16, seed=0, m=4, k=3)
