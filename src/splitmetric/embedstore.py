@@ -82,12 +82,17 @@ def _ids_path(path: Path) -> Path:
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
+    """Raises before writing when an id holds a line break, which the ``.ids`` file cannot."""
+    ids_text = "".join(i + "\n" for i in matrix.ids)
+    if ids_text.splitlines() != list(matrix.ids):
+        bad = next(i for i in matrix.ids if (i + "\n").splitlines() != [i])
+        raise EmbedStoreError(f"id {bad!r} holds a line break")
     path = Path(path)
     with path.open("wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", matrix.n, matrix.d))
         f.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
-    _ids_path(path).write_text("".join(i + "\n" for i in matrix.ids), encoding="utf-8")
+    _ids_path(path).write_text(ids_text, encoding="utf-8")
 
 
 def read_embeddings(path: str | Path) -> EmbeddingMatrix:
@@ -181,6 +186,8 @@ def cosine_knn(
         raise EmbedStoreError(f"dimension mismatch: {queries.d} vs {gallery.d}")
     if k < 1:
         raise EmbedStoreError("k must be >= 1")
+    if threads < 1:
+        raise EmbedStoreError("threads must be >= 1")
     available = gallery.n - (1 if exclude_self else 0)
     if k > available:
         raise EmbedStoreError(f"k={k} exceeds {available} available gallery rows")

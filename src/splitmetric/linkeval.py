@@ -79,6 +79,8 @@ class EvalOptions:
         check_fields(self, EvalError)
         if self.repeats < 1:
             raise EvalError("repeats must be >= 1")
+        if self.threads < 1:
+            raise EvalError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,7 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
     """
     if k < 1:
         raise EvalError("k must be >= 1")
+    EvalOptions(threads=threads).validate()  # the threads rule of `evaluate`
     ids = sorted(reference.ids)
     sub = reference.subset(ids)  # gallery in id order, so index ties == id ties
     branches = oracle.codes(ids)

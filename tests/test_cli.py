@@ -13,6 +13,22 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def command_parsers() -> dict:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# (command, input file flag) for every input file a command declares
+INPUT_FLAGS = [
+    ("split", "--catalog"), ("verify", "--catalog"), ("verify", "--splits"),
+    ("train", "--catalog"), ("train", "--splits"), ("train", "--features"),
+    ("train", "--loss-params"), ("eval", "--catalog"), ("eval", "--embeddings"),
+    ("eval", "--model"), ("eval", "--features"), ("eval", "--splits"), ("eval", "--reference"),
+    ("mine", "--catalog"), ("mine", "--embeddings"), ("mine", "--splits"),
+    ("stats", "--catalog"), ("dedup", "--catalog"),
+]
+
+
 @pytest.fixture(scope="module")
 def art(tmp_path_factory):
     """One small end-to-end pipeline shared by the read-only assertions."""
@@ -189,6 +205,47 @@ class TestExitCodes:
         rc = run("split", "--catalog", tmp_path / "nope.csv", "--out", tmp_path / "s.csv")
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_input_table_is_every_declared_input(self):
+        declared = [(name, "--" + dest.replace("_", "-"))
+                    for name, p in command_parsers().items() for dest in p.get_default("inputs")]
+        assert declared == INPUT_FLAGS
+
+    @pytest.mark.parametrize("command, flag", INPUT_FLAGS,
+                             ids=[c + f for c, f in INPUT_FLAGS])
+    def test_missing_input_fails_before_any_file_is_read(self, tmp_path, capsys, monkeypatch,
+                                                          command, flag):
+        monkeypatch.setattr(cli, "load_catalog", lambda *a: pytest.fail("read the catalog"))
+        monkeypatch.chdir(tmp_path)  # default outputs land here, if any is written
+        present, missing = tmp_path / "present", tmp_path / "missing"
+        present.write_text("")
+        flags = {a.option_strings[0] for a in command_parsers()[command]._actions if a.required}
+        flags.add(flag)
+        if command == "eval":  # one embedding source, so only the flag rule's files are given
+            on_the_fly = flag in ("--model", "--features")
+            flags |= {"--model", "--features"} if on_the_fly else {"--embeddings"}
+        argv = [arg for f in sorted(flags) for arg in (f, missing if f == flag else present)]
+        if "--splits" in flags and command in ("eval", "mine"):
+            argv += ["--split", "test_ss"]
+        assert run(command, *argv) == 2
+        assert f"no such file: {missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [present]
+
+    @pytest.mark.parametrize("command", ["split", "train"])
+    def test_missing_output_directory_fails_before_any_work(self, art, tmp_path, capsys,
+                                                            monkeypatch, command):
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained"))
+        nodir = tmp_path / "nodir"
+        argv = {
+            "split": ["--catalog", art["catalog"], "--out", tmp_path / "splits.csv",
+                      "--report", nodir / "r.json"],
+            "train": ["--catalog", art["catalog"], "--splits", art["splits"],
+                      "--features", art["features"], "--epochs", 1, "--m", 4, "--k", 3,
+                      "--d-out", 8, "--out", nodir / "m.toy1", "--history", tmp_path / "h.csv"],
+        }[command]
+        assert run(command, *argv) == 2
+        assert f"no such directory: {nodir}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_without_embedding_source(self, art):
         assert run("eval", "--catalog", art["catalog"]) == 2

@@ -50,6 +50,8 @@ BAD_VALUES = [
     ("eval", "repeats", 2.5, evaluate_with, EvalError),
     ("eval", "repeats", True, evaluate_with, EvalError),
     ("eval", "threads", 1.5, evaluate_with, EvalError),
+    ("eval", "threads", 0, evaluate_with, EvalError),
+    ("eval", "threads", -1, evaluate_with, EvalError),
 ]
 
 
@@ -61,7 +63,7 @@ def case_id(config, field, value, *_):
 @pytest.mark.parametrize("field, value, check, error", [case[1:] for case in BAD_VALUES],
                          ids=[case_id(*case) for case in BAD_VALUES])
 def test_bad_field_value_raises_the_domain_error(field, value, check, error):
-    with pytest.raises(error, match=f"^{field} must (be a finite|fit in int64)"):
+    with pytest.raises(error, match=f"^{field} must (be a finite|fit in int64|be >= 1$)"):
         check(**{field: value})
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,19 @@ class TestIO:
         (tmp_path / "e.emb.ids").write_text("only-one\n")
         with pytest.raises(EmbedStoreError, match="ids for"):
             read_embeddings(p)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_id_with_a_line_break_is_not_written(self, tmp_path, brk):
+        m = matrix(np.ones((2, 2)), ids=("ok", f"a{brk}b"))
+        with pytest.raises(EmbedStoreError, match=f"^id {re.escape(repr(m.ids[1]))} "):
+            write_embeddings(m, tmp_path / "e.emb")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ids_without_line_breaks_round_trip(self, tmp_path):
+        m = matrix(np.ones((4, 2)), ids=("", "a b", "a\tb", "\u00e9\u2027\x1f"))
+        write_embeddings(m, tmp_path / "e.emb")
+        assert read_embeddings(tmp_path / "e.emb").ids == m.ids
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(EmbedStoreError, match="unique"):
@@ -257,6 +272,12 @@ class TestKnn:
         q = matrix([[0.0, 2.0]], ids=("q",))
         res = cosine_knn(q, g, k=2)
         assert res.indices.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_is_a_domain_error(self, threads):
+        g = matrix(np.eye(3, dtype=np.float32))
+        with pytest.raises(EmbedStoreError, match="^threads must be >= 1$"):
+            cosine_knn(g, g, k=1, threads=threads)
 
     def test_dimension_mismatch(self):
         with pytest.raises(EmbedStoreError, match="mismatch"):

@@ -411,6 +411,12 @@ class TestMining:
         b = mine_hard_negatives(emb, oracle, k=3, threads=4)
         assert a.negatives == b.negatives
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_is_a_domain_error(self, threads):
+        emb, oracle = random_instance(np.random.default_rng(73), n=20)
+        with pytest.raises(EvalError, match="^threads must be >= 1$"):
+            mine_hard_negatives(emb, oracle, k=3, threads=threads)
+
 
 def brute_evaluate(emb, oracle, repeats, seed):
     """Loop reimplementation of the whole report (no package internals)."""

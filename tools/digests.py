@@ -39,8 +39,10 @@ of a change to the code behind them.  It covers:
   seeds 80-84 and on every split of the gate corpora;
 - `sample_eval_pairs` in both modes, on those corpora and on random inputs,
   error messages included;
-- every file of the README CLI walkthrough except ``*.manifest.json``, and
-  each command's stdout; every file is written inside a temporary directory.
+- every file of the README CLI walkthrough, plus a `train`, `eval`, `mine`
+  and `stats` run with the file flags it leaves out, and each command's
+  stdout; a manifest (``cli.manifest.<file>``) is digested without its
+  ``wall_time_s``, and every file is written inside a temporary directory.
 
 A full run takes about two minutes on two cores.
 """
@@ -50,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -333,13 +336,15 @@ def random_pair_digests(count: int = 400) -> None:
 
 
 def cli_digests() -> None:
-    """The README walkthrough through cli.main; manifests carry times and paths."""
+    """The README walkthrough through cli.main, then the file flags it leaves out."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         f = {name: str(d / name) for name in (
             "catalog.csv", "features.emb", "splits.csv", "split_report.json",
             "verify.report.json", "model.toy1", "history.csv", "metrics.json", "pools.json",
-            "deduped.csv", "dedup_report.json")}
+            "deduped.csv", "dedup_report.json", "loss.json", "model1.toy1", "history1.csv",
+            "metrics_emb.json", "pools_su.json", "stats.json")}
+        Path(f["loss.json"]).write_text('{"triplet_margin": 0.3}', encoding="utf-8")
         commands = [
             ["synth", "--seed", "0", "--out-catalog", f["catalog.csv"],
              "--out-features", f["features.emb"]],
@@ -359,6 +364,18 @@ def cli_digests() -> None:
             ["dedup", "--catalog", f["catalog.csv"], "--out", f["deduped.csv"],
              "--report", f["dedup_report.json"]],
             ["stats", "--catalog", f["catalog.csv"]],
+            # the input and output flags the walkthrough leaves out, for their manifests
+            ["train", "--catalog", f["catalog.csv"], "--splits", f["splits.csv"],
+             "--features", f["features.emb"], "--loss", "triplet", "--loss-params",
+             f["loss.json"], "--epochs", "1", "--d-out", "8", "--out", f["model1.toy1"],
+             "--history", f["history1.csv"]],
+            ["eval", "--catalog", f["catalog.csv"], "--embeddings", f["features.emb"],
+             "--splits", f["splits.csv"], "--split", "val_ss", "--repeats", "2",
+             "--out", f["metrics_emb.json"]],
+            ["mine", "--catalog", f["catalog.csv"], "--embeddings", f["features.emb"],
+             "--splits", f["splits.csv"], "--split", "test_su", "--k", "3",
+             "--out", f["pools_su.json"]],
+            ["stats", "--catalog", f["catalog.csv"], "--out", f["stats.json"]],
         ]
         for argv in commands:
             out = io.StringIO()
@@ -366,7 +383,11 @@ def cli_digests() -> None:
                 code = cli.main(argv)
             emit(f"cli.{argv[0]}.stdout", code, out.getvalue().replace(tmp, "<dir>"))
         for path in sorted(d.iterdir()):
-            if not path.name.endswith(".manifest.json"):
+            if path.name.endswith(".manifest.json"):
+                manifest = json.loads(path.read_text(encoding="utf-8").replace(tmp, "<dir>"))
+                del manifest["wall_time_s"]
+                emit(f"cli.manifest.{path.name}", manifest)
+            else:
                 emit(f"cli.file.{path.name}", path.read_bytes().replace(tmp.encode(), b"<dir>"))
 
 
