@@ -2,11 +2,13 @@
 
 Files are the only interface between stages.  Each command declares its
 input and output file flags once, in `build_parser`.  `main` checks every
-flag rule, that each given input file exists and that each output's
-directory exists before any file is read; after the command it writes
+flag rule, that each given input file exists, and that each output path
+lies in an existing directory, is not a directory and is named by one output
+flag only, all before any file is read; after the command it writes
 `<primary-output>.manifest.json` from the same declaration, so a run can be
 reproduced from the manifest alone.  Exit codes: 0 success, 1 domain error,
-2 usage error (bad flags, a missing input file or output directory).
+2 usage error (bad flags, a missing input file or output directory, an
+output path that is a directory or is shared by two outputs).
 """
 
 from __future__ import annotations
@@ -65,10 +67,19 @@ def _check_usage(args) -> None:
         path = getattr(args, dest)
         if path is not None and not Path(path).is_file():
             raise UsageError(f"no such file: {path}")
+    claimed = {}  # resolved output path -> dest of the flag that names it
     for dest in args.outputs.values():
         path = getattr(args, dest)
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise UsageError(f"{path} is a directory")
+        if not Path(path).parent.is_dir():
             raise UsageError(f"no such directory: {Path(path).parent}")
+        other = claimed.setdefault(Path(path).resolve(), dest)
+        if other != dest:
+            raise UsageError(f"--{other.replace('_', '-')} and --{dest.replace('_', '-')} "
+                             f"name the same file: {path}")
 
 
 def _write_manifest(args, argv: list, started: float) -> None:

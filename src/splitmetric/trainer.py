@@ -12,7 +12,10 @@ The layernorm has no parameters and reduces each row on its own, so `train`
 layernorms the val rows, and for single-view losses the train rows, once per
 run (two-view losses add noise first, so their views are layernormed each
 step).  Each step runs the head once for both the loss and its gradient, and
-draws its batch from a class index built once per run.
+draws its batch from a class index built once per run.  The draw keeps the
+stream of one ``Generator.choice(replace=False)`` for the classes and one per
+class, but makes those bounded draws with two `integers` calls (`_choice_rows`),
+so seeded batches are bit-identical to the `choice` draw.
 """
 
 from __future__ import annotations
@@ -143,12 +146,59 @@ class _ClassIndex:
         self.spec = spec
 
     def draw(self, seed: int) -> np.ndarray:
-        """m distinct eligible classes, then k distinct rows of each, in that order."""
+        """m distinct eligible classes, then k distinct rows of each, in that order.
+
+        The rows are those of ``rng.choice(len(eligible), m, replace=False)``
+        followed by one ``rng.choice(size, k, replace=False)`` per class, but
+        drawn by `_choice_rows` in two `integers` calls on the same stream.
+        """
         rng = seeded_rng(seed)
         m, k = self.spec.m, self.spec.k
-        classes = self.eligible[rng.choice(len(self.eligible), size=m, replace=False)]
-        offsets = [rng.choice(int(self.sizes[c]), size=k, replace=False) for c in classes]
-        return self.order[np.repeat(self.starts[classes], k) + np.concatenate(offsets)]
+        classes = self.eligible[_choice_rows(rng, [len(self.eligible)], m)]
+        offsets = _choice_rows(rng, self.sizes[classes].tolist(), k)
+        return self.order[np.repeat(self.starts[classes], k) + offsets]
+
+
+def _choice_rows(rng: np.random.Generator, sizes: list, k: int) -> list:
+    """What ``rng.choice(n, size=k, replace=False)`` returns for each n in turn, concatenated.
+
+    numpy (2.4) makes each such call from bounded draws on [0, bound]: for
+    n <= 10000 or k <= n // 50, Floyd's sampling (bounds n-k .. n-1) and a
+    Fisher-Yates shuffle of the k picks (bounds k-1 .. 1); otherwise a tail
+    Fisher-Yates over range(n) (bounds n-1 down to max(n-k, 1)), keeping its
+    last k slots.  `integers` with int64 bounds makes the same draws one by
+    one, so one call serves every size and the stream is left where the
+    `choice` calls would leave it.  numpy does not promise this across
+    versions; the trainer tests pin it to `choice`.
+    """
+    bounds = []
+    for n in sizes:
+        if n > 10000 and k > n // 50:
+            bounds += range(n - 1, max(n - k, 1) - 1, -1)
+        else:
+            bounds += range(n - k, n)
+            bounds += range(k - 1, 0, -1)
+    draws = iter(rng.integers(0, bounds, endpoint=True).tolist())
+    out = []
+    for n in sizes:
+        if n > 10000 and k > n // 50:
+            moved = {}  # slot -> value, where it differs from the slot
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = next(draws)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            out += [moved.get(i, i) for i in range(n - k, n)]
+            continue
+        picks, seen = [], set()
+        for j in range(n - k, n):
+            v = next(draws)
+            v = j if v in seen else v  # Floyd: a repeat takes the new top value j
+            seen.add(v)
+            picks.append(v)
+        for i in range(k - 1, 0, -1):
+            j = next(draws)
+            picks[i], picks[j] = picks[j], picks[i]
+        out += picks
+    return out
 
 
 def sample_batch(codes: np.ndarray, spec: BatchSpec, seed: int) -> np.ndarray:

@@ -247,6 +247,41 @@ class TestExitCodes:
         assert f"no such directory: {nodir}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["split", "train"])
+    def test_output_that_is_a_directory_fails_before_any_work(self, art, tmp_path, capsys,
+                                                              monkeypatch, command):
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained"))
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        argv = {
+            "split": ["--catalog", art["catalog"], "--out", tmp_path / "splits.csv",
+                      "--report", adir],
+            "train": ["--catalog", art["catalog"], "--splits", art["splits"],
+                      "--features", art["features"], "--epochs", 1, "--m", 4, "--k", 3,
+                      "--d-out", 8, "--out", adir, "--history", tmp_path / "h.csv"],
+        }[command]
+        assert run(command, *argv) == 2
+        assert f"usage error: {adir} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [adir]
+        assert list(adir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["split", "synth"])
+    def test_two_outputs_on_one_file_fail_before_any_work(self, art, tmp_path, capsys,
+                                                          monkeypatch, command):
+        monkeypatch.setattr(cli, "load_catalog", lambda *a: pytest.fail("read the catalog"))
+        monkeypatch.setattr(cli, "generate", lambda *a: pytest.fail("generated"))
+        monkeypatch.chdir(tmp_path)  # a relative and an absolute spelling of one file
+        same = tmp_path / "same.txt"
+        argv, flags = {
+            "split": (["--catalog", art["catalog"], "--out", "same.txt", "--report", same],
+                      "--out and --report"),
+            "synth": (["--out-catalog", "same.txt", "--out-features", same],
+                      "--out-catalog and --out-features"),
+        }[command]
+        assert run(command, *argv) == 2
+        assert f"usage error: {flags} name the same file: {same}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_eval_without_embedding_source(self, art):
         assert run("eval", "--catalog", art["catalog"]) == 2
 

@@ -16,6 +16,7 @@ from splitmetric.trainer import (
     TrainError,
     TrainHistory,
     _ClassIndex,
+    _choice_rows,
     _layernorm,
     forward,
     head_backward,
@@ -205,6 +206,41 @@ class TestSampleBatch:
         spec = BatchSpec(8, 4)
         index = _ClassIndex(oracle.codes(ids), spec)
         for _ in range(200):
+            seed = int(rng.integers(2**63))
+            rows = index.draw(seed)
+            assert tuple(ids[r] for r in rows) == reference_batch(labels, oracle, spec, seed)
+
+    # (n, k): Floyd plus shuffle for n <= 10000 or k <= n // 50, the tail shuffle otherwise
+    FLOYD = [(190, 8), (20, 4), (4, 4), (1, 1), (5, 1), (10000, 5000), (20000, 400)]
+    TAIL = [(10001, 201), (12000, 1000), (15000, 15000)]
+
+    @pytest.mark.parametrize("n, k", FLOYD + TAIL, ids=[f"{n}_{k}" for n, k in FLOYD + TAIL])
+    def test_choice_rows_is_generator_choice(self, n, k):
+        # numpy does not promise its Generator streams across versions (NEP 19);
+        # this pins the two-call draw to `choice` on the installed numpy
+        for seed in range(300 if n * k < 10**4 else 30):
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _choice_rows(got, [n], k) == want.choice(n, size=k, replace=False).tolist()
+        # several populations in one call leave the stream where the calls would
+        sizes = [n, max(n // 2, k), n]
+        want, got = np.random.default_rng(99), np.random.default_rng(99)
+        calls = [want.choice(size, size=k, replace=False).tolist() for size in sizes]
+        assert _choice_rows(got, sizes, k) == sum(calls, [])
+        assert got.integers(2**63) == want.integers(2**63)
+
+    def test_tail_regime_draw_matches_the_reference(self):
+        # one class over 10,000 rows with k > n // 50, so its rows come from the tail shuffle
+        rng = np.random.default_rng(22)
+        sizes = {"big": 10050, "mid": 260, "small": 3}
+        labels = {f"i{j:05d}": b for j, b in zip(
+            rng.permutation(sum(sizes.values())),
+            [b for b, size in sizes.items() for _ in range(size)])}
+        oracle = LinkOracle(labels)
+        ids = sorted(labels)
+        spec = BatchSpec(2, 202)
+        index = _ClassIndex(oracle.codes(ids), spec)
+        assert max(index.sizes) > 10000 and spec.k > max(index.sizes) // 50
+        for _ in range(30):
             seed = int(rng.integers(2**63))
             rows = index.draw(seed)
             assert tuple(ids[r] for r in rows) == reference_batch(labels, oracle, spec, seed)

@@ -5,12 +5,12 @@ keeps every output byte-identical:
 
     PYTHONPATH=<checkout>/src python3 tools/digests.py > digests.txt
 
-It uses only `train`, `evaluate`, `mine_hard_negatives`, `sample_eval_pairs`,
-`cosine_knn`, `compute_loss`, `finite_diff_check`, `generate_splits`,
-`verify_splits`, `dedup_merge`, `save_catalog`, `save_dedup_report`,
-`generate`, `write_embeddings` and `cli.main`, plus the catalog generators
-and seeded mutations in ``tests/``, so the same script runs on either side
-of a change to the code behind them.  It covers:
+It uses only `train`, `sample_batch`, `evaluate`, `mine_hard_negatives`,
+`sample_eval_pairs`, `cosine_knn`, `compute_loss`, `finite_diff_check`,
+`generate_splits`, `verify_splits`, `dedup_merge`, `save_catalog`,
+`save_dedup_report`, `generate`, `write_embeddings` and `cli.main`, plus the
+catalog generators and seeded mutations in ``tests/``, so the same script
+runs on either side of a change to the code behind them.  It covers:
 
 - the saved catalog CSV and EMB1 bytes of `generate` (``synth.<case>``) for
   the standard corpus at seeds 0-4, at seeds -1, 2**64 - 1 and numpy int64 9,
@@ -32,6 +32,10 @@ of a change to the code behind them.  It covers:
   catalogs with content keys: transitive links, chain conflicts,
   unknown-chain branches and copies within one branch, seeded random keyed
   catalogs, and the full corpus with some keys copied across branches;
+- `sample_batch` rows over 100 seeds (``batch.<layout>``) on each gate
+  corpus's train codes at 8 x 4, and on a layout with a class of more than
+  10,000 rows drawn at k > n // 50, where numpy's `choice` takes its tail
+  shuffle instead of Floyd's sampling;
 - `train()` weights, bias and history for all six losses on the gate corpus
   seeds 0-4 (the gate recipe for the pair losses, three epochs for supcon
   and the bank losses);
@@ -88,7 +92,7 @@ from splitmetric.losses import (
 )
 from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits, verify_splits
 from splitmetric.synth import generate, standard_corpus_config
-from splitmetric.trainer import TrainConfig, forward, init_model, train
+from splitmetric.trainer import BatchSpec, TrainConfig, forward, init_model, sample_batch, train
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_catalog import random_keyed_catalog  # noqa: E402
@@ -224,6 +228,21 @@ def tie_digests() -> None:
             for name, oracle in oracles.items():
                 pool = mine_hard_negatives(emb, oracle, k=1, threads=threads)
                 emit(f"mine1.{case}.{name}.threads{threads}", *pool_parts(pool))
+
+
+def batch_digests() -> None:
+    layouts = []
+    for seed in GATE_SEEDS:
+        catalog, _ = generate(standard_corpus_config(seed=seed))
+        train_ids = sorted(generate_splits(catalog, GATE_SPLITS).by_split()["train"])
+        codes = LinkOracle.from_catalog(catalog).codes(train_ids)
+        layouts.append((f"gate{seed}", codes, BatchSpec(8, 4)))
+    tail = np.random.default_rng(707).permutation(np.repeat(np.arange(3), [10050, 260, 3]))
+    layouts.append(("tail", tail, BatchSpec(2, 202)))
+    rng = np.random.default_rng(808)
+    for layout, codes, spec in layouts:
+        seeds = rng.integers(2**63, size=100).tolist()
+        emit(f"batch.{layout}", np.concatenate([sample_batch(codes, spec, s) for s in seeds]))
 
 
 def train_digests() -> None:
@@ -400,6 +419,7 @@ def main() -> int:
     dedup_digests()
     retrieval_digests()
     split_digests()
+    batch_digests()
     train_digests()
     cli_digests()
     return 0
