@@ -3,12 +3,14 @@
 Files are the only interface between stages.  Each command declares its
 input and output file flags once, in `build_parser`.  `main` checks every
 flag rule, that each given input file exists, and that each output path
-lies in an existing directory, is not a directory and is named by one output
-flag only, all before any file is read; after the command it writes
+lies in an existing directory, is not a directory and is named by no other
+flag of the command, input or output, all before any file is read; so an
+output never replaces an input, and an in-place ``dedup --catalog c.csv
+--out c.csv`` is refused too.  After the command it writes
 `<primary-output>.manifest.json` from the same declaration, so a run can be
 reproduced from the manifest alone.  Exit codes: 0 success, 1 domain error,
 2 usage error (bad flags, a missing input file or output directory, an
-output path that is a directory or is shared by two outputs).
+output path that is a directory or is named by another flag).
 """
 
 from __future__ import annotations
@@ -63,11 +65,14 @@ def _check_usage(args) -> None:
         raise UsageError("eval needs either --embeddings or --model with --features")
     if getattr(args, "threads", 1) < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    claimed = {}  # resolved path -> dest of the first flag that names it
     for dest in args.inputs:
         path = getattr(args, dest)
-        if path is not None and not Path(path).is_file():
+        if path is None:
+            continue
+        if not Path(path).is_file():
             raise UsageError(f"no such file: {path}")
-    claimed = {}  # resolved output path -> dest of the flag that names it
+        claimed.setdefault(Path(path).resolve(), dest)  # inputs may share a file
     for dest in args.outputs.values():
         path = getattr(args, dest)
         if path is None:

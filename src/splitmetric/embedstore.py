@@ -6,6 +6,9 @@ one id per row, same order.  Search is exact brute force through one
 routine, `top_k`, in float64 with ties to the smaller gallery index.  It
 scores 512 query rows at a time, so memory is O(512 * N) per thread; that
 block shape and separate query/gallery arrays fix the bits (see `top_k`).
+For k > 1 each block is selected in a few whole-block numpy passes (a
+strided chunk-max bound, then one sort of the cells that reach it), with
+no Python loop per row, so a second thread speeds it up.
 """
 
 from __future__ import annotations
@@ -143,10 +146,24 @@ def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np
     ordered by (-similarity, ascending gallery index), ties on the k-th value
     included; needs k <= len(g).  For k = 1 that is one ``argmax`` per block:
     its first maximum is the smallest index, and a row that is all -inf gives
-    index 0 with similarity -inf, as for any k.  Queries go in 512-row
-    blocks, so each thread holds O(512 * len(g)) floats.  The block shape
-    and two separate input buffers are fixed because BLAS rounding depends
-    on both: another row count changes some cells by one ulp, and
+    index 0 with similarity -inf, as for any k.
+
+    For k > 1, a block's columns are cut into ``chunks = min(n_g, 4k)``
+    strided chunks (chunk j holds columns j, j + chunks, ...; the last
+    ``n_g % chunks`` columns are in none).  A row's k-th largest chunk
+    maximum is at most its k-th best cell, since k cells reach it, so every
+    cell of the top k, ties included, is at or above that bound.  One
+    ``flatnonzero`` takes the block's cells at or above their row's bound,
+    and one ``lexsort`` by (row, -similarity, index) orders them; each row
+    keeps its first k.  Strides matter: a row's best cells often sit in
+    adjacent columns, and a contiguous chunk would hold them all and loosen
+    the bound.  A row with fewer than k finite chunk maxima has bound -inf,
+    so all its cells are candidates.
+
+    Queries go in 512-row blocks, so each thread holds O(512 * len(g))
+    floats: the block, one bool mask and the candidate arrays.  The block
+    shape and two separate input buffers are fixed because BLAS rounding
+    depends on both: another row count changes some cells by one ulp, and
     ``a @ a.T`` on one buffer runs a symmetric kernel that rounds
     differently.
     """
@@ -162,12 +179,18 @@ def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np
             indices[lo:lo + 512, 0] = best
             sims[lo:lo + 512, 0] = block[np.arange(len(block)), best]
             return
-        for i, row in enumerate(block, lo):
-            kth = np.partition(row, n_g - k)[n_g - k]
-            candidates = np.flatnonzero(row >= kth)
-            order = candidates[np.lexsort((candidates, -row[candidates]))][:k]
-            indices[i] = order
-            sims[i] = row[order]
+        b = len(block)
+        chunks = min(n_g, 4 * k)  # >= k >= 2 here, since k <= n_g
+        width = n_g // chunks
+        maxima = block[:, :width * chunks].reshape(b, width, chunks).max(axis=1)
+        bound = np.partition(maxima, chunks - k, axis=1)[:, chunks - k]
+        flat = np.flatnonzero(block >= bound[:, None])
+        rows, cols = np.divmod(flat, n_g)
+        vals = block.reshape(-1)[flat]
+        order = np.lexsort((cols, -vals, rows))
+        take = order[np.searchsorted(rows, np.arange(b))[:, None] + np.arange(k)]
+        indices[lo:lo + b] = cols[take]
+        sims[lo:lo + b] = vals[take]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run, range(0, n_q, 512)))

@@ -249,8 +249,9 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
     branches = oracle.codes(ids)
     indices, sims = top_k(unit_rows(sub.data), unit_rows(sub.data), min(k, len(ids)),
                           branches, branches, threads)
-    return HardNegPool({anchor: tuple(ids[j] for j in indices[qi][sims[qi] > -np.inf])
-                        for qi, anchor in enumerate(ids)}, k)
+    return HardNegPool({anchor: tuple(ids[j] for j, real in zip(row, keep) if real)
+                        for anchor, row, keep in zip(ids, indices.tolist(),
+                                                     (sims > -np.inf).tolist())}, k)
 
 
 def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptions) -> MetricReport:

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,28 @@ INPUT_FLAGS = [
     ("mine", "--catalog"), ("mine", "--embeddings"), ("mine", "--splits"),
     ("stats", "--catalog"), ("dedup", "--catalog"),
 ]
+
+# (command, output file flag, input file flag) for every such pair a command declares
+OUTPUT_ON_INPUT = [(command, "--" + dest.replace("_", "-"), flag)
+                   for command, flag in INPUT_FLAGS
+                   for dest in command_parsers()[command].get_default("outputs").values()]
+
+
+def input_argv(command, flag, path_of) -> list:
+    """Flags giving ``command`` its required inputs and ``flag``, each file ``path_of(flag)``.
+
+    For `eval` that is one embedding source, as its flag rule asks, and
+    ``--splits`` on `eval` and `mine` comes with a ``--split``.
+    """
+    flags = {a.option_strings[0] for a in command_parsers()[command]._actions if a.required}
+    flags.add(flag)
+    if command == "eval":
+        on_the_fly = flag in ("--model", "--features")
+        flags |= {"--model", "--features"} if on_the_fly else {"--embeddings"}
+    argv = [arg for f in sorted(flags) for arg in (f, path_of(f))]
+    if "--splits" in flags and command in ("eval", "mine"):
+        argv += ["--split", "test_ss"]
+    return argv
 
 
 @pytest.fixture(scope="module")
@@ -219,14 +242,7 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)  # default outputs land here, if any is written
         present, missing = tmp_path / "present", tmp_path / "missing"
         present.write_text("")
-        flags = {a.option_strings[0] for a in command_parsers()[command]._actions if a.required}
-        flags.add(flag)
-        if command == "eval":  # one embedding source, so only the flag rule's files are given
-            on_the_fly = flag in ("--model", "--features")
-            flags |= {"--model", "--features"} if on_the_fly else {"--embeddings"}
-        argv = [arg for f in sorted(flags) for arg in (f, missing if f == flag else present)]
-        if "--splits" in flags and command in ("eval", "mine"):
-            argv += ["--split", "test_ss"]
+        argv = input_argv(command, flag, lambda f: missing if f == flag else present)
         assert run(command, *argv) == 2
         assert f"no such file: {missing}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [present]
@@ -281,6 +297,41 @@ class TestExitCodes:
         assert run(command, *argv) == 2
         assert f"usage error: {flags} name the same file: {same}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, out_flag, in_flag", OUTPUT_ON_INPUT,
+                             ids=[c + o + i for c, o, i in OUTPUT_ON_INPUT])
+    def test_output_on_an_input_fails_before_any_file_is_read(self, tmp_path, capsys,
+                                                              monkeypatch, command, out_flag,
+                                                              in_flag):
+        for reader in ("load_catalog", "load_assignment", "read_embeddings", "load_model"):
+            monkeypatch.setattr(cli, reader, lambda *a: pytest.fail("read a file"))
+        monkeypatch.setattr(cli.LossParams, "from_json", lambda *a: pytest.fail("read a file"))
+        monkeypatch.chdir(tmp_path)  # default outputs land here, if any is written
+        argv = input_argv(command, in_flag, lambda f: tmp_path / f.lstrip("-"))
+        files = [arg for arg in argv if isinstance(arg, Path)]
+        for path in files:
+            path.write_text(path.name)
+        argv += [out_flag, in_flag.lstrip("-")]  # the input's file, spelled relatively
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: {in_flag} and {out_flag} name the same file: " in err
+        assert sorted(tmp_path.iterdir()) == sorted(files)
+        assert all(path.read_text() == path.name for path in files)
+
+    @pytest.mark.parametrize("command, argv", [
+        ("split", ["--catalog", "catalog.csv", "--out", "catalog.csv", "--report", "r.json"]),
+        ("mine", ["--catalog", "catalog.csv", "--embeddings", "features.emb",
+                  "--out", "features.emb"]),
+        ("dedup", ["--catalog", "catalog.csv", "--out", "catalog.csv"]),
+    ], ids=["split", "mine", "dedup"])
+    def test_output_never_replaces_an_input(self, art, tmp_path, monkeypatch, command, argv):
+        monkeypatch.chdir(tmp_path)
+        for name in ("catalog.csv", "features.emb", "features.emb.ids"):
+            (tmp_path / name).write_bytes((art["catalog"].parent / name).read_bytes())
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run(command, *argv) == 2
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert run("stats", "--catalog", "catalog.csv") == 0
 
     def test_eval_without_embedding_source(self, art):
         assert run("eval", "--catalog", art["catalog"]) == 2

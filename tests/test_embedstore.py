@@ -8,6 +8,7 @@ from splitmetric.embedstore import (
     EmbedStoreError,
     cosine_knn,
     read_embeddings,
+    top_k,
     unit_rows,
     write_embeddings,
 )
@@ -147,18 +148,24 @@ class TestNormalize:
             matrix([[2.0, 0.0]], normalized=True)
 
 
-def brute_knn(q_rows, g_rows, k, exclude=None):
-    """Reference search: python loops, sort by (-similarity, index)."""
+def brute_knn(q_rows, g_rows, k, exclude=None, groups=None):
+    """Reference search: python loops, sort by (-similarity, index).
+
+    ``groups=(q_group, g_group)`` scores cells of equal groups -inf, as
+    `top_k` does.
+    """
+    g_unit = [np.asarray(gv, dtype=np.float64) / np.linalg.norm(np.asarray(gv, dtype=np.float64))
+              for gv in g_rows]
     out_idx, out_sim = [], []
     for qi, qv in enumerate(q_rows):
         qv = np.asarray(qv, dtype=np.float64)
         qv = qv / np.linalg.norm(qv)
         scored = []
-        for gi, gv in enumerate(g_rows):
+        for gi, gv in enumerate(g_unit):
             if exclude is not None and exclude[qi] == gi:
                 continue
-            gv = np.asarray(gv, dtype=np.float64)
-            s = float(qv @ (gv / np.linalg.norm(gv)))
+            masked = groups is not None and groups[0][qi] == groups[1][gi]
+            s = -np.inf if masked else float(qv @ gv)
             scored.append((-s, gi))
         scored.sort()
         out_idx.append([gi for _, gi in scored[:k]])
@@ -289,3 +296,103 @@ class TestKnn:
         q = matrix(rng.standard_normal((6, 4)), ids=tuple(f"q{j}" for j in range(6)))
         res = cosine_knn(q, g, k=10)
         assert np.all(np.diff(res.similarities, axis=1) <= 1e-15)
+
+
+
+class TestTopKAboveOne:
+    """k > 1 against `brute_knn` on galleries wide enough for the chunk-max bound.
+
+    `top_k` cuts each row into min(n_g, 4k) strided chunks, bounds the k-th
+    best cell by the k-th largest chunk maximum, and sorts only the cells at
+    or above it.  These layouts reach each part of that: unsampled tail
+    columns, ties on the k-th slot, rows with too few finite cells or finite
+    chunks, all -inf rows and k = n_g.
+    """
+
+    PALETTE = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [-1, 1, 1], [1, -1, 0], [0, 0, -1]])
+    WINDOW = np.arange(448, 576)  # query rows on both sides of the 512-row block edge
+
+    def tied(self, rng, n, ids=None):
+        # power-of-two scales keep duplicated directions bit-equal after normalization
+        rows = self.PALETTE[rng.integers(len(self.PALETTE), size=n)] * rng.choice([1, 2, 4], (n, 1))
+        return matrix(rows, ids=ids)
+
+    @staticmethod
+    def check(got, want, rows=slice(None)):
+        (idx, sim), (ref_idx, ref_sim) = got, want
+        assert np.array_equal(idx[rows], ref_idx)
+        assert np.array_equal(np.isneginf(sim[rows]), np.isneginf(ref_sim))
+        assert np.allclose(sim[rows], ref_sim, atol=1e-12)
+
+    def test_wide_gallery_with_unsampled_tail_matches_brute_force(self):
+        rng = np.random.default_rng(21)
+        n_g, d = 470, 6
+        q = matrix(rng.standard_normal((600, d)), ids=tuple(f"q{j}" for j in range(600)))
+        g_rows = rng.standard_normal((n_g, d))
+        g_rows[-26:] = q.data[self.WINDOW[::5]] + 0.01 * rng.standard_normal((26, d))
+        g = matrix(g_rows)
+        idx, sim = brute_knn(q.data[self.WINDOW], g.data, 37)
+        for k in (2, 5, 10, 37):
+            tail = n_g % (4 * k)  # columns past the last whole stride go unsampled
+            assert n_g >= 4 * k and tail
+            assert (idx[:, 0] >= n_g - tail).any()  # some best cells sit in the tail
+            for threads in (1, 2):
+                res = cosine_knn(q, g, k, threads=threads)
+                self.check((res.indices, res.similarities), (idx[:, :k], sim[:, :k]), self.WINDOW)
+
+    def test_ties_on_the_kth_slot_across_a_block_edge_match_brute_force(self):
+        rng = np.random.default_rng(22)
+        g = self.tied(rng, 430)
+        q = self.tied(rng, 700, ids=tuple(f"q{j}" for j in range(700)))
+        window = list(self.WINDOW)
+        cases = [(q, g, False, brute_knn(q.data[window], g.data, 51)),
+                 (q, q, True, brute_knn(q.data[window], q.data, 51, exclude=window))]
+        for queries, gallery, exclude, (idx, sim) in cases:
+            for k in (2, 5, 10, 50):
+                assert (sim[:, k - 1] == sim[:, k]).all()  # ties across the k-th slot
+                for threads in (1, 2):
+                    res = cosine_knn(queries, gallery, k, exclude_self=exclude, threads=threads)
+                    self.check((res.indices, res.similarities), (idx[:, :k], sim[:, :k]),
+                               self.WINDOW)
+
+    def test_groups_leaving_few_finite_cells_or_chunks_match_brute_force(self):
+        # k = 10 on 470 columns: 40 chunks of stride 40, the last 30 columns
+        # unsampled.  In `spread`, a group-0 query keeps 15 finite cells in
+        # 3 chunks (columns = 3 mod 40, and 7, 100, 469); in `scarce` it keeps
+        # 5 finite cells, fewer than k.  Queries of other groups keep most cells.
+        rng = np.random.default_rng(23)
+        n_g, k = 470, 10
+        g_rows, q_rows = rng.standard_normal((n_g, 5)), rng.standard_normal((600, 5))
+        spread = np.zeros(n_g, dtype=np.intp)
+        spread[3::40] = 1
+        spread[[7, 100, 469]] = 2
+        scarce = np.zeros(n_g, dtype=np.intp)
+        scarce[[0, 40, 80, 120, 469]] = 1
+        assert np.unique(np.flatnonzero(spread[:440]) % 40).size == 3
+        assert np.count_nonzero(spread) == 15 and np.count_nonzero(scarce) == 5
+        q_group = rng.integers(3, size=600)
+        assert (q_group[self.WINDOW] == 0).sum() > 20
+        for g_group in (spread, scarce):
+            want = brute_knn(q_rows[self.WINDOW], g_rows, k, groups=(q_group[self.WINDOW], g_group))
+            for threads in (1, 2):
+                got = top_k(unit_rows(q_rows), unit_rows(g_rows), k, q_group, g_group, threads)
+                self.check(got, want, self.WINDOW)
+
+    def test_all_neg_inf_rows_and_k_equal_to_gallery_size(self):
+        # query rows 500-519 have group 9: with `lone`, every gallery row does
+        # too, so those rows are all -inf; with `mostly`, they keep 7 cells
+        rng = np.random.default_rng(24)
+        g_rows, q_rows = self.tied(rng, 37).data, self.tied(rng, 530).data
+        q_group = rng.integers(3, size=530)
+        q_group[500:520] = 9
+        lone = np.full(37, 9)
+        mostly = np.where(np.arange(37) < 30, 9, rng.integers(3, size=37))
+        layouts = ((lone, q_group), (mostly, q_group), (np.arange(37), np.full(530, -1)))
+        rows = np.arange(490, 530)
+        for k in (2, 10, 37):  # 37 = n_g
+            for g_group, groups in layouts:
+                want = brute_knn(q_rows[rows], g_rows, k, groups=(groups[rows], g_group))
+                assert np.isneginf(want[1][10:30]).all() == (g_group is lone)
+                for threads in (1, 2):
+                    got = top_k(unit_rows(q_rows), unit_rows(g_rows), k, groups, g_group, threads)
+                    self.check(got, want, rows)

@@ -20,10 +20,11 @@ runs on either side of a change to the code behind them.  It covers:
   (``loss.<kind>.<case>``), among them a 128-row 16 x 8 batch
   (``balanced16x8``), so a change to a kernel shows up before 30 epochs of
   training amplify it;
-- `cosine_knn` k = 1 indices and similarities (``knn1.<case>``) and
-  `mine_hard_negatives` k = 1 pools (``mine1.<case>``) on quantized,
-  tie-heavy inputs of more than 512 rows, with and without self-exclusion,
-  on one and two threads;
+- `cosine_knn` indices and similarities (``knn1.<case>``, ``knn10.<case>``)
+  and `mine_hard_negatives` pools (``mine1.<case>``, ``mine10.<case>``) at
+  k = 1 and k = 10, which take `top_k`'s two selection branches, on
+  quantized, tie-heavy inputs of more than 512 rows, with and without
+  self-exclusion, on one and two threads;
 - the `generate_splits` assignment (``split.<case>.assignment``) and the
   `verify_splits` report, with the carve's config attached and with none, of
   the carve and of seeded breaks of it (``split.<case>.<mutation>``), on the
@@ -56,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -220,14 +222,14 @@ def tie_digests() -> None:
         labels = np.random.default_rng(len(rows)).integers(5, size=len(rows))
         oracles = {"branches": LinkOracle({i: f"b{b}" for i, b in zip(ids, labels)}),
                    "one_branch": LinkOracle(dict.fromkeys(ids, "b"))}
-        for threads in (1, 2):
+        for k, threads in itertools.product((1, 10), (1, 2)):
             for exclude, q in ((True, emb), (False, queries)):
-                knn = cosine_knn(q, emb, k=1, exclude_self=exclude, threads=threads)
-                emit(f"knn1.{case}.exclude{int(exclude)}.threads{threads}",
+                knn = cosine_knn(q, emb, k=k, exclude_self=exclude, threads=threads)
+                emit(f"knn{k}.{case}.exclude{int(exclude)}.threads{threads}",
                      knn.indices, knn.similarities)
             for name, oracle in oracles.items():
-                pool = mine_hard_negatives(emb, oracle, k=1, threads=threads)
-                emit(f"mine1.{case}.{name}.threads{threads}", *pool_parts(pool))
+                pool = mine_hard_negatives(emb, oracle, k=k, threads=threads)
+                emit(f"mine{k}.{case}.{name}.threads{threads}", *pool_parts(pool))
 
 
 def batch_digests() -> None:
