@@ -11,6 +11,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 
 class CatalogError(ValueError):
@@ -20,8 +21,7 @@ class CatalogError(ValueError):
 CSV_HEADER = ("image_id", "branch_id", "chain_id", "content_key")
 
 
-@dataclass(frozen=True, slots=True)
-class ImageRecord:
+class ImageRecord(NamedTuple):
     image_id: str
     branch_id: str
     chain_id: str | None = None
@@ -40,19 +40,19 @@ class Catalog:
         seen_ids: set[str] = set()
         branch_images: dict[str, list[str]] = {}
         branch_chain: dict[str, str | None] = {}
-        for rec in records:
-            if rec.image_id in seen_ids:
-                raise CatalogError(f"duplicate image_id: {rec.image_id!r}")
-            seen_ids.add(rec.image_id)
-            branch_images.setdefault(rec.branch_id, []).append(rec.image_id)
-            if rec.branch_id in branch_chain:
-                if branch_chain[rec.branch_id] != rec.chain_id:
+        for image_id, branch_id, chain_id, _ in records:
+            if image_id in seen_ids:
+                raise CatalogError(f"duplicate image_id: {image_id!r}")
+            seen_ids.add(image_id)
+            branch_images.setdefault(branch_id, []).append(image_id)
+            if branch_id in branch_chain:
+                if branch_chain[branch_id] != chain_id:
                     raise CatalogError(
-                        f"branch {rec.branch_id!r} has conflicting chain ids: "
-                        f"{branch_chain[rec.branch_id]!r} vs {rec.chain_id!r}"
+                        f"branch {branch_id!r} has conflicting chain ids: "
+                        f"{branch_chain[branch_id]!r} vs {chain_id!r}"
                     )
             else:
-                branch_chain[rec.branch_id] = rec.chain_id
+                branch_chain[branch_id] = chain_id
         chain_branches: dict[str, list[str]] = {}
         unknown: set[str] = set()
         for branch in sorted(branch_images):
@@ -141,12 +141,23 @@ def load_catalog(path: str | Path) -> Catalog:
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
+    """Write the catalog CSV, or raise before writing anything if it would not load back.
+
+    `load_catalog` strips every cell and reads an empty chain or key as
+    ``None``, so an id or branch must be a non-empty unpadded string, and a
+    chain or key ``None`` or one.
+    """
     path = Path(path)
+    columns = zip(*catalog.records)
+    for name, column, optional in zip(CSV_HEADER, columns, (False, False, True, True)):
+        for value in dict.fromkeys(column):  # each distinct value once, in record order
+            if not (isinstance(value, str) and value and value == value.strip()
+                    or optional and value is None):
+                raise CatalogError(f"{path}: {name} {value!r} would not load back as itself")
     with path.open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
-        for rec in catalog.records:
-            writer.writerow([rec.image_id, rec.branch_id, rec.chain_id or "", rec.content_key or ""])
+        writer.writerows(catalog.records)  # None is written as an empty cell
 
 
 def dedup_merge(catalog: Catalog) -> tuple[Catalog, DedupReport]:

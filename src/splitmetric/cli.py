@@ -6,11 +6,13 @@ flag rule, that each given input file exists, and that each output path
 lies in an existing directory, is not a directory and is named by no other
 flag of the command, input or output, all before any file is read; so an
 output never replaces an input, and an in-place ``dedup --catalog c.csv
---out c.csv`` is refused too.  After the command it writes
-`<primary-output>.manifest.json` from the same declaration, so a run can be
-reproduced from the manifest alone.  Exit codes: 0 success, 1 domain error,
-2 usage error (bad flags, a missing input file or output directory, an
-output path that is a directory or is named by another flag).
+--out c.csv`` is refused too.  The files beside a flag's file count as
+well: the ``<path>.ids`` of every EMB1 input and output, and the manifest.
+After the command it writes `<primary-output>.manifest.json` from the same
+declaration, so a run can be reproduced from the manifest alone.  Exit
+codes: 0 success, 1 domain error, 2 usage error (bad flags, a missing input
+file or output directory, an output path that is a directory or is named by
+another flag or lies beside one).
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class UsageError(Exception):
     pass
 
 
+# the file flags that name an EMB1 matrix, whose ids sit beside it in <path>.ids
+EMB1_FLAGS = frozenset({"features", "embeddings", "reference", "out_features"})
+
+
 def _check_usage(args) -> None:
     """Every flag rule, then the declared files, before any file is read."""
     if "split" in vars(args) and bool(args.split) != bool(args.splits):
@@ -65,26 +71,29 @@ def _check_usage(args) -> None:
         raise UsageError("eval needs either --embeddings or --model with --features")
     if getattr(args, "threads", 1) < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    claimed = {}  # resolved path -> dest of the first flag that names it
-    for dest in args.inputs:
-        path = getattr(args, dest)
-        if path is None:
-            continue
-        if not Path(path).is_file():
-            raise UsageError(f"no such file: {path}")
-        claimed.setdefault(Path(path).resolve(), dest)  # inputs may share a file
-    for dest in args.outputs.values():
-        path = getattr(args, dest)
-        if path is None:
-            continue
-        if Path(path).is_dir():
-            raise UsageError(f"{path} is a directory")
-        if not Path(path).parent.is_dir():
-            raise UsageError(f"no such directory: {Path(path).parent}")
-        other = claimed.setdefault(Path(path).resolve(), dest)
-        if other != dest:
-            raise UsageError(f"--{other.replace('_', '-')} and --{dest.replace('_', '-')} "
-                             f"name the same file: {path}")
+    primary = next(iter(args.outputs.values()), None)  # its file gets the manifest
+    claimed = {}  # resolved path -> the first flag or companion file that names it
+    for output, dests in ((False, args.inputs), (True, args.outputs.values())):
+        for dest in dests:
+            path = getattr(args, dest)
+            if path is None:
+                continue
+            path, flag = Path(path), "--" + dest.replace("_", "-")
+            if not output and not path.is_file():
+                raise UsageError(f"no such file: {path}")
+            if output and not path.parent.is_dir():
+                raise UsageError(f"no such directory: {path.parent}")
+            files = [(path, flag)]
+            if dest in EMB1_FLAGS:
+                files.append((Path(f"{path}.ids"), f"the .ids file of {flag}"))
+            if dest == primary and output:
+                files.append((Path(f"{path}.manifest.json"), f"the manifest of {flag}"))
+            for file, name in files:
+                if output and file.is_dir():
+                    raise UsageError(f"{file} is a directory")
+                other = claimed.setdefault(file.resolve(), name)
+                if output and other != name:  # inputs may share a file
+                    raise UsageError(f"{other} and {name} name the same file: {file}")
 
 
 def _write_manifest(args, argv: list, started: float) -> None:

@@ -4,6 +4,11 @@ Each chain gets a latent center, each branch offsets its chain center, and
 each image offsets its branch center, so images of one branch are closer to
 each other than to sibling branches, and sibling branches are closer than
 images from other chains.
+
+The corpus is drawn from one seeded stream in this order: a chain's center,
+then per branch its offset and one images x ``d_in`` noise draw.  A sized
+normal draw fills its array element by element, so this is the same stream
+as one noise draw per image.
 """
 
 from __future__ import annotations
@@ -52,29 +57,30 @@ def standard_corpus_config(seed: int = 0, d_in: int = 48) -> SynthConfig:
 
 
 def generate(config: SynthConfig) -> tuple[Catalog, EmbeddingMatrix]:
+    """The catalog and its float32 features, one row per record in record order."""
     config.validate()
     rng = seeded_rng(config.seed)
     n_unknown = int(round(config.unknown_chain_fraction * config.n_chains))
+    n_images, d = config.images_per_branch, config.d_in
 
     records: list[ImageRecord] = []
-    rows: list[np.ndarray] = []
+    features = np.empty((config.n_chains * config.branches_per_chain * n_images, d),
+                        dtype=np.float32)
     cw = len(str(config.n_chains - 1))
     bw = len(str(config.branches_per_chain - 1))
-    iw = len(str(config.images_per_branch - 1))
+    iw = len(str(n_images - 1))
+    suffixes = [f"_i{i:0{iw}d}" for i in range(n_images)]
+    row = 0
     for c in range(config.n_chains):
         chain_id = f"c{c:0{cw}d}"
-        known = c >= n_unknown  # leading chains are the unknown ones
-        u = rng.normal(0.0, SIGMA_CHAIN, config.d_in)
+        chain = chain_id if c >= n_unknown else None  # leading chains are the unknown ones
+        u = rng.normal(0.0, SIGMA_CHAIN, d)
         for b in range(config.branches_per_chain):
             branch_id = f"{chain_id}_b{b:0{bw}d}"
-            v = u + rng.normal(0.0, SIGMA_BRANCH, config.d_in)
-            for i in range(config.images_per_branch):
-                image_id = f"{branch_id}_i{i:0{iw}d}"
-                rows.append(v + rng.normal(0.0, SIGMA_NOISE, config.d_in))
-                records.append(ImageRecord(image_id, branch_id, chain_id if known else None))
+            v = u + rng.normal(0.0, SIGMA_BRANCH, d)
+            features[row:row + n_images] = v + rng.normal(0.0, SIGMA_NOISE, (n_images, d))
+            records += [ImageRecord(branch_id + s, branch_id, chain) for s in suffixes]
+            row += n_images
 
-    features = EmbeddingMatrix(
-        tuple(r.image_id for r in records),
-        np.asarray(rows, dtype=np.float32),
-    )
-    return Catalog.from_records(records), features
+    ids = tuple(r.image_id for r in records)
+    return Catalog.from_records(records), EmbeddingMatrix(ids, features)

@@ -14,6 +14,7 @@ from splitmetric.catalog import (
     save_dedup_report,
     stats,
 )
+from splitmetric.synth import generate, standard_corpus_config
 
 
 def rec(image_id, branch, chain=None, key=None):
@@ -112,6 +113,12 @@ def random_keyed_catalog(rng):
     return Catalog.from_records(records)
 
 
+def test_image_record_fields_defaults_and_repr():
+    r = ImageRecord("a", "b1")
+    assert (r.image_id, r.branch_id, r.chain_id, r.content_key) == ("a", "b1", None, None)
+    assert repr(r) == "ImageRecord(image_id='a', branch_id='b1', chain_id=None, content_key=None)"
+
+
 class TestLoad:
     def test_three_row_file(self, tmp_path):
         p = write(tmp_path, "image_id,branch_id,chain_id\na.jpg,b1,c1\nb.jpg,b1,c1\nc.jpg,b2,\n")
@@ -186,6 +193,37 @@ class TestLoad:
         p2 = tmp_path / "out2.csv"
         save_catalog(again, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+
+class TestSave:
+    @pytest.mark.parametrize("record", [
+        rec(" a", "b1"), rec("a\n", "b1"), rec("", "b1"), rec("a", "b1 "), rec("a", ""),
+        rec("a", "b1", ""), rec("a", "b1", " c1"), rec("a", "b1", "c1", ""),
+        rec("a", "b1", "c1", "k\t"), rec(7, "b1"),
+    ], ids=["padded_id", "newline_id", "empty_id", "padded_branch", "empty_branch",
+            "empty_chain", "padded_chain", "empty_key", "padded_key", "int_id"])
+    def test_field_that_would_not_load_back_is_refused(self, tmp_path, record):
+        p = tmp_path / "out.csv"
+        p.write_bytes(b"before")
+        cat = Catalog.from_records([rec("z", "b0", "c0", "k0"), record])
+        with pytest.raises(CatalogError, match="would not load back as itself"):
+            save_catalog(cat, p)
+        assert p.read_bytes() == b"before"
+
+    def test_records_that_load_back_merged_are_refused(self, tmp_path):
+        cat = Catalog.from_records([rec(" a", "b1", ""), rec("b", "b1 ", "", ""),
+                                    rec("c", "b2", "c1")])
+        with pytest.raises(CatalogError, match="image_id ' a'"):
+            save_catalog(cat, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_synth_corpus_round_trips_byte_for_byte(self, tmp_path):
+        cat, _ = generate(standard_corpus_config(seed=3))
+        save_catalog(cat, tmp_path / "a.csv")
+        again = load_catalog(tmp_path / "a.csv")
+        save_catalog(again, tmp_path / "b.csv")
+        assert again.records == cat.records
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestDedup:

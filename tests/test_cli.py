@@ -333,6 +333,43 @@ class TestExitCodes:
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert run("stats", "--catalog", "catalog.csv") == 0
 
+    @pytest.mark.parametrize("argv, names", [
+        (["mine", "--catalog", "c.csv", "--embeddings", "f.emb", "--out", "f.emb.ids"],
+         "the .ids file of --embeddings and --out"),
+        (["eval", "--catalog", "c.csv", "--embeddings", "f.emb", "--out", "f.emb.ids"],
+         "the .ids file of --embeddings and --out"),
+        (["eval", "--catalog", "c.csv", "--model", "m.toy1", "--features", "f.emb",
+          "--out", "f.emb.ids"], "the .ids file of --features and --out"),
+        (["eval", "--catalog", "c.csv", "--embeddings", "e.emb", "--reference", "f.emb",
+          "--out", "f.emb.ids"], "the .ids file of --reference and --out"),
+        (["train", "--catalog", "c.csv", "--splits", "s.csv", "--features", "f.emb",
+          "--history", "f.emb.ids"], "the .ids file of --features and --history"),
+        (["synth", "--out-catalog", "f.emb.ids", "--out-features", "f.emb"],
+         "--out-catalog and the .ids file of --out-features"),
+        (["stats", "--catalog", "x.manifest.json", "--out", "x"],
+         "--catalog and the manifest of --out"),
+        (["dedup", "--catalog", "m.csv.manifest.json", "--out", "m.csv"],
+         "--catalog and the manifest of --out"),
+        (["split", "--catalog", "c.csv", "--out", "s.csv", "--report", "s.csv.manifest.json"],
+         "the manifest of --out and --report"),
+    ], ids=["mine", "eval_embeddings", "eval_features", "eval_reference", "train",
+            "synth", "stats_manifest", "dedup_manifest", "split_manifest"])
+    def test_output_on_a_file_beside_a_flag_fails_before_any_work(self, tmp_path, capsys,
+                                                                  monkeypatch, argv, names):
+        for reader in ("load_catalog", "load_assignment", "read_embeddings", "load_model",
+                       "generate"):
+            monkeypatch.setattr(cli, reader, lambda *a: pytest.fail("read or made a file"))
+        monkeypatch.chdir(tmp_path)  # default outputs land here, if any is written
+        declared = command_parsers()[argv[0]].get_default("inputs")
+        for flag, name in zip(argv[1::2], argv[2::2]):
+            if flag[2:].replace("-", "_") in declared:
+                for path in (tmp_path / name, tmp_path / f"{name}.ids"):
+                    path.write_text(path.name)  # an .ids file beside every input
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run(*argv) == 2
+        assert f"usage error: {names} name the same file: " in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_eval_without_embedding_source(self, art):
         assert run("eval", "--catalog", art["catalog"]) == 2
 

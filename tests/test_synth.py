@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitmetric import synth
+from splitmetric import seeded_rng, synth
 from splitmetric.synth import SynthConfig, SynthError, generate, standard_corpus_config
 
 
@@ -71,6 +71,49 @@ class TestDeterminism:
         _, a = generate(config(seed=1))
         _, b = generate(config(seed=2))
         assert a.data.tobytes() != b.data.tobytes()
+
+
+def reference_generate(config):
+    """(record fields, ids, float32 features) with one noise draw per image."""
+    rng = seeded_rng(config.seed)
+    n_unknown = int(round(config.unknown_chain_fraction * config.n_chains))
+    cw = len(str(config.n_chains - 1))
+    bw = len(str(config.branches_per_chain - 1))
+    iw = len(str(config.images_per_branch - 1))
+    records, rows = [], []
+    for c in range(config.n_chains):
+        chain_id = f"c{c:0{cw}d}"
+        u = rng.normal(0.0, synth.SIGMA_CHAIN, config.d_in)
+        for b in range(config.branches_per_chain):
+            branch_id = f"{chain_id}_b{b:0{bw}d}"
+            v = u + rng.normal(0.0, synth.SIGMA_BRANCH, config.d_in)
+            for i in range(config.images_per_branch):
+                rows.append(v + rng.normal(0.0, synth.SIGMA_NOISE, config.d_in))
+                records.append((f"{branch_id}_i{i:0{iw}d}", branch_id,
+                                chain_id if c >= n_unknown else None, None))
+    return records, tuple(r[0] for r in records), np.asarray(rows, dtype=np.float32)
+
+
+REFERENCE_CONFIGS = (
+    [standard_corpus_config(seed=s) for s in (0, 1, 2, 3, 4, 81, -1, 2**64 - 1)]
+    + [standard_corpus_config(seed=0, d_in=8),
+       config(n_chains=1, branches_per_chain=1, images_per_branch=1, d_in=1, seed=3),
+       config(n_chains=5, images_per_branch=1, unknown_chain_fraction=0.9, d_in=3, seed=4),
+       config(n_chains=1, branches_per_chain=11, images_per_branch=2,
+              unknown_chain_fraction=0.6, d_in=1, seed=5)]
+)
+
+
+@pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=[
+    f"{c.n_chains}x{c.branches_per_chain}x{c.images_per_branch}"
+    f"-u{c.unknown_chain_fraction}-d{c.d_in}-seed{c.seed}" for c in REFERENCE_CONFIGS])
+def test_generate_matches_per_image_reference(cfg):
+    cat, feats = generate(cfg)
+    records, ids, rows = reference_generate(cfg)
+    assert [(r.image_id, r.branch_id, r.chain_id, r.content_key) for r in cat.records] == records
+    assert feats.ids == ids
+    assert feats.data.dtype == np.float32 and feats.data.shape == rows.shape
+    assert feats.data.tobytes() == rows.tobytes()
 
 
 class TestSeparation:

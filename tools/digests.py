@@ -14,7 +14,9 @@ runs on either side of a change to the code behind them.  It covers:
 
 - the saved catalog CSV and EMB1 bytes of `generate` (``synth.<case>``) for
   the standard corpus at seeds 0-4, at seeds -1, 2**64 - 1 and numpy int64 9,
-  and at ``d_in=8``, which pins how a seed becomes a generator;
+  and at ``d_in=8``, which pins how a seed becomes a generator, and for odd
+  shapes: one chain, one image per branch, ``d_in=1``, a 0.9 unknown-chain
+  fraction and a 1 x 1 x 1 corpus;
 - `compute_loss` value and gradients, and the `finite_diff_check` result (or
   its error text), of all six losses on fixed seeded batches and banks
   (``loss.<kind>.<case>``), among them a 128-row 16 x 8 batch
@@ -29,7 +31,7 @@ runs on either side of a change to the code behind them.  It covers:
   `verify_splits` report, with the carve's config attached and with none, of
   the carve and of seeded breaks of it (``split.<case>.<mutation>``), on the
   acceptance gate's fuzz, small and skewed catalogs and on the gate corpora;
-- the saved `dedup_merge` report and merged catalog (``dedup.<case>``) of
+- the saved `dedup_merge` report and merged catalog CSV (``dedup.<case>``) of
   catalogs with content keys: transitive links, chain conflicts,
   unknown-chain branches and copies within one branch, seeded random keyed
   catalogs, and the full corpus with some keys copied across branches;
@@ -55,6 +57,7 @@ A full run takes about two minutes on two cores.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -67,6 +70,7 @@ import numpy as np
 
 from splitmetric import cli
 from splitmetric.catalog import (
+    CSV_HEADER,
     Catalog,
     ImageRecord,
     dedup_merge,
@@ -93,7 +97,7 @@ from splitmetric.losses import (
     finite_diff_check,
 )
 from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits, verify_splits
-from splitmetric.synth import generate, standard_corpus_config
+from splitmetric.synth import SynthConfig, generate, standard_corpus_config
 from splitmetric.trainer import BatchSpec, TrainConfig, forward, init_model, sample_batch, train
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -312,7 +316,13 @@ def synth_digests() -> None:
     cases += [("seed_minus1", standard_corpus_config(seed=-1)),
               ("seed_2to64_minus1", standard_corpus_config(seed=2**64 - 1)),
               ("seed_np_int64_9", standard_corpus_config(seed=np.int64(9))),
-              ("d_in8", standard_corpus_config(seed=0, d_in=8))]
+              ("d_in8", standard_corpus_config(seed=0, d_in=8)),
+              # odd shapes: chains, branches, images per branch, unknown fraction, d_in, seed
+              ("one_chain", SynthConfig(1, 8, 20, 0.15, 48, 10)),
+              ("one_image", SynthConfig(40, 8, 1, 0.15, 48, 11)),
+              ("d_in1", SynthConfig(40, 8, 20, 0.15, 1, 12)),
+              ("unknown_high", SynthConfig(40, 8, 20, 0.9, 48, 13)),
+              ("one_of_each", SynthConfig(1, 1, 1, 0.0, 1, 14))]
     with tempfile.TemporaryDirectory() as tmp:
         catalog_path, features_path = Path(tmp) / "catalog.csv", Path(tmp) / "features.emb"
         for case, config in cases:
@@ -322,14 +332,24 @@ def synth_digests() -> None:
             emit(f"synth.{case}", catalog_path.read_bytes(), features_path.read_bytes())
 
 
+def catalog_csv(catalog: Catalog) -> bytes:
+    """The bytes of a catalog CSV, written here because some dedup cases keep
+    empty-string chains, which `save_catalog` refuses (they load back as unknown)."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(CSV_HEADER)
+    for rec in catalog.records:
+        writer.writerow([rec.image_id, rec.branch_id, rec.chain_id or "", rec.content_key or ""])
+    return text.getvalue().encode()
+
+
 def dedup_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        merged_path, report_path = Path(tmp) / "merged.csv", Path(tmp) / "report.json"
+        report_path = Path(tmp) / "report.json"
         for case, catalog in dedup_cases():
             merged, report = dedup_merge(catalog)
-            save_catalog(merged, merged_path)
             save_dedup_report(report, report_path)
-            emit(f"dedup.{case}", report_path.read_bytes(), merged_path.read_bytes())
+            emit(f"dedup.{case}", report_path.read_bytes(), catalog_csv(merged))
 
 
 def retrieval_digests() -> None:
