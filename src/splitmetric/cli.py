@@ -9,7 +9,9 @@ output never replaces an input, and an in-place ``dedup --catalog c.csv
 --out c.csv`` is refused too.  The files beside a flag's file count as
 well: the ``<path>.ids`` of every EMB1 input and output, and the manifest.
 After the command it writes `<primary-output>.manifest.json` from the same
-declaration, so a run can be reproduced from the manifest alone.  Exit
+declaration, so a run can be reproduced from the manifest alone.  A
+command that reads ``--splits`` refuses a file that fails `verify_splits`
+before it reads any features.  Exit
 codes: 0 success, 1 domain error, 2 usage error (bad flags, a missing input
 file or output directory, an output path that is a directory or is named by
 another flag or lies beside one).
@@ -71,6 +73,8 @@ def _check_usage(args) -> None:
         raise UsageError("eval needs either --embeddings or --model with --features")
     if getattr(args, "threads", 1) < 1:
         raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    if args.command == "verify" and args.t2 is not None and args.t2 < 1:
+        raise UsageError(f"--t2 must be >= 1, got {args.t2}")
     primary = next(iter(args.outputs.values()), None)  # its file gets the manifest
     claimed = {}  # resolved path -> the first flag or companion file that names it
     for output, dests in ((False, args.inputs), (True, args.outputs.values())):
@@ -142,8 +146,7 @@ def cmd_split(args):
     for name in SPLIT_NAMES:
         print(f"{name}: {report.counts[name]['images']} images")
     if not report.passed:
-        raise SplitError("generated splits failed verification: "
-                         + ", ".join(c.name for c in report.checks if not c.passed))
+        raise SplitError(f"generated splits failed verification: {_failed(report)}")
 
 
 def cmd_verify(args):
@@ -162,9 +165,22 @@ def cmd_verify(args):
         raise SplitError("verification failed")
 
 
+def _failed(report) -> str:
+    return ", ".join(c.name for c in report.checks if not c.passed)
+
+
+def _verified_splits(args, catalog):
+    """``--splits``, refused unless it passes `verify_splits` on ``catalog``."""
+    assignment = load_assignment(args.splits)
+    report = verify_splits(catalog, assignment)
+    if not report.passed:
+        raise SplitError(f"{args.splits} failed verification: {_failed(report)}")
+    return assignment
+
+
 def cmd_train(args):
     catalog = load_catalog(args.catalog)
-    assignment = load_assignment(args.splits)
+    assignment = _verified_splits(args, catalog)
     features = read_embeddings(args.features)
     params = LossParams.from_json(args.loss_params) if args.loss_params else LossParams()
     config = TrainConfig(
@@ -181,29 +197,28 @@ def cmd_train(args):
 
 def _embeddings_for_eval(args):
     if args.embeddings:
-        emb = read_embeddings(args.embeddings)
-    else:
-        model = load_model(args.model)
-        feats = read_embeddings(args.features)
-        rows = forward(model, feats.data.astype(np.float64))
-        emb = EmbeddingMatrix(feats.ids, rows.astype(np.float32), normalized=True)
-    return _in_split(args, emb)
+        return read_embeddings(args.embeddings)
+    model = load_model(args.model)
+    feats = read_embeddings(args.features)
+    rows = forward(model, feats.data.astype(np.float64))
+    return EmbeddingMatrix(feats.ids, rows.astype(np.float32), normalized=True)
 
 
-def _in_split(args, emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    """The rows of ``--split`` in id order, or all rows without it."""
+def _in_split(args, catalog, read):
+    """The rows of ``read()`` in ``--split``, in id order, or all rows without
+    it; ``--splits`` is verified on ``catalog`` before ``read`` runs."""
     if not args.split:
-        return emb
-    ids = load_assignment(args.splits).images_of(args.split)
+        return read()
+    ids = _verified_splits(args, catalog).images_of(args.split)
     if not ids:
         raise EvalError(f"split {args.split!r} is empty")
-    return emb.subset(sorted(ids))
+    return read().subset(sorted(ids))
 
 
 def cmd_eval(args):
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    emb = _embeddings_for_eval(args)
+    emb = _in_split(args, catalog, lambda: _embeddings_for_eval(args))
     hard_pool = None
     if args.reference:
         reference = read_embeddings(args.reference).subset(sorted(emb.ids))
@@ -221,7 +236,7 @@ def cmd_eval(args):
 def cmd_mine(args):
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    reference = _in_split(args, read_embeddings(args.embeddings))
+    reference = _in_split(args, catalog, lambda: read_embeddings(args.embeddings))
     pool = mine_hard_negatives(reference, oracle, k=args.k, threads=args.threads)
     payload = {anchor: list(ids) for anchor, ids in sorted(pool.negatives.items())}
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -20,9 +20,8 @@ log-sum-exp stabilized.  Degenerate batches (no usable pair) return exactly
 zero with zero gradients instead of raising.
 
 ``LOSSES`` is the one place a loss kind is registered: its kernel, its bank
-type and its kink distance for the gradient checker, and whether it trains on
-two noisy views.  ``LOSS_KINDS``, ``compute_loss``, ``finite_diff_check`` and
-the trainer all read it.
+type, and whether it trains on two noisy views.  ``LOSS_KINDS``,
+``compute_loss`` and the trainer all read it.
 """
 
 from __future__ import annotations
@@ -174,17 +173,14 @@ def _masked_lse(x: np.ndarray, mask: np.ndarray,
     return m + np.log(total), ex / total[:, None]
 
 
-def _triplet_hinge(batch: Batch, params: LossParams) -> tuple[np.ndarray, ...]:
-    """One row per positive pair (a, p), anchor-major: the anchors a and
-    positives p, h[r, n] = s_an - s_ap + margin, and which n are negatives of a."""
-    s, pos, neg = _pairs(batch)
-    a, p = np.nonzero(pos)
-    return a, p, s[a] - s[a, p][:, None] + params.triplet_margin, neg[a]
-
-
 def triplet_loss(batch: Batch, params: LossParams) -> LossResult:
     """Hinge over every valid (anchor, positive, negative) triplet, averaged."""
-    a, p, h, valid = _triplet_hinge(batch, params)
+    s, pos, neg = _pairs(batch)
+    # one row per positive pair (a, p), anchor-major: h[r, n] = s_an - s_ap + margin,
+    # valid where n is a negative of a
+    a, p = np.nonzero(pos)
+    h = s[a] - s[a, p][:, None] + params.triplet_margin
+    valid = neg[a]
     count = int(valid.sum())
     if count == 0:
         return _zero(batch)
@@ -224,24 +220,18 @@ def circle_loss(batch: Batch, params: LossParams) -> LossResult:
     return LossResult(value, grad)
 
 
-def _multisim_pairs(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
-                    eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each anchor's hardest positive and negative similarity, and the pairs
-    mined against them: negatives above min_pos - eps, positives below
-    max_neg + eps.  An anchor without positives or negatives keeps nothing."""
-    min_pos = np.min(s, axis=1, where=pos, initial=np.inf)
-    max_neg = np.max(s, axis=1, where=neg, initial=-np.inf)
-    keep_n = neg & (s > (min_pos - eps)[:, None])
-    keep_p = pos & (s < (max_neg + eps)[:, None])
-    return min_pos, max_neg, keep_n, keep_p
-
-
 def multisim_loss(batch: Batch, params: LossParams) -> LossResult:
     alpha, beta = params.multisim_alpha, params.multisim_beta
     lam, eps = params.multisim_lambda, params.multisim_epsilon
     s, pos, neg = _pairs(batch)
 
-    _, _, keep_n, keep_p = _multisim_pairs(s, pos, neg, eps)
+    # mine against each anchor's hardest pairs: negatives above min_pos - eps,
+    # positives below max_neg + eps; an anchor without positives or negatives
+    # keeps nothing
+    min_pos = np.min(s, axis=1, where=pos, initial=np.inf)
+    max_neg = np.max(s, axis=1, where=neg, initial=-np.inf)
+    keep_n = neg & (s > (min_pos - eps)[:, None])
+    keep_p = pos & (s < (max_neg + eps)[:, None])
     rows = keep_n.any(axis=1) | keep_p.any(axis=1)
     m_count = int(rows.sum())
     if m_count == 0:
@@ -314,13 +304,6 @@ def proxynca_loss(batch: Batch, proxies: ProxyBank, params: LossParams) -> LossR
     return LossResult(value, grad_emb, grad_prox)
 
 
-def _center_chords(w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Center pairs j < jj of a C x J x d bank; each class's chord sqrt(2 - 2 w_j . w_jj)."""
-    j, jj = np.triu_indices(w.shape[1], k=1)
-    dots = np.einsum("cpd,cpd->cp", w[:, j, :], w[:, jj, :])
-    return (j, jj), np.sqrt(np.maximum(2.0 - 2.0 * dots, 1e-30))
-
-
 def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> LossResult:
     emb, labels = batch.embeddings, batch.labels
     w = centers.vectors  # C x J x d
@@ -348,7 +331,10 @@ def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> Lo
 
     if n_centers >= 2 and tau_reg != 0.0:
         denom = n_classes * n_centers * (n_centers - 1)
-        (j, jj), chord = _center_chords(w)
+        # each class's chord sqrt(2 - 2 w_j . w_jj) over its center pairs j < jj
+        j, jj = np.triu_indices(n_centers, k=1)
+        dots = np.einsum("cpd,cpd->cp", w[:, j, :], w[:, jj, :])
+        chord = np.sqrt(np.maximum(2.0 - 2.0 * dots, 1e-30))
         # d sqrt(2-2t)/dt = -1/sqrt(2-2t), for t = w_j . w_jj on both sides of the pair
         coef = np.zeros((n_classes, n_centers, n_centers))
         coef[:, j, jj] = -tau_reg / (denom * chord)
@@ -359,66 +345,22 @@ def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> Lo
     return LossResult(value, grad_emb, grad_w)
 
 
-# -- kink distances: how far (in similarity units) a batch and bank sit from
-# the loss's nearest non-smooth point, for the gradient checker -------------
-
-
-def _smooth(batch: Batch, params: LossParams, bank) -> float:
-    return np.inf
-
-
-def _triplet_kink(batch: Batch, params: LossParams, bank) -> float:
-    _, _, h, valid = _triplet_hinge(batch, params)
-    return float(np.min(np.abs(h), where=valid, initial=np.inf))
-
-
-def _circle_kink(batch: Batch, params: LossParams, bank) -> float:
-    s, _, neg = _pairs(batch)
-    return float(np.min(np.abs(s[neg] + params.circle_m))) if neg.any() else np.inf
-
-
-def _multisim_kink(batch: Batch, params: LossParams, bank) -> float:
-    s, pos, neg = _pairs(batch)
-    eps = params.multisim_epsilon
-    # no positives (negatives) means min_pos = inf (max_neg = -inf): distance inf
-    min_pos, max_neg, _, _ = _multisim_pairs(s, pos, neg, eps)
-    near_n = np.min(np.abs(s - (min_pos - eps)[:, None]), where=neg, initial=np.inf)
-    near_p = np.min(np.abs(s - (max_neg + eps)[:, None]), where=pos, initial=np.inf)
-    return float(min(near_n, near_p))
-
-
-def _softtriple_kink(batch: Batch, params: LossParams, bank: CenterBank) -> float:
-    # a chord sqrt(2-2t) below 0.05 makes the regularizer too curved to difference
-    _, chord = _center_chords(bank.vectors)
-    return 0.0 if np.min(chord, initial=np.inf) < 0.05 else np.inf
-
-
 @dataclass(frozen=True)
 class LossSpec:
     kernel: Callable  # (batch, params), or (batch, bank, params) when bank is set
     bank: type | None  # ProxyBank or CenterBank; its ``seeded`` builds the initial bank
-    kink: Callable  # (batch, params, bank) -> distance to the nearest non-smooth point
     two_views: bool = False  # train on two noisy views of every sample
 
 
 LOSSES = {
-    "triplet": LossSpec(triplet_loss, None, _triplet_kink),
-    "circle": LossSpec(circle_loss, None, _circle_kink),
-    "multisim": LossSpec(multisim_loss, None, _multisim_kink),
-    "supcon": LossSpec(supcon_loss, None, _smooth, two_views=True),
-    "proxynca": LossSpec(proxynca_loss, ProxyBank, _smooth),
-    "softtriple": LossSpec(softtriple_loss, CenterBank, _softtriple_kink),
+    "triplet": LossSpec(triplet_loss, None),
+    "circle": LossSpec(circle_loss, None),
+    "multisim": LossSpec(multisim_loss, None),
+    "supcon": LossSpec(supcon_loss, None, two_views=True),
+    "proxynca": LossSpec(proxynca_loss, ProxyBank),
+    "softtriple": LossSpec(softtriple_loss, CenterBank),
 }
 LOSS_KINDS = tuple(LOSSES)
-
-
-def _spec(kind: str, bank) -> LossSpec:
-    spec = LOSSES.get(kind)
-    if spec is None:
-        raise LossError(f"unknown loss kind {kind!r}")
-    if spec.bank is not None and not isinstance(bank, spec.bank):
-        raise LossError(f"{kind} needs a {spec.bank.__name__}")
-    return spec
 
 
 def compute_loss(
@@ -428,73 +370,12 @@ def compute_loss(
     bank: ProxyBank | CenterBank | None = None,
 ) -> LossResult:
     """Dispatch by lowercase loss token."""
-    spec = _spec(kind, bank)
+    spec = LOSSES.get(kind)
+    if spec is None:
+        raise LossError(f"unknown loss kind {kind!r}")
     if spec.bank is None:
         return spec.kernel(batch, params)
+    if not isinstance(bank, spec.bank):
+        raise LossError(f"{kind} needs a {spec.bank.__name__}")
     return spec.kernel(batch, bank, params)
 
-
-# -- finite-difference verification --------------------------------------
-
-
-def finite_diff_check(
-    kind: str,
-    batch: Batch,
-    params: LossParams,
-    eps: float = 1e-5,
-    bank: ProxyBank | CenterBank | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Relative error between analytic and central-difference gradients.
-
-    The embedding and aux surfaces form one flat gradient vector; the report
-    is max|analytic - numeric| / max(1e-12, max|numeric|), i.e. the largest
-    coordinate discrepancy measured against the gradient's own scale.  (A
-    per-coordinate quotient would demand more absolute precision than the
-    float64 difference quotient can deliver on near-zero coordinates.)
-    Batches (and banks) sitting closer to a hinge/mining kink than the
-    difference step can resolve are redrawn from ``rng`` first, up to 50 times;
-    if the last redraw still sits on a kink, `LossError` is raised.
-    """
-    spec = _spec(kind, bank)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    window = max(1e-6, 4.0 * eps)
-    for redraws in range(51):
-        kink = spec.kink(batch, params, bank)
-        if kink >= window:
-            break
-        if redraws == 50:
-            raise LossError(f"{kind} batch sits on a kink after 50 redraws: kink distance "
-                            f"{kink:.3g} is inside the window {window:.3g}")
-        batch = Batch(unit_rows(rng.standard_normal(batch.embeddings.shape)), batch.labels)
-        if bank is not None:
-            bank = type(bank)(unit_rows(rng.standard_normal(bank.vectors.shape)))
-
-    result = compute_loss(kind, batch, params, bank)
-
-    def value_at(emb: np.ndarray, aux: np.ndarray | None) -> float:
-        local_bank = bank if aux is None else type(bank)(aux)
-        return compute_loss(kind, Batch(emb, batch.labels), params, local_bank).value
-
-    def sweep(base: np.ndarray, is_aux: bool) -> np.ndarray:
-        flat = base.reshape(-1)
-        numeric = np.empty_like(flat)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = value_at(batch.embeddings, base) if is_aux else value_at(base, None)
-            flat[idx] = orig - eps
-            down = value_at(batch.embeddings, base) if is_aux else value_at(base, None)
-            flat[idx] = orig
-            numeric[idx] = (up - down) / (2.0 * eps)
-        return numeric
-
-    analytic = [result.grad_embeddings.reshape(-1)]
-    numeric = [sweep(batch.embeddings.copy(), False)]
-    if bank is not None and result.grad_aux is not None:
-        analytic.append(result.grad_aux.reshape(-1))
-        numeric.append(sweep(bank.vectors.copy(), True))
-    a = np.concatenate(analytic)
-    n = np.concatenate(numeric)
-    return float(np.max(np.abs(a - n)) / max(1e-12, float(np.max(np.abs(n)))))

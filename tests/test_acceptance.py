@@ -19,11 +19,12 @@ from splitmetric.linkeval import (
     evaluate,
     mine_hard_negatives,
 )
-from splitmetric.losses import Batch, CenterBank, LossParams, ProxyBank, compute_loss, finite_diff_check
+from splitmetric.losses import Batch, CenterBank, LossParams, ProxyBank, compute_loss
 from splitmetric.splitgen import SPLIT_NAMES, SplitConfig, generate_splits, verify_splits
 from splitmetric.synth import generate, standard_corpus_config
 from splitmetric.trainer import TrainConfig, ToyModel, forward, head_backward, init_model, train
 from splitmetric import cli
+from test_losses import finite_diff_check
 
 # head bottleneck for the ordering/hard-negative checks (6, 7): the corpus
 # geometry is pinned, so the generalization gap has to come from capacity —

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +429,43 @@ class TestExitCodes:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "mine"])
+    def test_splits_that_fail_verification_are_refused(self, art, tmp_path, capsys,
+                                                        monkeypatch, command):
+        """Half of every test_su branch leaks into train: no command reads a feature."""
+        from splitmetric.catalog import load_catalog
+        from splitmetric.splitgen import load_assignment, save_assignment
+
+        for reader in ("read_embeddings", "load_model"):
+            monkeypatch.setattr(cli, reader, lambda *a: pytest.fail("read features"))
+        assignment = load_assignment(art["splits"])
+        branch_of = load_catalog(art["catalog"]).branch_of()
+        su = assignment.images_of("test_su")
+        for branch in {branch_of[image] for image in su}:
+            images = [image for image in su if branch_of[image] == branch]
+            assignment.assignment.update(dict.fromkeys(images[: len(images) // 2], "train"))
+        leaked = tmp_path / "leaked.csv"
+        save_assignment(assignment, leaked)
+        monkeypatch.chdir(tmp_path)  # default outputs land here, if any is written
+        argv = {
+            "train": ["--features", art["features"], "--epochs", 1, "--m", 4, "--k", 3,
+                      "--d-out", 8],
+            "eval": ["--embeddings", art["features"], "--split", "test_su", "--repeats", 1],
+            "mine": ["--embeddings", art["features"], "--split", "test_su"],
+        }[command]
+        assert run(command, "--catalog", art["catalog"], "--splits", leaked, *argv) == 1
+        assert (f"error: {leaked} failed verification: c_test_su_isolation"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [leaked]
+
+    @pytest.mark.parametrize("t2", ["0", "-3"])
+    def test_verify_t2_below_one_is_a_usage_error(self, art, tmp_path, capsys, t2):
+        rc = run("verify", "--catalog", art["catalog"], "--splits", art["splits"],
+                 "--t2", t2, "--report", tmp_path / "r.json")
+        assert rc == 2
+        assert f"usage error: --t2 must be >= 1, got {t2}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_loss_params_file(self, art, tmp_path, capsys):
         params = tmp_path / "p.json"
         params.write_text('{"mystery_dial": 3}')
@@ -577,3 +617,73 @@ class TestEvalEquivalence:
         got = json.loads(art["metrics"].read_text())
         assert got["r_at_1"] == pytest.approx(want.r_at_1, abs=1e-12)
         assert got["auc"]["mean"] == pytest.approx(want.auc_mean, abs=1e-12)
+
+
+# The README walkthrough on an 800-image corpus: `mine` takes its queries in
+# two 512-row k-NN blocks.  "{threads}" is the run's --threads.
+WALKTHROUGH = [
+    ["synth", "--chains", "10", "--branches-per-chain", "4", "--images-per-branch", "20",
+     "--d-in", "12", "--seed", "0", "--out-catalog", "catalog.csv", "--out-features",
+     "features.emb"],
+    ["split", "--catalog", "catalog.csv", "--seed", "0", "--out", "splits.csv",
+     "--report", "split_report.json"],
+    ["verify", "--catalog", "catalog.csv", "--splits", "splits.csv"],
+    ["train", "--catalog", "catalog.csv", "--splits", "splits.csv", "--features",
+     "features.emb", "--loss", "multisim", "--epochs", "3", "--lr", "0.2", "--d-out", "8",
+     "--out", "model.toy1"],
+    ["eval", "--catalog", "catalog.csv", "--model", "model.toy1", "--features", "features.emb",
+     "--splits", "splits.csv", "--split", "test_ss", "--reference", "features.emb",
+     "--hard-k", "10", "--out", "metrics.json", "--threads", "{threads}"],
+    ["mine", "--catalog", "catalog.csv", "--embeddings", "features.emb", "--k", "10",
+     "--out", "pools.json", "--threads", "{threads}"],
+    ["dedup", "--catalog", "catalog.csv", "--out", "deduped.csv", "--report",
+     "dedup_report.json"],
+    ["stats", "--catalog", "catalog.csv", "--out", "stats.json"],
+]
+
+
+# runs each command line of its JSON argument through `main`, in order
+RUN_COMMANDS = """import json, sys
+from splitmetric.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+class TestThreadCountIndependence:
+    @staticmethod
+    def walkthrough(root: Path, threads: int) -> str:
+        """The walkthrough's stdout, from one process; every file lands in ``root``."""
+        root.mkdir()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argvs = [[arg.replace("{threads}", str(threads)) for arg in argv] for argv in WALKTHROUGH]
+        done = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(argvs)], cwd=root,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_walkthrough_outputs_do_not_depend_on_threads(self, tmp_path):
+        """One BLAS and k-NN thread against two: the same bytes in every file.
+
+        A manifest is compared without its ``wall_time_s`` and with the value
+        of ``--threads`` in its argv left out.
+        """
+        many = min(2, os.cpu_count() or 1)
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert self.walkthrough(one, 1) == self.walkthrough(two, many)
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        assert len(names) == 21  # 12 outputs, the .ids of features.emb and 8 manifests
+        for name in names:
+            a, b = (one / name).read_bytes(), (two / name).read_bytes()
+            if name.endswith(".manifest.json"):
+                a, b = json.loads(a), json.loads(b)
+                for manifest in (a, b):
+                    del manifest["wall_time_s"]
+                    argv = manifest["argv"]
+                    if "--threads" in argv:
+                        del argv[argv.index("--threads") + 1]
+            assert a == b, name

@@ -6,11 +6,12 @@ keeps every output byte-identical:
     PYTHONPATH=<checkout>/src python3 tools/digests.py > digests.txt
 
 It uses only `train`, `sample_batch`, `evaluate`, `mine_hard_negatives`,
-`sample_eval_pairs`, `cosine_knn`, `compute_loss`, `finite_diff_check`,
-`generate_splits`, `verify_splits`, `dedup_merge`, `save_catalog`,
-`save_dedup_report`, `generate`, `write_embeddings` and `cli.main`, plus the
-catalog generators and seeded mutations in ``tests/``, so the same script
-runs on either side of a change to the code behind them.  It covers:
+`sample_eval_pairs`, `cosine_knn`, `compute_loss`, `generate_splits`,
+`verify_splits`, `dedup_merge`, `save_catalog`, `save_dedup_report`,
+`generate`, `write_embeddings` and `cli.main`, plus the catalog generators,
+seeded mutations and the finite-difference gradient checker
+(`finite_diff_check`) in ``tests/``, so the same script runs on either side
+of a change to the code behind them.  It covers:
 
 - the saved catalog CSV and EMB1 bytes of `generate` (``synth.<case>``) for
   the standard corpus at seeds 0-4, at seeds -1, 2**64 - 1 and numpy int64 9,
@@ -94,7 +95,6 @@ from splitmetric.losses import (
     LossParams,
     ProxyBank,
     compute_loss,
-    finite_diff_check,
 )
 from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits, verify_splits
 from splitmetric.synth import SynthConfig, generate, standard_corpus_config
@@ -102,6 +102,7 @@ from splitmetric.trainer import BatchSpec, TrainConfig, forward, init_model, sam
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_catalog import random_keyed_catalog  # noqa: E402
+from test_losses import finite_diff_check  # noqa: E402
 from test_splitgen import fuzz_cases, mutations  # noqa: E402
 
 GATE_SEEDS = range(5)
