@@ -3,12 +3,10 @@
 Binary layout (little-endian): magic ``EMB1``, u32 N, u32 d, then N*d float32
 values row-major.  Image ids live in a companion text file ``<path>.ids``,
 one id per row, same order.  Search is exact brute force through one
-routine, `top_k`, in float64 with ties to the smaller gallery index.  It
-scores 512 query rows at a time, so memory is O(512 * N) per thread; that
-block shape and separate query/gallery arrays fix the bits (see `top_k`).
-For k > 1 each block is selected in a few whole-block numpy passes (a
-strided chunk-max bound, then one sort of the cells that reach it), with
-no Python loop per row, so a second thread speeds it up.
+routine, `top_k`, in float64 with ties to the smaller gallery index: 512
+query rows at a time into buffers the call owns, O(512 * N) per worker, in
+whole-block numpy passes with no Python loop per row, so a second thread
+speeds it up.  Its block shape and separate inputs fix the bits.
 """
 
 from __future__ import annotations
@@ -160,31 +158,47 @@ def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np
     the bound.  A row with fewer than k finite chunk maxima has bound -inf,
     so all its cells are candidates.
 
-    Queries go in 512-row blocks, so each thread holds O(512 * len(g))
-    floats: the block, one bool mask and the candidate arrays.  The block
-    shape and two separate input buffers are fixed because BLAS rounding
-    depends on both: another row count changes some cells by one ulp, and
-    ``a @ a.T`` on one buffer runs a symmetric kernel that rounds
-    differently.
+    Memory belongs to the call: the calling thread makes one float64 block
+    of ``min(512, n_q) x n_g`` per worker (plus a bool mask of that shape for
+    k > 1 only), and worker w of ``min(threads, blocks)`` scores 512-row
+    query blocks w, w + workers, ...; one worker runs on the calling thread.
+    Same-group cells are struck by index, from one argsort of ``g_group``,
+    in slabs whose index arrays stay under one mask.  Block shape and separate
+    inputs fix the bits: on OpenBLAS a 1-row block or a column split can round
+    many cells differently, another row count a few unless n_g % 8 == 0, and
+    ``a @ a.T`` on one buffer runs a symmetric kernel.
     """
+    if threads < 1:
+        raise EmbedStoreError("threads must be >= 1")
     n_q, n_g = len(q), len(g)
     indices = np.empty((n_q, k), dtype=np.intp)
     sims = np.empty((n_q, k), dtype=np.float64)
+    by_group = np.argsort(g_group)
+    first, last = (np.searchsorted(g_group[by_group], q_group, side) for side in ("left", "right"))
+    offset = np.cumsum(np.r_[0, last - first])  # row r's run: cells offset[r]:offset[r + 1]
+    starts = range(0, n_q, 512)
+    workers = min(threads, len(starts))
+    shape = (min(512, n_q), n_g)
+    slab = max(1, shape[0] * n_g // 64)  # five int64 arrays of a slab < one bool mask
+    buffers = [(np.empty(shape), np.empty(shape, bool) if k > 1 else None) for _ in range(workers)]
 
-    def run(lo: int) -> None:
-        block = q[lo:lo + 512] @ g.T
-        block[q_group[lo:lo + 512, None] == g_group] = -np.inf
+    def score(lo: int, block: np.ndarray, mask: np.ndarray | None) -> None:
+        b = min(512, n_q - lo)
+        block = np.matmul(q[lo:lo + b], g.T, out=block[:b])
+        for c in range(offset[lo], offset[lo + b], slab):
+            cell = np.arange(c, min(c + slab, offset[lo + b]))
+            row = np.searchsorted(offset, cell, side="right") - 1
+            block[row - lo, by_group[first[row] + cell - offset[row]]] = -np.inf
         if k == 1:
             best = block.argmax(axis=1)
-            indices[lo:lo + 512, 0] = best
-            sims[lo:lo + 512, 0] = block[np.arange(len(block)), best]
+            indices[lo:lo + b, 0] = best
+            sims[lo:lo + b, 0] = block[np.arange(b), best]
             return
-        b = len(block)
         chunks = min(n_g, 4 * k)  # >= k >= 2 here, since k <= n_g
         width = n_g // chunks
         maxima = block[:, :width * chunks].reshape(b, width, chunks).max(axis=1)
         bound = np.partition(maxima, chunks - k, axis=1)[:, chunks - k]
-        flat = np.flatnonzero(block >= bound[:, None])
+        flat = np.flatnonzero(np.greater_equal(block, bound[:, None], out=mask[:b]))
         rows, cols = np.divmod(flat, n_g)
         vals = block.reshape(-1)[flat]
         order = np.lexsort((cols, -vals, rows))
@@ -192,8 +206,15 @@ def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np
         indices[lo:lo + b] = cols[take]
         sims[lo:lo + b] = vals[take]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(0, n_q, 512)))
+    def work(w: int) -> None:
+        for lo in starts[w::workers]:
+            score(lo, *buffers[w])
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
+    else:
+        list(map(work, range(workers)))  # zero or one worker: the calling thread
     return indices, sims
 
 
@@ -209,8 +230,6 @@ def cosine_knn(
         raise EmbedStoreError(f"dimension mismatch: {queries.d} vs {gallery.d}")
     if k < 1:
         raise EmbedStoreError("k must be >= 1")
-    if threads < 1:
-        raise EmbedStoreError("threads must be >= 1")
     available = gallery.n - (1 if exclude_self else 0)
     if k > available:
         raise EmbedStoreError(f"k={k} exceeds {available} available gallery rows")

@@ -18,6 +18,7 @@ same index's draw as id pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -169,8 +170,8 @@ class _PairIndex:
                 raise EvalError(f"hard pool has no negatives for anchor {missing!r}")
             available = np.array([len(p) for p in pooled], dtype=np.int64)
             position = {image_id: j for j, image_id in enumerate(ids)}
-            entries = [entry for p in pooled for entry in p]
-            at = np.array([position.get(entry, -1) for entry in entries], dtype=np.intp)
+            entries = list(chain.from_iterable(pooled))
+            at = np.fromiter(map(position.get, entries, repeat(-1)), np.intp, len(entries))
             owner = np.repeat(self.anchors, available)
             bad = np.flatnonzero((at < 0) | (codes[at] == codes[owner]))
             if bad.size:
@@ -236,7 +237,7 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
 
     One `embedstore.top_k` call with branch codes as groups: same-branch
     cells, self included, score -inf and are dropped.  Memory is O(512 * N)
-    per thread, and the two separate unit-row arrays keep `top_k`'s bits.
+    per worker, and the two separate unit-row arrays keep `top_k`'s bits.
     Ties break toward the lexicographically smaller id.  Pools are shorter
     than k only when fewer negatives exist; same-branch-only inputs give
     empty pools.
@@ -249,9 +250,9 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
     branches = oracle.codes(ids)
     indices, sims = top_k(unit_rows(sub.data), unit_rows(sub.data), min(k, len(ids)),
                           branches, branches, threads)
-    return HardNegPool({anchor: tuple(ids[j] for j, real in zip(row, keep) if real)
-                        for anchor, row, keep in zip(ids, indices.tolist(),
-                                                     (sims > -np.inf).tolist())}, k)
+    finite = np.count_nonzero(sims > -np.inf, axis=1).tolist()  # -inf cells sort last
+    return HardNegPool({anchor: tuple(map(ids.__getitem__, row[:n]))
+                        for anchor, row, n in zip(ids, indices.tolist(), finite)}, k)
 
 
 def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptions) -> MetricReport:

@@ -1,8 +1,11 @@
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from splitmetric import embedstore
 from splitmetric.embedstore import (
     EmbeddingMatrix,
     EmbedStoreError,
@@ -285,6 +288,8 @@ class TestKnn:
         g = matrix(np.eye(3, dtype=np.float32))
         with pytest.raises(EmbedStoreError, match="^threads must be >= 1$"):
             cosine_knn(g, g, k=1, threads=threads)
+        with pytest.raises(EmbedStoreError, match="^threads must be >= 1$"):
+            top_k(unit_rows(g.data), unit_rows(g.data), 1, np.arange(3), np.arange(3), threads)
 
     def test_dimension_mismatch(self):
         with pytest.raises(EmbedStoreError, match="mismatch"):
@@ -396,3 +401,68 @@ class TestTopKAboveOne:
                 for threads in (1, 2):
                     got = top_k(unit_rows(q_rows), unit_rows(g_rows), k, groups, g_group, threads)
                     self.check(got, want, rows)
+
+
+class TestBlockLoop:
+    """`top_k`'s per-call buffers, worker count and index strike of same-group cells."""
+
+    N_G = 47  # not a multiple of 4k for k = 2 or 10
+
+    @staticmethod
+    def layouts(rng, n_q, n_g):
+        """(name, q_group, g_group): groups that are negative or absent from the
+        gallery, groups of a few rows, and one group owning every gallery row."""
+        mixed = rng.integers(-3, 12, size=n_q)  # -3..-1 and 8..11 are absent
+        yield "mixed", mixed, rng.integers(8, size=n_g)
+        yield "self", np.full(n_q, -1), np.arange(n_g)  # cosine_knn without exclusion
+        yield "one_group", rng.integers(2, size=n_q), np.ones(n_g, dtype=np.intp)
+
+    def test_block_edges_and_groups_match_brute_force_at_1_2_3_threads(self):
+        rng = np.random.default_rng(31)
+        q_rows = rng.standard_normal((1100, 4))
+        q_rows[::7] = np.round(q_rows[::7])  # some exact ties
+        q_rows[~q_rows.any(axis=1), 0] = 1.0
+        g_rows = np.round(rng.standard_normal((self.N_G, 4)), 1)
+        for name, q_group, g_group in self.layouts(rng, 1100, self.N_G):
+            want_idx, want_sim = brute_knn(q_rows, g_rows, 10, groups=(q_group, g_group))
+            for n_q in (0, 1, 511, 512, 513, 1100):
+                q = unit_rows(q_rows[:n_q])
+                for k, threads in itertools.product((1, 2, 10), (1, 2, 3)):
+                    idx, sim = top_k(q, unit_rows(g_rows), k, q_group[:n_q], g_group, threads)
+                    assert idx.shape == sim.shape == (n_q, k), (name, n_q, k, threads)
+                    TestTopKAboveOne.check((idx, sim), (want_idx[:n_q, :k], want_sim[:n_q, :k]))
+
+    def test_one_worker_runs_on_the_calling_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("one worker needs no thread pool")
+
+        rng = np.random.default_rng(32)
+        g = unit_rows(rng.standard_normal((30, 3)))
+        queries = {n_q: unit_rows(rng.standard_normal((n_q, 3))) for n_q in (0, 1, 512, 513, 600)}
+        want = {n_q: top_k(q, g, 2, np.full(n_q, -1), np.arange(30), 2)
+                for n_q, q in queries.items()}
+        monkeypatch.setattr(embedstore, "ThreadPoolExecutor", refuse)
+        for threads, n_q in ((1, 600), (1, 513), (2, 512), (3, 1), (2, 0)):
+            got = top_k(queries[n_q], g, 2, np.full(n_q, -1), np.arange(30), threads)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want[n_q])), (threads, n_q)
+        with pytest.raises(AssertionError, match="no thread pool"):  # two blocks, two workers
+            top_k(queries[513], g, 2, np.full(513, -1), np.arange(30), 2)
+
+    def test_strike_of_one_group_owning_the_gallery_stays_within_a_mask_per_worker(self):
+        # 3,000 rows in one group: every cell is struck.  A masked assignment
+        # holds a block and a b x N bool mask per worker; the index strike may
+        # add one more mask each, where unbounded index arrays would take 16
+        # bytes per struck cell.
+        rng = np.random.default_rng(33)
+        n, threads = 3000, 2
+        q, g = unit_rows(rng.standard_normal((n, 8))), unit_rows(rng.standard_normal((n, 8)))
+        groups = np.zeros(n, dtype=np.intp)
+        block, mask = 512 * n * 8, 512 * n
+        tracemalloc.start()
+        try:
+            idx, sim = top_k(q, g, 1, groups, groups, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isneginf(sim).all() and not idx.any()
+        assert peak <= threads * (block + 2 * mask), peak

@@ -27,7 +27,10 @@ of a change to the code behind them.  It covers:
   and `mine_hard_negatives` pools (``mine1.<case>``, ``mine10.<case>``) at
   k = 1 and k = 10, which take `top_k`'s two selection branches, on
   quantized, tie-heavy inputs of more than 512 rows, with and without
-  self-exclusion, on one and two threads;
+  self-exclusion, on one to three threads; and where `top_k`'s blocks fall
+  unevenly (``knn<k>.<case>1001.q<rows>``, ``mine10.<case><rows>``): 513
+  query rows, a 1,001-row gallery (no multiple of 4k or of 8), and mining
+  with one branch;
 - the `generate_splits` assignment (``split.<case>.assignment``) and the
   `verify_splits` report, with the carve's config attached and with none, of
   the carve and of seeded breaks of it (``split.<case>.<mutation>``), on the
@@ -109,6 +112,7 @@ GATE_SEEDS = range(5)
 RETRIEVAL_SEEDS = range(80, 85)
 GATE_SPLITS = SplitConfig(seed=0, uu_chain_fraction=0.15, su_branch_fraction=0.15, t1=10, t2=2)
 HARD_K = 10
+PALETTE = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [-1, 1, 1], [1, -1, 0], [0, 0, -1]])
 # loss -> epochs; the pair losses use the gate's 30, the rest a short run
 LOSS_EPOCHS = {"triplet": 30, "multisim": 30, "circle": 30,
                "supcon": 3, "proxynca": 3, "softtriple": 3}
@@ -209,9 +213,8 @@ def loss_digests() -> None:
 def tie_cases():
     """(case, matrix) with many exactly tied similarities, all over 512 rows."""
     rng = np.random.default_rng(606)
-    palette = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [-1, 1, 1], [1, -1, 0], [0, 0, -1]])
     n = 1100  # three 512-row blocks; tie groups straddle both block edges
-    scaled = palette[rng.integers(len(palette), size=n)] * rng.choice([1, 2, 3], (n, 1))
+    scaled = PALETTE[rng.integers(len(PALETTE), size=n)] * rng.choice([1, 2, 3], (n, 1))
     yield "palette", scaled
     small = rng.integers(-1, 2, size=(n, 4))
     small[~small.any(axis=1), 0] = 1  # a zero row has no direction
@@ -227,7 +230,7 @@ def tie_digests() -> None:
         labels = np.random.default_rng(len(rows)).integers(5, size=len(rows))
         oracles = {"branches": LinkOracle({i: f"b{b}" for i, b in zip(ids, labels)}),
                    "one_branch": LinkOracle(dict.fromkeys(ids, "b"))}
-        for k, threads in itertools.product((1, 10), (1, 2)):
+        for k, threads in itertools.product((1, 10), (1, 2, 3)):
             for exclude, q in ((True, emb), (False, queries)):
                 knn = cosine_knn(q, emb, k=k, exclude_self=exclude, threads=threads)
                 emit(f"knn{k}.{case}.exclude{int(exclude)}.threads{threads}",
@@ -235,6 +238,35 @@ def tie_digests() -> None:
             for name, oracle in oracles.items():
                 pool = mine_hard_negatives(emb, oracle, k=k, threads=threads)
                 emit(f"mine{k}.{case}.{name}.threads{threads}", *pool_parts(pool))
+
+
+def block_digests() -> None:
+    """`top_k` where its blocks and workers fall unevenly, at one to three threads.
+
+    513 query rows leave a one-row last block.  A gallery of 1,001 rows is no
+    multiple of 4k, so strided chunks leave a tail, nor of 8, so BLAS rounding
+    depends on the block's row count.  Mining runs on 513 and on 1,001 rows,
+    with 40 branches and with one.
+    """
+    rng = np.random.default_rng(1001)
+    n = 1001
+    cases = {"gauss": rng.standard_normal((n, 6)),
+             "palette": PALETTE[rng.integers(len(PALETTE), size=n)] * rng.choice([1, 2, 3], (n, 1))}
+    for case, rows in cases.items():
+        ids = tuple(f"u{j:04d}" for j in range(n))
+        emb = EmbeddingMatrix(ids, rows.astype(np.float32))
+        queries = EmbeddingMatrix(ids[:513], emb.data[::-1][:513])
+        labels = rng.integers(40, size=n)
+        oracles = {"branches": LinkOracle({i: f"b{b}" for i, b in zip(ids, labels)}),
+                   "one_branch": LinkOracle(dict.fromkeys(ids, "b"))}
+        for k, threads in itertools.product((1, 10), (1, 2, 3)):
+            for q in (emb, queries):
+                knn = cosine_knn(q, emb, k=k, exclude_self=q is emb, threads=threads)
+                emit(f"knn{k}.{case}{n}.q{q.n}.threads{threads}", knn.indices, knn.similarities)
+        for size, (name, oracle), threads in itertools.product((513, n), oracles.items(),
+                                                               (1, 2, 3)):
+            pool = mine_hard_negatives(emb.subset(ids[:size]), oracle, k=HARD_K, threads=threads)
+            emit(f"mine{HARD_K}.{case}{size}.{name}.threads{threads}", *pool_parts(pool))
 
 
 def batch_digests() -> None:
@@ -437,6 +469,7 @@ def main() -> int:
     synth_digests()
     loss_digests()
     tie_digests()
+    block_digests()
     random_pair_digests()
     carve_digests()
     dedup_digests()
