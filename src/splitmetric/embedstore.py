@@ -4,9 +4,10 @@ Binary layout (little-endian): magic ``EMB1``, u32 N, u32 d, then N*d float32
 values row-major.  Image ids live in a companion text file ``<path>.ids``,
 one id per row, same order.  Search is exact brute force through one
 routine, `top_k`, in float64 with ties to the smaller gallery index: 512
-query rows at a time into buffers the call owns, O(512 * N) per worker, in
-whole-block numpy passes with no Python loop per row, so a second thread
-speeds it up.  Its block shape and separate inputs fix the bits.
+query rows by 2,048 gallery columns at a time into one buffer per worker
+that the call owns, 8 MB whatever N is, in whole-slab numpy passes with no
+Python loop per row, so a second thread speeds it up.  Its block and slab
+shapes and separate inputs fix the bits.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"EMB1"
+BLOCK = 512  # query rows scored together
+SLAB = 2048  # gallery columns scored together; a power of two
 
 
 class EmbedStoreError(ValueError):
@@ -136,79 +139,141 @@ def unit_rows(rows) -> np.ndarray:
     return x / norms
 
 
+def _fold(x: np.ndarray, width: int) -> np.ndarray:
+    """Row-wise maxima of the columns j of ``x`` with equal ``j % width``; ``x`` if narrower."""
+    if x.shape[1] <= width:
+        return x
+    whole = x.shape[1] - x.shape[1] % width
+    out = x[:, :whole].reshape(len(x), -1, width).max(axis=1)
+    tail = x.shape[1] - whole
+    np.maximum(out[:, :tail], x[:, whole:], out=out[:, :tail])
+    return out
+
+
 def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np.ndarray,
           threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k gallery rows per unit query row, as (indices, similarities).
 
     Cells whose query and gallery groups are equal score -inf.  Each row is
     ordered by (-similarity, ascending gallery index), ties on the k-th value
-    included; needs k <= len(g).  For k = 1 that is one ``argmax`` per block:
-    its first maximum is the smallest index, and a row that is all -inf gives
-    index 0 with similarity -inf, as for any k.
+    included; needs k <= len(g).  Each ``BLOCK``-row query block is scored
+    against the gallery one ``SLAB``-column slab at a time, and each row keeps
+    a running selection across the slabs.  For k = 1 that is one ``argmax``
+    per slab, merged into the row's best with a strict ``>``: ties keep the
+    smaller index, and a row that is all -inf gives index 0 with similarity
+    -inf, as for any k.
 
-    For k > 1, a block's columns are cut into ``chunks = min(n_g, 4k)``
-    strided chunks (chunk j holds columns j, j + chunks, ...; the last
-    ``n_g % chunks`` columns are in none).  A row's k-th largest chunk
-    maximum is at most its k-th best cell, since k cells reach it, so every
-    cell of the top k, ties included, is at or above that bound.  One
-    ``flatnonzero`` takes the block's cells at or above their row's bound,
-    and one ``lexsort`` by (row, -similarity, index) orders them; each row
+    For k > 1, gallery column c feeds running maximum ``c % chunks``, where
+    ``chunks`` is the power of two at or above 4k, so the maxima stride
+    across the columns.  A row's k-th largest maximum is at most its k-th
+    best cell, since k distinct cells reach it, and it only rises from slab
+    to slab.  Each slab is read once more, to fold its columns to the maxima
+    of those equal mod ``span`` (a power of two near an eighth of the slab,
+    at most 256, or ``chunks`` if wider); the folds at or above the row's
+    bound hold every cell that is, and only their cells are read again.
+    When the block is done, the cells still at or above the final bound are
+    ordered by one ``lexsort`` by (row, -similarity, index), and each row
     keeps its first k.  Strides matter: a row's best cells often sit in
     adjacent columns, and a contiguous chunk would hold them all and loosen
-    the bound.  A row with fewer than k finite chunk maxima has bound -inf,
-    so all its cells are candidates.
+    the bound.  A -inf cell belongs in a row's top k only if the row
+    has fewer than k finite cells, and then the ones it needs are its first
+    by index, all in columns < k: those are the only -inf candidates, so a
+    row whose bound is -inf gives up its finite cells and no others.
 
-    Memory belongs to the call: the calling thread makes one float64 block
-    of ``min(512, n_q) x n_g`` per worker (plus a bool mask of that shape for
-    k > 1 only), and worker w of ``min(threads, blocks)`` scores 512-row
-    query blocks w, w + workers, ...; one worker runs on the calling thread.
-    Same-group cells are struck by index, from one argsort of ``g_group``,
-    in slabs whose index arrays stay under one mask.  Block shape and separate
-    inputs fix the bits: on OpenBLAS a 1-row block or a column split can round
-    many cells differently, another row count a few unless n_g % 8 == 0, and
-    ``a @ a.T`` on one buffer runs a symmetric kernel.
+    Memory belongs to the call, and nothing in it grows with n_g but index
+    arrays and a few candidates per row and slab: the calling thread makes
+    one float64 buffer of ``min(BLOCK, n_q) x min(SLAB, n_g)`` per worker, and
+    for k > 1 a slab's fold adds ``span`` float64 columns.  Worker w of
+    ``min(threads, blocks)`` scores query blocks w, w + workers, ...; one
+    worker runs on the calling thread.  Same-group cells are struck by index:
+    one stable argsort of ``g_group`` lists each group's columns in ascending
+    order, two ``searchsorted`` calls cut each row's run at a slab edge
+    inside the gallery, and the struck cells are written in pieces whose
+    index arrays take under a byte per buffer cell.  Block shape and separate
+    inputs fix the bits: on OpenBLAS a 1-row block or a column split can
+    round many cells differently, another row count or slab edge a few
+    unless the widths are multiples of 8, and ``a @ a.T`` on one buffer runs
+    a symmetric kernel.  A gallery of at most ``SLAB`` rows is one slab, the
+    same product as one whole-gallery block.
     """
     if threads < 1:
         raise EmbedStoreError("threads must be >= 1")
     n_q, n_g = len(q), len(g)
     indices = np.empty((n_q, k), dtype=np.intp)
     sims = np.empty((n_q, k), dtype=np.float64)
-    by_group = np.argsort(g_group)
-    first, last = (np.searchsorted(g_group[by_group], q_group, side) for side in ("left", "right"))
-    offset = np.cumsum(np.r_[0, last - first])  # row r's run: cells offset[r]:offset[r + 1]
-    starts = range(0, n_q, 512)
+    by_group = np.argsort(g_group, kind="stable")
+    group = g_group[by_group]
+    first, last = (np.searchsorted(group, q_group, side) for side in ("left", "right"))
+    # sorted keys (start of the column's group run, column), for slab edges inside the gallery
+    key = np.searchsorted(group, group) * n_g + by_group if n_g > SLAB else None
+    starts = range(0, n_q, BLOCK)
     workers = min(threads, len(starts))
-    shape = (min(512, n_q), n_g)
-    slab = max(1, shape[0] * n_g // 64)  # five int64 arrays of a slab < one bool mask
-    buffers = [(np.empty(shape), np.empty(shape, bool) if k > 1 else None) for _ in range(workers)]
+    size = min(BLOCK, n_q) * min(SLAB, n_g)
+    piece = max(1, size // 64)  # five int64 arrays of a piece: 5/8 byte per buffer cell
+    buffers = [np.empty(size) for _ in range(workers)]
+    chunks = 1 << (4 * k - 1).bit_length()  # a power of two, like SLAB: no slab wraps around it
+    lowest = -np.finfo(np.float64).max  # a bound at or above it takes no -inf cell
 
-    def score(lo: int, block: np.ndarray, mask: np.ndarray | None) -> None:
-        b = min(512, n_q - lo)
-        block = np.matmul(q[lo:lo + b], g.T, out=block[:b])
-        for c in range(offset[lo], offset[lo + b], slab):
-            cell = np.arange(c, min(c + slab, offset[lo + b]))
-            row = np.searchsorted(offset, cell, side="right") - 1
-            block[row - lo, by_group[first[row] + cell - offset[row]]] = -np.inf
+    def cut(c: int, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi's positions in ``by_group`` of their first same-group column >= c."""
+        if c in (0, n_g):
+            return (first if c == 0 else last)[lo:hi]
+        return np.minimum(np.searchsorted(key, first[lo:hi] * n_g + c), last[lo:hi])
+
+    def score(lo: int, flat: np.ndarray) -> None:
+        b = min(BLOCK, n_q - lo)
+        rows = np.arange(b)
+        best = np.zeros(b, dtype=np.intp)
+        top = np.full((b, chunks) if k > 1 else b, -np.inf)
+        found = []
+        for c0 in range(0, n_g, SLAB):
+            c1 = min(c0 + SLAB, n_g)
+            w = c1 - c0
+            block = np.matmul(q[lo:lo + b], g[c0:c1].T, out=flat[:b * w].reshape(b, w))
+            start = cut(c0, lo, lo + b)  # row r's struck cells: offset[r]:offset[r + 1]
+            offset = np.cumsum(np.r_[0, cut(c1, lo, lo + b) - start])
+            for c in range(0, offset[-1], piece):
+                cell = np.arange(c, min(c + piece, offset[-1]))
+                row = np.searchsorted(offset, cell, side="right") - 1
+                block[row, by_group[start[row] + cell - offset[row]] - c0] = -np.inf
+            if k == 1:
+                col = block.argmax(axis=1)
+                val = block[rows, col]
+                better = val > top  # a tie keeps the earlier, smaller column
+                best[better] = col[better] + c0
+                top[better] = val[better]
+                continue
+            span = max(chunks, min(256, 1 << (w // 16).bit_length()))  # in (w/16, w/8] if it can
+            level = _fold(block, span)  # column j -> j % span
+            local = _fold(level, chunks)  # -> j % chunks, since chunks divides span
+            part = top[:, c0 % chunks:][:, :local.shape[1]]  # column c0 + j -> (c0 + j) % chunks
+            np.maximum(part, local, out=part)
+            bound = np.maximum(np.partition(top, chunks - k, axis=1)[:, chunks - k], lowest)
+            row, fold = np.divmod(np.flatnonzero(level >= bound[:, None]), level.shape[1])
+            cell = (row * w + fold)[:, None] + np.arange(0, w, span)  # the folds' cells, flat
+            v = np.take(block, cell, mode="clip")
+            v[fold >= w - span * (v.shape[1] - 1), -1] = -np.inf  # only w % span folds reach w
+            keep = np.flatnonzero(v >= bound[row, None])
+            r, c = np.divmod(cell.reshape(-1)[keep], w)
+            found.append((r, c + c0, v.reshape(-1)[keep]))
+            if c0 < k:
+                r, c = np.nonzero(np.isneginf(block[:, :k - c0]))
+                found.append((r, c + c0, block[r, c]))
         if k == 1:
-            best = block.argmax(axis=1)
             indices[lo:lo + b, 0] = best
-            sims[lo:lo + b, 0] = block[np.arange(b), best]
+            sims[lo:lo + b, 0] = top
             return
-        chunks = min(n_g, 4 * k)  # >= k >= 2 here, since k <= n_g
-        width = n_g // chunks
-        maxima = block[:, :width * chunks].reshape(b, width, chunks).max(axis=1)
-        bound = np.partition(maxima, chunks - k, axis=1)[:, chunks - k]
-        flat = np.flatnonzero(np.greater_equal(block, bound[:, None], out=mask[:b]))
-        rows, cols = np.divmod(flat, n_g)
-        vals = block.reshape(-1)[flat]
-        order = np.lexsort((cols, -vals, rows))
-        take = order[np.searchsorted(rows, np.arange(b))[:, None] + np.arange(k)]
-        indices[lo:lo + b] = cols[take]
-        sims[lo:lo + b] = vals[take]
+        r, c, v = (np.concatenate(part) for part in zip(*found))
+        keep = np.flatnonzero((v >= bound[r]) | (v == -np.inf))
+        r, c, v = r[keep], c[keep], v[keep]
+        order = np.lexsort((c, -v, r))
+        take = order[np.searchsorted(r[order], rows)[:, None] + np.arange(k)]
+        indices[lo:lo + b] = c[take]
+        sims[lo:lo + b] = v[take]
 
     def work(w: int) -> None:
         for lo in starts[w::workers]:
-            score(lo, *buffers[w])
+            score(lo, buffers[w])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

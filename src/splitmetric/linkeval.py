@@ -236,8 +236,9 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
     """Top-k different-branch ids per image, by descending reference similarity.
 
     One `embedstore.top_k` call with branch codes as groups: same-branch
-    cells, self included, score -inf and are dropped.  Memory is O(512 * N)
-    per worker, and the two separate unit-row arrays keep `top_k`'s bits.
+    cells, self included, score -inf and are dropped.  Memory is one 512 x
+    2,048 block and its fold per worker, whatever N is, and the two separate
+    unit-row arrays keep `top_k`'s bits.
     Ties break toward the lexicographically smaller id.  Pools are shorter
     than k only when fewer negatives exist; same-branch-only inputs give
     empty pools.

@@ -466,3 +466,131 @@ class TestBlockLoop:
             tracemalloc.stop()
         assert np.isneginf(sim).all() and not idx.any()
         assert peak <= threads * (block + 2 * mask), peak
+
+    @staticmethod
+    def budget(threads, k, n_g):
+        """Traced bytes `top_k` may hold: per worker, 9 bytes per cell of its
+        512 x SLAB buffer (the float64 block, then its fold or the strike's
+        index pieces) and 64 float64 per row and unit of k (running maxima,
+        candidates); plus 64 bytes per gallery row for the group index."""
+        return threads * (9 * 512 * embedstore.SLAB + 512 * 512 * k) + 64 * n_g
+
+    def test_slab_edges_and_straddling_groups_match_brute_force_at_1_2_3_threads(self):
+        # galleries one column short of a slab, one slab, one column over, and
+        # past two slabs; groups of 7 consecutive columns straddle each slab
+        # edge, and the checked query rows sit on both sides of query row 512
+        S = embedstore.SLAB
+        rng = np.random.default_rng(34)
+        rows = np.r_[0:4, 506:518]
+        q_rows = rng.standard_normal((520, 4))
+        q = unit_rows(q_rows)
+        for n_g in (S - 1, S, S + 1, 2 * S + 13):
+            g_rows = rng.standard_normal((n_g, 4))
+            runs = rng.integers(n_g // 7 + 3, size=520)  # groups past n_g // 7 are absent
+            runs[rows[::2]] = [(S - 1) // 7, S // 7] * 4  # the group(s) at column S - 1 and S
+            layouts = {"runs": (runs, np.arange(n_g) // 7),
+                       "self": (np.full(520, -1), np.arange(n_g))}
+            for q_group, g_group in layouts.values():
+                want_idx, want_sim = brute_knn(q_rows[rows], g_rows, 10,
+                                               groups=(q_group[rows], g_group))
+                for k in (1, 2, 10):
+                    got = [top_k(q, unit_rows(g_rows), k, q_group, g_group, threads)
+                           for threads in (1, 2, 3)]
+                    for idx, sim in got[1:]:
+                        assert np.array_equal(idx, got[0][0]) and np.array_equal(sim, got[0][1])
+                    TestTopKAboveOne.check(got[0], (want_idx[:, :k], want_sim[:, :k]), rows)
+
+    def test_exact_tie_across_a_slab_edge_goes_to_the_smaller_index(self):
+        # e0 at columns S - 1 and S scores exactly 1 against e0 in any slab;
+        # every other column points away from it.  Query 1 strikes column
+        # S - 1 (group 5) and query 2 strikes column S (group 6)
+        S = embedstore.SLAB
+        rng = np.random.default_rng(35)
+        g_rows = rng.standard_normal((S + 9, 4))
+        g_rows[:, 0] = -np.abs(g_rows[:, 0])
+        g_rows[[S - 1, S]] = [1, 0, 0, 0]
+        g_group = np.zeros(S + 9, dtype=np.intp)
+        g_group[S - 1], g_group[S] = 5, 6
+        q_rows = np.array([[1.0, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, 0]])
+        q_group = np.array([1, 5, 6])
+        q, g = unit_rows(q_rows), unit_rows(g_rows)
+        want_idx, want_sim = brute_knn(q_rows, g_rows, 10, groups=(q_group, g_group))
+        assert want_idx[:, 0].tolist() == [S - 1, S, S - 1]
+        assert want_idx[0, :2].tolist() == [S - 1, S] and (want_sim[0, :2] == 1.0).all()
+        for k, threads in itertools.product((1, 2, 10), (1, 2, 3)):
+            idx, sim = top_k(q, g, k, q_group, g_group, threads)
+            assert np.array_equal(idx, want_idx[:, :k]), (k, threads)
+            assert np.array_equal(sim, want_sim[:, :k]), (k, threads)
+
+    def test_k_above_the_slab_width_matches_brute_force(self):
+        # k = S + 5 on 2S + 13 columns: the bound stays -inf until k maxima
+        # are finite.  Group-9 queries keep 1,109 finite cells, fewer than k,
+        # so their top k ends in -inf cells from the first columns
+        S = embedstore.SLAB
+        rng = np.random.default_rng(36)
+        n_g, k = 2 * S + 13, S + 5
+        q_rows, g_rows = rng.standard_normal((24, 3)), rng.standard_normal((n_g, 3))
+        g_group = np.where(np.arange(n_g) < 3000, 9, rng.integers(4, size=n_g))
+        q_group = rng.integers(4, size=24)
+        q_group[::5] = 9
+        want = brute_knn(q_rows, g_rows, k, groups=(q_group, g_group))
+        assert np.isneginf(want[1][0, -1]) and np.isfinite(want[1][1, -1])
+        for threads in (1, 2):
+            got = top_k(unit_rows(q_rows), unit_rows(g_rows), k, q_group, g_group, threads)
+            TestTopKAboveOne.check(got, want)
+
+    @pytest.mark.parametrize("slab", [8, 16, 64])
+    def test_narrow_slabs_match_brute_force(self, monkeypatch, slab):
+        # many slab edges on a 47-column gallery, k = 10 and 47 above the slab
+        # width, and groups of every layout, at one to three threads
+        monkeypatch.setattr(embedstore, "SLAB", slab)
+        rng = np.random.default_rng(39)
+        q_rows, g_rows = rng.standard_normal((530, 4)), rng.standard_normal((self.N_G, 4))
+        rows = np.r_[0:5, 505:530]
+        for name, q_group, g_group in self.layouts(rng, 530, self.N_G):
+            want_idx, want_sim = brute_knn(q_rows[rows], g_rows, self.N_G,
+                                           groups=(q_group[rows], g_group))
+            for k, threads in itertools.product((1, 2, 10, self.N_G), (1, 2, 3)):
+                got = top_k(unit_rows(q_rows), unit_rows(g_rows), k, q_group, g_group, threads)
+                TestTopKAboveOne.check(got, (want_idx[:, :k], want_sim[:, :k]), rows)
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_memory_stays_bounded_in_the_gallery_size(self, k):
+        # 600 queries against 4,096 and 16,384 gallery rows in branches of
+        # about 20: a 512 x n_g block per worker would take 9 bytes per cell
+        rng = np.random.default_rng(37)
+        threads = 2
+        q = unit_rows(rng.standard_normal((600, 8)))
+        peaks = {}
+        for n_g in (4096, 16384):
+            g = unit_rows(rng.standard_normal((n_g, 8)))
+            q_group, g_group = rng.integers(n_g // 20, size=600), rng.integers(n_g // 20, size=n_g)
+            tracemalloc.start()
+            try:
+                top_k(q, g, k, q_group, g_group, threads)
+                peaks[n_g] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks[n_g] <= self.budget(threads, k, n_g), (n_g, peaks[n_g])
+        assert peaks[16384] - peaks[4096] <= 128 * (16384 - 4096), peaks  # index arrays only
+
+    def test_rows_with_no_finite_cell_keep_only_their_first_k_columns(self):
+        # one group owns a 3,000-row gallery: its queries are all -inf, and
+        # their top 10 are columns 0-9.  Only those columns may be candidates,
+        # not every cell of the row; every 50th query sees the whole gallery
+        rng = np.random.default_rng(38)
+        n, k, threads = 3000, 10, 2
+        q_rows, g_rows = rng.standard_normal((n, 8)), rng.standard_normal((n, 8))
+        g_group = np.zeros(n, dtype=np.intp)
+        q_group = (np.arange(n) % 50 == 0).astype(np.intp)
+        tracemalloc.start()
+        try:
+            got = top_k(unit_rows(q_rows), unit_rows(g_rows), k, q_group, g_group, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = np.r_[0:3, 498:512, 2998:3000]
+        want = brute_knn(q_rows[rows], g_rows, k, groups=(q_group[rows], g_group))
+        TestTopKAboveOne.check(got, want, rows)
+        assert (got[0][q_group == 0] == np.arange(k)).all()
+        assert peak <= self.budget(threads, k, n), peak

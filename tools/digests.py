@@ -30,7 +30,8 @@ of a change to the code behind them.  It covers:
   self-exclusion, on one to three threads; and where `top_k`'s blocks fall
   unevenly (``knn<k>.<case>1001.q<rows>``, ``mine10.<case><rows>``): 513
   query rows, a 1,001-row gallery (no multiple of 4k or of 8), and mining
-  with one branch;
+  with one branch; and past two gallery slabs (``knn<k>.<case>4104.q<rows>``,
+  ``mine10.<case>4101.branches``), on 4,104 and 4,101 rows;
 - the `generate_splits` assignment (``split.<case>.assignment``) and the
   `verify_splits` report, with the carve's config attached and with none, of
   the carve and of seeded breaks of it (``split.<case>.<mutation>``), on the
@@ -269,6 +270,31 @@ def block_digests() -> None:
             emit(f"mine{HARD_K}.{case}{size}.{name}.threads{threads}", *pool_parts(pool))
 
 
+def slab_digests() -> None:
+    """`top_k` on galleries past two ``SLAB``-column slabs, at one to three threads.
+
+    4,104 rows is a multiple of 8, so each slab rounds as a whole-gallery
+    product would; 4,101 rows is not.  Ties in the palette case straddle
+    both slab edges.  Mining runs with 200 branches.
+    """
+    rng = np.random.default_rng(4104)
+    for n in (4104, 4101):
+        gauss = rng.standard_normal((n, 6))
+        palette = PALETTE[rng.integers(len(PALETTE), size=n)] * rng.choice([1, 2, 3], (n, 1))
+        for case, rows in {"gauss": gauss, "palette": palette}.items():
+            ids = tuple(f"s{j:04d}" for j in range(n))
+            emb = EmbeddingMatrix(ids, rows.astype(np.float32))
+            queries = EmbeddingMatrix(ids[:513], emb.data[::-1][:513])
+            oracle = LinkOracle({i: f"b{b}" for i, b in zip(ids, rng.integers(200, size=n))})
+            for k, threads in itertools.product((1, 10), (1, 2, 3)):
+                for q in (emb, queries):
+                    knn = cosine_knn(q, emb, k=k, exclude_self=q is emb, threads=threads)
+                    emit(f"knn{k}.{case}{n}.q{q.n}.threads{threads}", knn.indices, knn.similarities)
+            for threads in (1, 2, 3):
+                pool = mine_hard_negatives(emb, oracle, k=HARD_K, threads=threads)
+                emit(f"mine{HARD_K}.{case}{n}.branches.threads{threads}", *pool_parts(pool))
+
+
 def batch_digests() -> None:
     layouts = []
     for seed in GATE_SEEDS:
@@ -470,6 +496,7 @@ def main() -> int:
     loss_digests()
     tie_digests()
     block_digests()
+    slab_digests()
     random_pair_digests()
     carve_digests()
     dedup_digests()
