@@ -1,9 +1,11 @@
 """Hierarchical split generation, metric-learning loss kernels, and linking metrics."""
 
+import json
 import math
 import numbers
 import operator
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -37,3 +39,8 @@ def check_fields(config, error: type[Exception]) -> None:
 def seeded_rng(seed) -> np.random.Generator:
     """The generator of an integer seed; seeds equal mod 2**64 give the same stream."""
     return np.random.default_rng(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as UTF-8 JSON, indented by 2, with a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -8,10 +8,11 @@ branches optionally belong to a chain.  A branch whose chain is not known is an
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
+
+from . import write_json
 
 
 class CatalogError(ValueError):
@@ -113,7 +114,8 @@ class DedupReport:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    """Read a catalog CSV (header ``image_id,branch_id,chain_id,content_key``)."""
+    """Read a catalog CSV (header ``image_id,branch_id,chain_id,content_key``
+    or a prefix of it naming at least two columns; no row has more cells)."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -125,6 +127,7 @@ def load_catalog(path: str | Path) -> Catalog:
         if len(header) < 2 or tuple(header) != CSV_HEADER[: len(header)]:
             raise CatalogError(f"{path}: bad header {header!r}, expected prefix of {','.join(CSV_HEADER)}")
         records: list[ImageRecord] = []
+        width = len(header)
         for lineno, row in enumerate(reader, start=2):
             n = len(row)
             if n < 4:
@@ -132,10 +135,12 @@ def load_catalog(path: str | Path) -> Catalog:
                     continue
                 row += [""] * (4 - n)
             elif n > 4:
-                raise CatalogError(f"{path}:{lineno}: too many columns")
+                del row[4:]
             image_id, branch_id, chain_id, content_key = map(str.strip, row)
             if not image_id or not branch_id:
                 raise CatalogError(f"{path}:{lineno}: image_id and branch_id are required")
+            if n > width:  # a cell past the header's names would be read as a chain or key
+                raise CatalogError(f"{path}:{lineno}: too many columns")
             records.append(ImageRecord(image_id, branch_id, chain_id or None, content_key or None))
     return Catalog.from_records(records)
 
@@ -238,4 +243,4 @@ def stats(catalog: Catalog) -> CatalogStats:
 
 
 def save_dedup_report(report: DedupReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(path, report.to_json_dict())

@@ -11,7 +11,13 @@ well: the ``<path>.ids`` of every EMB1 input and output, and the manifest.
 After the command it writes `<primary-output>.manifest.json` from the same
 declaration, so a run can be reproduced from the manifest alone.  A
 command that reads ``--splits`` refuses a file that fails `verify_splits`
-before it reads any features.  Exit
+before it reads any features.
+
+The ``synth``, ``split``, ``train`` and ``eval`` commands each take one flag
+per ``int`` or ``float`` field of their config dataclass (`SynthConfig`,
+`SplitConfig`, `TrainConfig`, `EvalOptions`), typed and defaulted by the
+field, and `_config` builds the config from those flags; so every default
+is the dataclass's default.  Exit
 codes: 0 success, 1 domain error, 2 usage error (bad flags, a missing input
 file or output directory, an output path that is a directory or is named by
 another flag or lies beside one).
@@ -23,11 +29,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, write_json
 from .catalog import (
     CatalogError,
     dedup_merge,
@@ -62,6 +69,11 @@ class UsageError(Exception):
 
 # the file flags that name an EMB1 matrix, whose ids sit beside it in <path>.ids
 EMB1_FLAGS = frozenset({"features", "embeddings", "reference", "out_features"})
+
+# the config fields whose flag is not named after the field: field -> flag dest
+FLAG_DESTS = {"n_chains": "chains", "unknown_chain_fraction": "unknown_frac",
+              "uu_chain_fraction": "uu_frac", "su_branch_fraction": "su_frac"}
+FLAG_TYPES = {"int": int, "float": float}  # the config field types that get a flag
 
 
 def _check_usage(args) -> None:
@@ -115,20 +127,19 @@ def _write_manifest(args, argv: list, started: float) -> None:
         "outputs": {k: str(v) for k, v in outputs.items() if v is not None},
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
-    path = Path(str(primary) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json(str(primary) + ".manifest.json", manifest)
+
+
+def _config(args, **given):
+    """The command's default config with each field that a flag set, then ``given``."""
+    flags = vars(args)
+    flagged = {f.name: flags[dest] for f in fields(args.config)
+               if (dest := FLAG_DESTS.get(f.name, f.name)) in flags}
+    return replace(args.config, **flagged, **given)
 
 
 def cmd_synth(args):
-    config = SynthConfig(
-        n_chains=args.chains,
-        branches_per_chain=args.branches_per_chain,
-        images_per_branch=args.images_per_branch,
-        unknown_chain_fraction=args.unknown_frac,
-        d_in=args.d_in,
-        seed=args.seed,
-    )
-    catalog, features = generate(config)
+    catalog, features = generate(_config(args))
     save_catalog(catalog, args.out_catalog)
     write_embeddings(features, args.out_features)
     print(f"wrote {len(catalog.records)} images, {features.d}-d features")
@@ -136,10 +147,7 @@ def cmd_synth(args):
 
 def cmd_split(args):
     catalog = load_catalog(args.catalog)
-    config = SplitConfig(seed=args.seed, uu_chain_fraction=args.uu_frac,
-                         su_branch_fraction=args.su_frac, t1=args.t1, t2=args.t2,
-                         ss_divisor=args.ss_divisor)
-    assignment = generate_splits(catalog, config)
+    assignment = generate_splits(catalog, _config(args))
     report = verify_splits(catalog, assignment)
     save_assignment(assignment, args.out)
     save_report(report, args.report)
@@ -151,10 +159,8 @@ def cmd_split(args):
 
 def cmd_verify(args):
     catalog = load_catalog(args.catalog)
-    config = None
-    if args.t2 is not None:
-        config = SplitConfig(seed=0, uu_chain_fraction=0.1, su_branch_fraction=0.1,
-                             t1=max(args.t2 * 2, 2), t2=args.t2)
+    # `verify_splits` reads only the t2 of an attached config
+    config = None if args.t2 is None else SplitConfig(t2=args.t2)
     assignment = load_assignment(args.splits, config)
     report = verify_splits(catalog, assignment)
     for check in report.checks:
@@ -183,10 +189,7 @@ def cmd_train(args):
     assignment = _verified_splits(args, catalog)
     features = read_embeddings(args.features)
     params = LossParams.from_json(args.loss_params) if args.loss_params else LossParams()
-    config = TrainConfig(
-        loss=args.loss, params=params, lr=args.lr, momentum=args.momentum,
-        epochs=args.epochs, seed=args.seed, m=args.m, k=args.k, d_out=args.d_out,
-    )
+    config = _config(args, params=params)
     model, history = train(catalog, assignment, features, config)
     save_model(args.out, model)
     history.save(args.history)
@@ -223,11 +226,9 @@ def cmd_eval(args):
     if args.reference:
         reference = read_embeddings(args.reference).subset(sorted(emb.ids))
         hard_pool = mine_hard_negatives(reference, oracle, k=args.hard_k, threads=args.threads)
-    options = EvalOptions(repeats=args.repeats, seed=args.seed, hard_pool=hard_pool,
-                          threads=args.threads)
-    report = evaluate(emb, oracle, options)
+    report = evaluate(emb, oracle, _config(args, hard_pool=hard_pool))
     payload = report.to_json_dict()
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(args.out, payload)
     auc_h = payload["auc_h"]
     print(f"r@1 {report.r_at_1:.4f}  auc {report.auc_mean:.4f} ± {report.auc_std:.4f}"
           + (f"  auc_h {auc_h['mean']:.4f} ± {auc_h['std']:.4f}" if auc_h else ""))
@@ -239,18 +240,18 @@ def cmd_mine(args):
     reference = _in_split(args, catalog, lambda: read_embeddings(args.embeddings))
     pool = mine_hard_negatives(reference, oracle, k=args.k, threads=args.threads)
     payload = {anchor: list(ids) for anchor, ids in sorted(pool.negatives.items())}
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(args.out, payload)
     sizes = [len(v) for v in payload.values()]
     print(f"mined pools for {len(payload)} images (k={args.k}, "
           f"min pool {min(sizes) if sizes else 0})")
 
 
 def cmd_stats(args):
-    text = json.dumps(stats(load_catalog(args.catalog)).to_json_dict(), indent=2)
+    payload = stats(load_catalog(args.catalog)).to_json_dict()
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_json(args.out, payload)
     else:
-        print(text)
+        print(json.dumps(payload, indent=2))
 
 
 def cmd_dedup(args):
@@ -271,44 +272,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     need = {"required": True}
 
-    def add(name, fn, help_text, inputs=None, outputs=None, threads=False):
-        """A subcommand and its file flags, the one place that lists them.
+    def add(name, fn, help_text, config=None, inputs=None, outputs=None, threads=False):
+        """A subcommand, its file flags and its config flags, the one place that lists them.
 
         ``inputs`` maps each input file's dest, which is also its manifest
         key, to its `add_argument` keywords.  ``outputs`` maps each output's
         manifest key to ``(dest, default)``, the primary output first.
+        ``config`` is the command's default config: each of its ``int`` and
+        ``float`` fields gets one flag of the field's type and default, named
+        by `FLAG_DESTS` or else after the field.
         """
         inputs, outputs = inputs or {}, outputs or {}
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=fn, inputs=tuple(inputs),
+        p.set_defaults(func=fn, config=config, inputs=tuple(inputs),
                        outputs={key: dest for key, (dest, _) in outputs.items()})
         if threads:
-            p.add_argument("--threads", type=int, default=1, help="k-NN worker threads")
+            p.add_argument("--threads", type=int, default=EvalOptions().threads,
+                           help="k-NN worker threads")
         for dest, kwargs in inputs.items():
             p.add_argument("--" + dest.replace("_", "-"), **kwargs)
         for dest, default in outputs.values():
             p.add_argument("--" + dest.replace("_", "-"), default=default)
+        for f in fields(config) if config else ():
+            dest = FLAG_DESTS.get(f.name, f.name)
+            if f.type in FLAG_TYPES and not (threads and dest == "threads"):
+                p.add_argument("--" + dest.replace("_", "-"), type=FLAG_TYPES[f.type],
+                               default=getattr(config, f.name))
         return p
 
-    p = add("synth", cmd_synth, "generate a synthetic catalog + feature matrix",
-            outputs={"catalog": ("out_catalog", "catalog.csv"),
-                     "features": ("out_features", "features.emb")})
-    p.add_argument("--chains", type=int, default=40)
-    p.add_argument("--branches-per-chain", type=int, default=8)
-    p.add_argument("--images-per-branch", type=int, default=20)
-    p.add_argument("--unknown-frac", type=float, default=0.15)
-    p.add_argument("--d-in", type=int, default=48)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("split", cmd_split, "assign images to the 8 difficulty splits",
-            inputs={"catalog": need},
-            outputs={"splits": ("out", "splits.csv"), "report": ("report", "report.json")})
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--uu-frac", type=float, default=0.15)
-    p.add_argument("--su-frac", type=float, default=0.15)
-    p.add_argument("--t1", type=int, default=10)
-    p.add_argument("--t2", type=int, default=2)
-    p.add_argument("--ss-divisor", type=int, default=5)
+    add("synth", cmd_synth, "generate a synthetic catalog + feature matrix", SynthConfig(),
+        outputs={"catalog": ("out_catalog", "catalog.csv"),
+                 "features": ("out_features", "features.emb")})
+    add("split", cmd_split, "assign images to the 8 difficulty splits", SplitConfig(),
+        inputs={"catalog": need},
+        outputs={"splits": ("out", "splits.csv"), "report": ("report", "report.json")})
 
     p = add("verify", cmd_verify, "re-check split constraints from files",
             inputs={"catalog": need, "splits": need},
@@ -316,28 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=int, default=None,
                    help="minimum eval-split size per ss branch (default 1)")
 
-    p = add("train", cmd_train, "train the toy embedding head on the train split",
+    p = add("train", cmd_train, "train the toy embedding head on the train split", TrainConfig(),
             inputs={"catalog": need, "splits": need, "features": need,
                     "loss_params": {"help": "JSON file of loss constants"}},
             outputs={"model": ("out", "model.toy1"), "history": ("history", "history.csv")})
-    p.add_argument("--loss", choices=LOSS_KINDS, default="multisim")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--d-out", type=int, default=512)
+    p.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig().loss)
 
-    p = add("eval", cmd_eval, "R@1 / AUC / AUC_H for an embedding on a split",
+    p = add("eval", cmd_eval, "R@1 / AUC / AUC_H for an embedding on a split", EvalOptions(),
             inputs={"catalog": need, "embeddings": {"help": "precomputed EMB1 matrix"},
                     "model": {"help": "TOY1 checkpoint (with --features)"}, "features": {},
                     "splits": {},
                     "reference": {"help": "reference EMB1 matrix for hard-negative pools"}},
             outputs={"metrics": ("out", "metrics.json")}, threads=True)
     p.add_argument("--split", choices=SPLIT_NAMES, default=None)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hard-k", type=int, default=10)
 
     p = add("mine", cmd_mine, "export per-image hard-negative pools as JSON",

@@ -92,9 +92,6 @@ class LossParams:
         if self.softtriple_centers < 1:
             raise LossError("softtriple_centers must be >= 1")
 
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_json(cls, path: str | Path) -> "LossParams":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -18,15 +18,14 @@ every check and every reported count reads it.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import check_fields, seeded_rng
+from . import check_fields, seeded_rng, write_json
 from .catalog import Catalog
 
 SPLIT_NAMES = (
@@ -47,11 +46,13 @@ class SplitError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SplitConfig:
-    seed: int
-    uu_chain_fraction: float
-    su_branch_fraction: float
-    t1: int
-    t2: int
+    """The carve recipe; the defaults are the CLI `split` recipe."""
+
+    seed: int = 0
+    uu_chain_fraction: float = 0.15
+    su_branch_fraction: float = 0.15
+    t1: int = 10
+    t2: int = 2
     ss_divisor: int = 5
 
     def validate(self) -> None:
@@ -67,9 +68,6 @@ class SplitConfig:
             raise SplitError("ss_divisor must be >= 2")
         if self.t1 < self.ss_divisor * self.t2:
             raise SplitError("t1 must be >= ss_divisor * t2")
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -286,4 +284,4 @@ def load_assignment(path: str | Path, config: SplitConfig | None = None) -> Spli
 
 
 def save_report(report: ConstraintReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(path, report.to_json_dict())

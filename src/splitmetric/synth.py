@@ -30,12 +30,14 @@ class SynthError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class SynthConfig:
-    n_chains: int
-    branches_per_chain: int
-    images_per_branch: int
-    unknown_chain_fraction: float
-    d_in: int
-    seed: int
+    """The corpus shape; the defaults are the standard corpus."""
+
+    n_chains: int = 40
+    branches_per_chain: int = 8
+    images_per_branch: int = 20
+    unknown_chain_fraction: float = 0.15
+    d_in: int = 48
+    seed: int = 0
 
     def validate(self) -> None:
         check_fields(self, SynthError)
@@ -46,14 +48,7 @@ class SynthConfig:
 
 
 def standard_corpus_config(seed: int = 0, d_in: int = 48) -> SynthConfig:
-    return SynthConfig(
-        n_chains=40,
-        branches_per_chain=8,
-        images_per_branch=20,
-        unknown_chain_fraction=0.15,
-        d_in=d_in,
-        seed=seed,
-    )
+    return SynthConfig(seed=seed, d_in=d_in)
 
 
 def generate(config: SynthConfig) -> tuple[Catalog, EmbeddingMatrix]:

@@ -158,6 +158,13 @@ class TestLoad:
             load_catalog(p)
         assert str(err.value) == f"{p}:4: too many columns"  # the blank line counts
 
+    @pytest.mark.parametrize("row", ["a,b1,c1", "a,b1,c1,k", "a,b1,,"])
+    def test_cells_past_a_short_header_are_refused(self, tmp_path, row):
+        p = write(tmp_path, f"image_id,branch_id\nx,b0\n{row}\n")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(p)
+        assert str(err.value) == f"{p}:3: too many columns"
+
     @pytest.mark.parametrize("row", ["a", " a ,  ", ",b1,c1", "  ,b1", "a,,c1,k1"])
     def test_missing_image_or_branch_names_the_line(self, tmp_path, row):
         p = write(tmp_path, f"image_id,branch_id,chain_id\nx,b0\n{row}\n")

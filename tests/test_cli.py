@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,11 @@ import pytest
 
 from splitmetric import cli
 from splitmetric.cli import build_parser, main
+from splitmetric.linkeval import EvalOptions
 from splitmetric.losses import LOSS_KINDS
+from splitmetric.splitgen import SPLIT_NAMES, SplitConfig
+from splitmetric.synth import SynthConfig, standard_corpus_config
+from splitmetric.trainer import TrainConfig
 
 
 def run(*argv):
@@ -571,6 +576,148 @@ class TestExitCodes:
                    if isinstance(a, argparse._SubParsersAction))
         loss = next(a for a in sub.choices["train"]._actions if a.dest == "loss")
         assert tuple(loss.choices) == LOSS_KINDS
+
+
+# every flag of every command, flag -> (type, default, choices, help); the
+# config dataclasses must keep giving the config flags exactly these
+FLAG_TABLE = {
+    "synth": {
+        "--out-catalog": (None, "catalog.csv", None, None),
+        "--out-features": (None, "features.emb", None, None),
+        "--chains": (int, 40, None, None),
+        "--branches-per-chain": (int, 8, None, None),
+        "--images-per-branch": (int, 20, None, None),
+        "--unknown-frac": (float, 0.15, None, None),
+        "--d-in": (int, 48, None, None),
+        "--seed": (int, 0, None, None),
+    },
+    "split": {
+        "--catalog": (None, None, None, None),
+        "--out": (None, "splits.csv", None, None),
+        "--report": (None, "report.json", None, None),
+        "--seed": (int, 0, None, None),
+        "--uu-frac": (float, 0.15, None, None),
+        "--su-frac": (float, 0.15, None, None),
+        "--t1": (int, 10, None, None),
+        "--t2": (int, 2, None, None),
+        "--ss-divisor": (int, 5, None, None),
+    },
+    "verify": {
+        "--catalog": (None, None, None, None),
+        "--splits": (None, None, None, None),
+        "--report": (None, "verify.report.json", None, None),
+        "--t2": (int, None, None, "minimum eval-split size per ss branch (default 1)"),
+    },
+    "train": {
+        "--catalog": (None, None, None, None),
+        "--splits": (None, None, None, None),
+        "--features": (None, None, None, None),
+        "--loss-params": (None, None, None, "JSON file of loss constants"),
+        "--out": (None, "model.toy1", None, None),
+        "--history": (None, "history.csv", None, None),
+        "--loss": (None, "multisim", LOSS_KINDS, None),
+        "--lr": (float, 0.05, None, None),
+        "--momentum": (float, 0.9, None, None),
+        "--epochs": (int, 10, None, None),
+        "--seed": (int, 0, None, None),
+        "--m": (int, 8, None, None),
+        "--k": (int, 4, None, None),
+        "--d-out": (int, 512, None, None),
+    },
+    "eval": {
+        "--threads": (int, 1, None, "k-NN worker threads"),
+        "--catalog": (None, None, None, None),
+        "--embeddings": (None, None, None, "precomputed EMB1 matrix"),
+        "--model": (None, None, None, "TOY1 checkpoint (with --features)"),
+        "--features": (None, None, None, None),
+        "--splits": (None, None, None, None),
+        "--reference": (None, None, None, "reference EMB1 matrix for hard-negative pools"),
+        "--out": (None, "metrics.json", None, None),
+        "--split": (None, None, SPLIT_NAMES, None),
+        "--repeats": (int, 10, None, None),
+        "--seed": (int, 0, None, None),
+        "--hard-k": (int, 10, None, None),
+    },
+    "mine": {
+        "--threads": (int, 1, None, "k-NN worker threads"),
+        "--catalog": (None, None, None, None),
+        "--embeddings": (None, None, None, None),
+        "--splits": (None, None, None, None),
+        "--out": (None, "pool.json", None, None),
+        "--split": (None, None, SPLIT_NAMES, None),
+        "--k": (int, 10, None, None),
+    },
+    "stats": {
+        "--catalog": (None, None, None, None),
+        "--out": (None, None, None, None),
+    },
+    "dedup": {
+        "--catalog": (None, None, None, None),
+        "--out": (None, "merged.csv", None, None),
+        "--report": (None, "dedup.report.json", None, None),
+    },
+}
+
+# command -> (its default config, the flags it requires)
+CONFIGS = {
+    "synth": (SynthConfig(), []),
+    "split": (SplitConfig(), ["--catalog", "c.csv"]),
+    "train": (TrainConfig(), ["--catalog", "c.csv", "--splits", "s.csv", "--features", "f.emb"]),
+    "eval": (EvalOptions(), ["--catalog", "c.csv"]),
+}
+
+
+def parsed(command, *argv):
+    return build_parser().parse_args([command, *map(str, argv)])
+
+
+class TestConfigFlags:
+    def test_flags_are_the_frozen_table(self):
+        got = {name: {a.option_strings[0]: (a.type, a.default, a.choices, a.help)
+                      for a in p._actions if not isinstance(a, argparse._HelpAction)}
+               for name, p in command_parsers().items()}
+        assert got == FLAG_TABLE
+
+    @pytest.mark.parametrize("command", CONFIGS)
+    def test_no_config_flag_gives_the_default_config(self, command):
+        config, required = CONFIGS[command]
+        assert cli._config(parsed(command, *required)) == config
+
+    def test_synth_defaults_are_the_standard_corpus(self):
+        assert cli._config(parsed("synth")) == standard_corpus_config()
+
+    @pytest.mark.parametrize("command", CONFIGS)
+    def test_every_number_field_has_one_flag(self, command):
+        config, _ = CONFIGS[command]
+        actions = command_parsers()[command]._actions
+        for f in fields(config):
+            if f.type not in ("int", "float"):
+                continue
+            dest = cli.FLAG_DESTS.get(f.name, f.name)
+            flags = [a for a in actions if a.dest == dest]
+            assert len(flags) == 1, f.name
+            assert (flags[0].type.__name__, flags[0].default) == (f.type, getattr(config, f.name))
+
+    @pytest.mark.parametrize("command, argv, field, value", [
+        ("synth", ["--chains", 7], "n_chains", 7),
+        ("synth", ["--unknown-frac", 0.3], "unknown_chain_fraction", 0.3),
+        ("split", ["--catalog", "c.csv", "--uu-frac", 0.2], "uu_chain_fraction", 0.2),
+        ("split", ["--catalog", "c.csv", "--su-frac", 0.25], "su_branch_fraction", 0.25),
+        ("train", CONFIGS["train"][1] + ["--loss", "triplet"], "loss", "triplet"),
+        ("eval", ["--catalog", "c.csv", "--threads", 2], "threads", 2),
+    ])
+    def test_a_flag_sets_its_field(self, command, argv, field, value):
+        default, _ = CONFIGS[command]
+        assert cli._config(parsed(command, *argv)) == replace(default, **{field: value})
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--chains", "x"], ["split", "--catalog", "c.csv", "--t1", "1.5"],
+        ["train", *CONFIGS["train"][1], "--loss", "nope"], ["eval", "--catalog", "c.csv", "--repeats", "x"],
+    ])
+    def test_a_bad_config_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestThreadsEnv:
