@@ -11,11 +11,15 @@ R@1 on the val_ss split.
 The layernorm has no parameters and reduces each row on its own, so `train`
 layernorms the val rows, and for single-view losses the train rows, once per
 run (two-view losses add noise first, so their views are layernormed each
-step).  Each step runs the head once for both the loss and its gradient, and
-draws its batch from a class index built once per run.  The draw keeps the
-stream of one ``Generator.choice(replace=False)`` for the classes and one per
-class, but makes those bounded draws with two `integers` calls (`_choice_rows`),
-so seeded batches are bit-identical to the `choice` draw.
+step).  Each step runs the head once for both the loss and its gradient.
+Batches come from a class index built once per run, ``CHUNK`` steps at a
+time: `train` takes the chunk's step seeds (and, for two-view losses, each
+step's view noise) from the run's generator in the per-step order, and
+`_ClassIndex.draws` makes every batch of the chunk at once.  Each step keeps
+its own seeded stream of one ``Generator.choice(replace=False)`` for the
+classes and one per class, made as two `integers` calls, and Floyd's rule
+and the shuffle run over the whole chunk (`_choice_rows`), so seeded batches
+are bit-identical to the `choice` draw.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ MODEL_MAGIC = b"TOY1"
 LN_EPS = 1e-5  # layernorm variance floor; TOY1 does not store it
 SIGMA_AUG = 0.05  # view noise of the two-view losses
 EVAL_REPEATS = 3  # val_ss AUC repeats per epoch
+CHUNK = 32  # training steps drawn at once; sets the two-view noise buffer's size
 
 
 class TrainError(ValueError):
@@ -131,7 +136,8 @@ class _ClassIndex:
 
     ``order`` lists each class's rows in ascending order, class by class, and
     class c's rows start at ``starts[c]``, so ``order[starts[c] + off]`` is
-    ``np.flatnonzero(codes == c)[off]``.
+    ``np.flatnonzero(codes == c)[off]``.  Every seed draws its m classes from
+    the same eligible count, so those bounds are built here once.
     """
 
     def __init__(self, codes: np.ndarray, spec: BatchSpec) -> None:
@@ -143,71 +149,99 @@ class _ClassIndex:
             )
         self.order = np.argsort(codes, kind="stable")
         self.starts = np.cumsum(self.sizes) - self.sizes
+        self.class_bounds = _bounds(np.array([[len(self.eligible)]]), spec.m)
         self.spec = spec
 
-    def draw(self, seed: int) -> np.ndarray:
-        """m distinct eligible classes, then k distinct rows of each, in that order.
+    def draws(self, seeds) -> np.ndarray:
+        """One batch per seed, S x m*k rows: m distinct eligible classes, then k distinct rows of each.
 
-        The rows are those of ``rng.choice(len(eligible), m, replace=False)``
-        followed by one ``rng.choice(size, k, replace=False)`` per class, but
-        drawn by `_choice_rows` in two `integers` calls on the same stream.
+        Seed s gives the rows of ``rng.choice(len(eligible), m, replace=False)``
+        followed by one ``rng.choice(size, k, replace=False)`` per class, for
+        ``rng = seeded_rng(s)``; `_choice_rows` makes them with two `integers`
+        calls on each seed's stream and picks for all seeds at once.
         """
-        rng = seeded_rng(seed)
-        m, k = self.spec.m, self.spec.k
-        classes = self.eligible[_choice_rows(rng, [len(self.eligible)], m)]
-        offsets = _choice_rows(rng, self.sizes[classes].tolist(), k)
-        return self.order[np.repeat(self.starts[classes], k) + offsets]
+        rngs = [seeded_rng(seed) for seed in seeds]
+        classes = self.eligible[_choice_rows(rngs, self.class_bounds)[:, 0]]
+        offsets = _choice_rows(rngs, _bounds(self.sizes[classes], self.spec.k))
+        return self.order[self.starts[classes][..., None] + offsets].reshape(len(rngs), -1)
 
 
-def _choice_rows(rng: np.random.Generator, sizes: list, k: int) -> list:
-    """What ``rng.choice(n, size=k, replace=False)`` returns for each n in turn, concatenated.
+def _bounds(sizes: np.ndarray, k: int) -> np.ndarray:
+    """The bounds of numpy's draws for ``choice(n, size=k, replace=False)``, per n in ``sizes``.
 
     numpy (2.4) makes each such call from bounded draws on [0, bound]: for
     n <= 10000 or k <= n // 50, Floyd's sampling (bounds n-k .. n-1) and a
     Fisher-Yates shuffle of the k picks (bounds k-1 .. 1); otherwise a tail
     Fisher-Yates over range(n) (bounds n-1 down to max(n-k, 1)), keeping its
-    last k slots.  `integers` with int64 bounds makes the same draws one by
-    one, so one call serves every size and the stream is left where the
-    `choice` calls would leave it.  numpy does not promise this across
+    last k slots.  Shape ``sizes.shape + (2k - 1,)``; a tail row's
+    min(k, n - 1) bounds are followed by -1s, which mark no draw.
+    """
+    n = np.asarray(sizes, dtype=np.int64)[..., None]
+    out = np.empty(n.shape[:-1] + (2 * k - 1,), dtype=np.int64)
+    out[..., :k] = n - k + np.arange(k)
+    out[..., k:] = np.arange(k - 1, 0, -1)
+    tail = (n[..., 0] > 10000) & (k > n[..., 0] // 50)
+    if tail.any():
+        at, top = np.arange(2 * k - 1), n[tail] - 1
+        out[tail] = np.where(at < np.minimum(k, top), top - at, -1)
+    return out
+
+
+def _choice_rows(rngs: list, bounds: np.ndarray) -> np.ndarray:
+    """What ``rngs[s].choice(n, size=k, replace=False)`` returns for each n of row s, S x r x k.
+
+    ``bounds`` is `_bounds` of r sizes per generator (S x r x (2k - 1)), or of
+    r sizes shared by all (1 x r x (2k - 1)).  `integers` with int64 bounds
+    makes the bounded draws one by one, so one call per generator serves its
+    r sizes and leaves the stream where the `choice` calls would leave it.
+    Floyd's rule and the shuffle then run over all S*r rows at once, and tail
+    rows are resolved one by one.  numpy does not promise this across
     versions; the trainer tests pin it to `choice`.
     """
-    bounds = []
-    for n in sizes:
-        if n > 10000 and k > n // 50:
-            bounds += range(n - 1, max(n - k, 1) - 1, -1)
-        else:
-            bounds += range(n - k, n)
-            bounds += range(k - 1, 0, -1)
-    draws = iter(rng.integers(0, bounds, endpoint=True).tolist())
-    out = []
-    for n in sizes:
-        if n > 10000 and k > n // 50:
-            moved = {}  # slot -> value, where it differs from the slot
-            for i in range(n - 1, max(n - k, 1) - 1, -1):
-                j = next(draws)
-                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-            out += [moved.get(i, i) for i in range(n - k, n)]
-            continue
-        picks, seen = [], set()
-        for j in range(n - k, n):
-            v = next(draws)
-            v = j if v in seen else v  # Floyd: a repeat takes the new top value j
-            seen.add(v)
-            picks.append(v)
-        for i in range(k - 1, 0, -1):
-            j = next(draws)
-            picks[i], picks[j] = picks[j], picks[i]
-        out += picks
-    return out
+    bounds = np.broadcast_to(bounds, (len(rngs),) + bounds.shape[1:])
+    k = (bounds.shape[-1] + 1) // 2
+    if (bounds[..., -1] >= 0).all():
+        draws = np.stack([rng.integers(0, b, endpoint=True) for rng, b in zip(rngs, bounds)])
+    else:
+        draws = np.zeros(bounds.shape, dtype=np.int64)
+        for rng, b, d in zip(rngs, bounds, draws):
+            d[b >= 0] = rng.integers(0, b[b >= 0], endpoint=True)
+    b, d = bounds.reshape(-1, 2 * k - 1), draws.reshape(-1, 2 * k - 1)
+    floyd = b[:, -1] >= 0
+    picks = np.empty((len(b), k), dtype=np.int64)
+    picks[floyd] = _floyd(b[floyd], d[floyd])
+    for row in np.flatnonzero(~floyd):
+        n = int(b[row, 0]) + 1
+        moved = {}  # slot -> value, where it differs from the slot
+        for i, j in zip(range(n - 1, max(n - k, 1) - 1, -1), d[row].tolist()):
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        picks[row] = [moved.get(i, i) for i in range(n - k, n)]
+    return picks.reshape(bounds.shape[:-1] + (k,))
+
+
+def _floyd(bounds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Floyd's sampling then the shuffle of its k picks, for rows of Floyd-regime bounds."""
+    k = (bounds.shape[1] + 1) // 2
+    picks = draws[:, :k].copy()
+    for i in range(1, k):
+        seen = (picks[:, :i] == picks[:, i, None]).any(axis=1)
+        picks[seen, i] = bounds[seen, i]  # Floyd: a repeat takes the new top value n-k+i
+    rows = np.arange(len(picks))
+    for t, i in enumerate(range(k - 1, 0, -1), start=k):
+        j = draws[:, t]
+        top = picks[:, i].copy()
+        picks[:, i] = picks[rows, j]
+        picks[rows, j] = top
+    return picks
 
 
 def sample_batch(codes: np.ndarray, spec: BatchSpec, seed: int) -> np.ndarray:
     """m distinct classes, k rows each, uniformly without replacement.
 
     Rows index ``codes``, the branch codes of the sorted train ids.  `train`
-    builds the class index once and draws from it every step.
+    builds the class index once and draws from it ``CHUNK`` steps at a time.
     """
-    return _ClassIndex(codes, spec).draw(seed)
+    return _ClassIndex(codes, spec).draws([seed])[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,6 +303,16 @@ def _step(model: ToyModel, z: np.ndarray, labels: np.ndarray, config: TrainConfi
     return result.value
 
 
+def _two_views(model: ToyModel, feats: np.ndarray, labels: np.ndarray, noise: np.ndarray):
+    """Layernormed rows of two noisy views of B samples, and their 2B labels.
+
+    The views stand in for image augmentations; ``noise`` is 2 x B x d_in
+    standard normal draws, the first view's then the second's.
+    """
+    return (_layernorm(model, np.concatenate(feats + SIGMA_AUG * noise)),
+            np.concatenate([labels, labels]))
+
+
 def train_step(
     model: ToyModel,
     features: np.ndarray,
@@ -281,12 +325,8 @@ def train_step(
     feats = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if LOSSES[config.loss].two_views:
-        # two noisy views per sample stand in for image augmentations
-        feats = np.concatenate([
-            feats + SIGMA_AUG * rng.standard_normal(feats.shape),
-            feats + SIGMA_AUG * rng.standard_normal(feats.shape),
-        ])
-        labels = np.concatenate([labels, labels])
+        z, labels = _two_views(model, feats, labels, rng.standard_normal((2,) + feats.shape))
+        return _step(model, z, labels, config, state)
     return _step(model, _layernorm(model, feats), labels, config, state)
 
 
@@ -316,6 +356,11 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
         raise TrainError("train split is empty")
     if not val_ids:
         raise TrainError("val_ss split is empty; model selection needs it")
+    val_sizes = np.bincount(oracle.codes(val_ids))
+    if val_sizes.max() < 2:
+        raise TrainError("every val_ss branch is a singleton; model selection needs a pair")
+    if len(val_sizes) < 2:
+        raise TrainError("val_ss holds one branch; model selection needs negatives from another")
 
     row_of = {image_id: i for i, image_id in enumerate(features.ids)}
     missing = [i for i in train_ids + val_ids if i not in row_of]
@@ -339,7 +384,9 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     index = _ClassIndex(codes, spec)
     steps = max(1, len(train_ids) // spec.size)
     # layernorm is affine-free, so rows are normalized once; views add noise first
-    train_z = None if LOSSES[config.loss].two_views else _layernorm(model, train_feat)
+    two_views = LOSSES[config.loss].two_views
+    train_z = None if two_views else _layernorm(model, train_feat)
+    noise = np.empty((min(CHUNK, steps), 2, spec.size, features.d)) if two_views else None
     val_z = _layernorm(model, val_feat)
 
     history = TrainHistory([])
@@ -347,13 +394,21 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     best_r1 = -1.0
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
-        for _ in range(steps):
-            rows = index.draw(rng.integers(2**63))
-            if train_z is None:
-                loss = train_step(model, train_feat[rows], codes[rows], config, state, rng)
+        for start in range(0, steps, CHUNK):
+            count = min(CHUNK, steps - start)
+            if noise is None:
+                seeds = rng.integers(2**63, size=count)  # the values of `count` scalar calls
             else:
-                loss = _step(model, train_z[rows], codes[rows], config, state)
-            epoch_losses.append(loss)
+                seeds = []
+                for views in noise[:count]:  # a step's seed, then its views' noise
+                    seeds.append(rng.integers(2**63))
+                    rng.standard_normal(out=views)
+            for s, rows in enumerate(index.draws(seeds)):
+                if noise is None:
+                    z, labels = train_z[rows], codes[rows]
+                else:
+                    z, labels = _two_views(model, train_feat[rows], codes[rows], noise[s])
+                epoch_losses.append(_step(model, z, labels, config, state))
         y, nu = _project(model, val_z)
         emb = EmbeddingMatrix(tuple(val_ids), (y / nu).astype(np.float32), normalized=True)
         report = evaluate(emb, oracle, EvalOptions(repeats=EVAL_REPEATS,

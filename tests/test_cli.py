@@ -463,6 +463,29 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [leaked]
 
+    def test_val_ss_without_a_pair_is_refused_before_training(self, art, tmp_path, capsys,
+                                                              monkeypatch):
+        """One val_ss image per branch (the rest moved to train) passes verification,
+        but leaves model selection nothing to rank: exit 1, nothing written."""
+        from splitmetric import trainer
+        from splitmetric.catalog import load_catalog
+        from splitmetric.splitgen import load_assignment, save_assignment
+
+        monkeypatch.setattr(trainer, "_step", lambda *a: pytest.fail("a step ran"))
+        assignment = load_assignment(art["splits"])
+        branch_of = load_catalog(art["catalog"]).branch_of()
+        val = assignment.images_of("val_ss")
+        kept = {branch_of[image]: image for image in reversed(val)}.values()
+        assignment.assignment.update(dict.fromkeys(set(val) - set(kept), "train"))
+        singles = tmp_path / "singles.csv"
+        save_assignment(assignment, singles)
+        monkeypatch.chdir(tmp_path)  # default outputs land here, if any is written
+        assert run("train", "--catalog", art["catalog"], "--splits", singles,
+                   "--features", art["features"], "--epochs", 1, "--m", 4, "--k", 3,
+                   "--d-out", 8) == 1
+        assert "error: every val_ss branch is a singleton" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [singles]
+
     @pytest.mark.parametrize("t2", ["0", "-3"])
     def test_verify_t2_below_one_is_a_usage_error(self, art, tmp_path, capsys, t2):
         rc = run("verify", "--catalog", art["catalog"], "--splits", art["splits"],

@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from splitmetric import trainer
 from splitmetric.embedstore import EmbeddingMatrix, unit_rows
 from splitmetric.linkeval import EvalOptions, LinkOracle, evaluate
 from splitmetric.losses import LOSSES, CenterBank, LossParams, ProxyBank
 from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits
 from splitmetric.synth import SynthConfig, generate
 from splitmetric.trainer import (
+    CHUNK,
     BatchSpec,
     OptimizerState,
     ToyModel,
@@ -16,6 +18,7 @@ from splitmetric.trainer import (
     TrainError,
     TrainHistory,
     _ClassIndex,
+    _bounds,
     _choice_rows,
     _layernorm,
     forward,
@@ -39,6 +42,33 @@ def toy_corpus(seed=5):
         catalog, SplitConfig(seed=0, uu_chain_fraction=0.2, su_branch_fraction=0.2, t1=10, t2=2)
     )
     return catalog, assignment, features
+
+
+def wide_corpus():
+    """Like `toy_corpus`, with over 32 steps of 2 x 2 batches an epoch."""
+    catalog, features = generate(SynthConfig(
+        n_chains=8, branches_per_chain=4, images_per_branch=12,
+        unknown_chain_fraction=0.0, d_in=12, seed=6,
+    ))
+    assignment = generate_splits(
+        catalog, SplitConfig(seed=0, uu_chain_fraction=0.2, su_branch_fraction=0.2, t1=10, t2=2)
+    )
+    return catalog, assignment, features
+
+
+def val_ss_kept(catalog, assignment, keep: int) -> SplitAssignment:
+    """``assignment`` with val_ss cut to the first image of each branch
+    (``keep=1``), or to the first two of its first branch (``keep=2``); the
+    rest of val_ss goes to train."""
+    branch_of = catalog.branch_of()
+    val = assignment.images_of("val_ss")
+    if keep == 1:
+        kept = {branch_of[image]: image for image in reversed(val)}.values()
+    else:
+        kept = [image for image in val if branch_of[image] == branch_of[val[0]]][:2]
+    mapping = dict(assignment.assignment)
+    mapping.update(dict.fromkeys(set(val) - set(kept), "train"))
+    return SplitAssignment(mapping)
 
 
 class TestForward:
@@ -197,18 +227,42 @@ class TestSampleBatch:
             rows = sample_batch(oracle.codes(ids), spec, seed)
             assert tuple(ids[r] for r in rows) == want
 
+    def layout(self, name):
+        """(labels, oracle, spec, seed rng) of the 300-image layout or the tail-regime one."""
+        if name == "seeds200":
+            rng = np.random.default_rng(21)
+            labels = {f"i{j:03d}": f"b{int(rng.integers(40)) % int(rng.integers(1, 40))}"
+                      for j in rng.permutation(300)}
+            return labels, LinkOracle(labels), BatchSpec(8, 4), rng
+        # one class over 10,000 rows with k > n // 50, so its rows come from the tail shuffle
+        rng = np.random.default_rng(22)
+        sizes = {"big": 10050, "mid": 260, "small": 3}
+        labels = {f"i{j:05d}": b for j, b in zip(
+            rng.permutation(sum(sizes.values())),
+            [b for b, size in sizes.items() for _ in range(size)])}
+        return labels, LinkOracle(labels), BatchSpec(2, 202), rng
+
     def test_one_index_draws_like_the_reference_on_200_seeds(self):
-        rng = np.random.default_rng(21)
-        labels = {f"i{j:03d}": f"b{int(rng.integers(40)) % int(rng.integers(1, 40))}"
-                  for j in rng.permutation(300)}
-        oracle = LinkOracle(labels)
+        labels, oracle, spec, rng = self.layout("seeds200")
         ids = sorted(labels)
-        spec = BatchSpec(8, 4)
         index = _ClassIndex(oracle.codes(ids), spec)
         for _ in range(200):
             seed = int(rng.integers(2**63))
-            rows = index.draw(seed)
+            rows = index.draws([seed])[0]
             assert tuple(ids[r] for r in rows) == reference_batch(labels, oracle, spec, seed)
+
+    @pytest.mark.parametrize("layout", ["seeds200", "tail"])
+    def test_draws_match_the_reference_at_every_chunk_size(self, layout):
+        labels, oracle, spec, rng = self.layout(layout)
+        ids = sorted(labels)
+        index = _ClassIndex(oracle.codes(ids), spec)
+        seeds = rng.integers(2**63, size=200)
+        want = [reference_batch(labels, oracle, spec, int(seed)) for seed in seeds]
+        for size in (1, 7, CHUNK, 200):
+            got = np.concatenate([index.draws(seeds[start:start + size])
+                                  for start in range(0, len(seeds), size)])
+            assert got.shape == (200, spec.size)
+            assert [tuple(ids[r] for r in rows) for rows in got] == want, size
 
     # (n, k): Floyd plus shuffle for n <= 10000 or k <= n // 50, the tail shuffle otherwise
     FLOYD = [(190, 8), (20, 4), (4, 4), (1, 1), (5, 1), (10000, 5000), (20000, 400)]
@@ -217,32 +271,30 @@ class TestSampleBatch:
     @pytest.mark.parametrize("n, k", FLOYD + TAIL, ids=[f"{n}_{k}" for n, k in FLOYD + TAIL])
     def test_choice_rows_is_generator_choice(self, n, k):
         # numpy does not promise its Generator streams across versions (NEP 19);
-        # this pins the two-call draw to `choice` on the installed numpy
-        for seed in range(300 if n * k < 10**4 else 30):
-            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _choice_rows(got, [n], k) == want.choice(n, size=k, replace=False).tolist()
-        # several populations in one call leave the stream where the calls would
-        sizes = [n, max(n // 2, k), n]
-        want, got = np.random.default_rng(99), np.random.default_rng(99)
-        calls = [want.choice(size, size=k, replace=False).tolist() for size in sizes]
-        assert _choice_rows(got, sizes, k) == sum(calls, [])
-        assert got.integers(2**63) == want.integers(2**63)
+        # this pins the batched draw to `choice` on the installed numpy
+        seeds = range(300 if n * k < 10**4 else 30)
+        picks = _choice_rows([np.random.default_rng(s) for s in seeds], _bounds([[n]], k))
+        for seed, got in zip(seeds, picks):
+            want = np.random.default_rng(seed).choice(n, size=k, replace=False)
+            assert got[0].tolist() == want.tolist()
+        # several populations per generator, each generator left where the calls would leave it
+        sizes = [[n, max(n // 2, k), n], [max(n // 3, k), n, n]]
+        wants = [np.random.default_rng(99 + s) for s in range(2)]
+        gots = [np.random.default_rng(99 + s) for s in range(2)]
+        picks = _choice_rows(gots, _bounds(sizes, k))
+        for want, got, row, size in zip(wants, gots, picks, sizes):
+            calls = [want.choice(n_, size=k, replace=False).tolist() for n_ in size]
+            assert row.tolist() == calls
+            assert got.integers(2**63) == want.integers(2**63)
 
     def test_tail_regime_draw_matches_the_reference(self):
-        # one class over 10,000 rows with k > n // 50, so its rows come from the tail shuffle
-        rng = np.random.default_rng(22)
-        sizes = {"big": 10050, "mid": 260, "small": 3}
-        labels = {f"i{j:05d}": b for j, b in zip(
-            rng.permutation(sum(sizes.values())),
-            [b for b, size in sizes.items() for _ in range(size)])}
-        oracle = LinkOracle(labels)
+        labels, oracle, spec, rng = self.layout("tail")
         ids = sorted(labels)
-        spec = BatchSpec(2, 202)
         index = _ClassIndex(oracle.codes(ids), spec)
         assert max(index.sizes) > 10000 and spec.k > max(index.sizes) // 50
         for _ in range(30):
             seed = int(rng.integers(2**63))
-            rows = index.draw(seed)
+            rows = index.draws([seed])[0]
             assert tuple(ids[r] for r in rows) == reference_batch(labels, oracle, spec, seed)
 
     def test_spec_bounds(self):
@@ -369,6 +421,18 @@ class TestTrainLoop:
         assert best.bias.tobytes() == want.bias.tobytes()
         assert repr(history.rows) == repr(want_rows)
 
+    @pytest.mark.parametrize("loss", ["triplet", "supcon"])
+    def test_matches_the_per_step_reference_loop_across_chunks(self, loss):
+        catalog, assignment, features = wide_corpus()
+        config = TrainConfig(loss=loss, lr=0.1, epochs=2, d_out=6, seed=7, m=2, k=2)
+        steps = len(assignment.images_of("train")) // 4
+        assert steps > CHUNK and steps % CHUNK
+        best, history = train(catalog, assignment, features, config)
+        want, want_rows = reference_train(catalog, assignment, features, config)
+        assert best.weight.tobytes() == want.weight.tobytes()
+        assert best.bias.tobytes() == want.bias.tobytes()
+        assert repr(history.rows) == repr(want_rows)
+
     def test_history_and_selection(self):
         catalog, assignment, features = toy_corpus()
         config = TrainConfig(loss="multisim", epochs=3, d_out=16, seed=0, m=4, k=3)
@@ -417,6 +481,15 @@ class TestTrainLoop:
         all_train = SplitAssignment({r.image_id: "train" for r in catalog.records})
         with pytest.raises(TrainError, match="val_ss"):
             train(catalog, all_train, features, TrainConfig(epochs=1, m=4, k=3))
+
+    @pytest.mark.parametrize("keep, match", [(1, "singleton"), (2, "one branch")])
+    def test_val_ss_that_cannot_select_is_rejected_before_the_first_step(self, monkeypatch,
+                                                                         keep, match):
+        catalog, assignment, features = toy_corpus()
+        monkeypatch.setattr(trainer, "_step", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(TrainError, match=match):
+            train(catalog, val_ss_kept(catalog, assignment, keep), features,
+                  TrainConfig(epochs=1, m=4, k=3))
 
     def test_missing_features_rejected(self):
         catalog, assignment, features = toy_corpus()

@@ -1,9 +1,17 @@
 """Seeded output digests, one ``name sha256`` line per output.
 
-Run it against two checkouts and diff the results to show that a change
-keeps every output byte-identical:
+Run from the root of a checkout:
 
-    PYTHONPATH=<checkout>/src python3 tools/digests.py > digests.txt
+    PYTHONPATH=src python3 tools/digests.py            # print every line
+    PYTHONPATH=src python3 tools/digests.py --check    # compare with digests.expected
+    PYTHONPATH=src python3 tools/digests.py --write    # rewrite digests.expected
+
+``--check`` names every line that moved, grouped by section, and exits 1 if
+any did.  A change that moves outputs on purpose commits the file that
+``--write`` makes, whose diff lists the moved lines.  ``tests/test_digests.py``
+compares the fast sections (``FAST``) in tier-1; the sections whose lines
+depend on the BLAS kernel are left to ``--check`` (see ``KERNEL_DEPENDENT``).
+To compare two checkouts, print the lines of each and diff them.
 
 It uses only `train`, `sample_batch`, `evaluate`, `mine_hard_negatives`,
 `sample_eval_pairs`, `cosine_knn`, `compute_loss`, `generate_splits`,
@@ -56,17 +64,20 @@ of a change to the code behind them.  It covers:
   stdout; a manifest (``cli.manifest.<file>``) is digested without its
   ``wall_time_s``, and every file is written inside a temporary directory.
 
-A full run takes about two minutes on two cores.
+A full run takes about 45 s on two cores.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import itertools
 import json
+import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -491,21 +502,79 @@ def cli_digests() -> None:
                 emit(f"cli.file.{path.name}", path.read_bytes().replace(tmp.encode(), b"<dir>"))
 
 
-def main() -> int:
-    synth_digests()
-    loss_digests()
-    tie_digests()
-    block_digests()
-    slab_digests()
-    random_pair_digests()
-    carve_digests()
-    dedup_digests()
-    retrieval_digests()
-    split_digests()
-    batch_digests()
-    train_digests()
-    cli_digests()
-    return 0
+SECTIONS = {  # in run order
+    "synth": synth_digests, "loss": loss_digests, "tie": tie_digests, "block": block_digests,
+    "slab": slab_digests, "random_pair": random_pair_digests, "carve": carve_digests,
+    "dedup": dedup_digests, "retrieval": retrieval_digests, "split": split_digests,
+    "batch": batch_digests, "train": train_digests, "cli": cli_digests,
+}
+# their lines moved under some BLAS kernel (OPENBLAS_CORETYPE NEHALEM or SANDYBRIDGE)
+KERNEL_DEPENDENT = ("loss", "tie", "block", "slab", "train")
+# kernel-stable and a few seconds together; carve is kernel-stable but takes about 9 s
+FAST = ("synth", "random_pair", "dedup", "split", "batch", "cli")
+EXPECTED = Path(__file__).with_name("digests.expected")
+
+
+def section_lines(name: str) -> list[str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        SECTIONS[name]()
+    return out.getvalue().splitlines()
+
+
+def header() -> list[str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = ", ".join(f"{key}={os.environ.get(key, '')}"
+                    for key in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE"))
+    return [f"# numpy {np.__version__}, Python {platform.python_version()}",
+            f"# BLAS {blas.get('openblas configuration') or blas.get('name')}; {env}",
+            f"# kernel-dependent sections (checked by --check only): {', '.join(KERNEL_DEPENDENT)}",
+            f"# compared by tests/test_digests.py: {', '.join(FAST)}"]
+
+
+def read_expected(path: Path = EXPECTED) -> dict[str, list[str]]:
+    """Section -> its lines, from a file that `--write` made."""
+    sections, lines = {}, None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            lines = sections.setdefault(line[1:-1], [])
+        elif line and not line.startswith("#"):
+            lines.append(line)
+    return sections
+
+
+def moved(expected: list[str], got: list[str]) -> list[str]:
+    """Names whose digest differs or that one side lacks, in expected order, then new ones."""
+    want = dict(line.rsplit(" ", 1) for line in expected)
+    have = dict(line.rsplit(" ", 1) for line in got)
+    return [name for name in want if have.get(name) != want[name]] + \
+           [name for name in have if name not in want]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true", help=f"compare with {EXPECTED.name}")
+    mode.add_argument("--write", action="store_true", help=f"rewrite {EXPECTED.name}")
+    args = parser.parse_args(argv)
+    if not (args.check or args.write):
+        for run in SECTIONS.values():
+            run()
+        return 0
+    got = {name: section_lines(name) for name in SECTIONS}
+    if args.write:
+        text = header() + [line for name, lines in got.items() for line in [f"[{name}]", *lines]]
+        EXPECTED.write_text("\n".join(text) + "\n", encoding="utf-8")
+        print(f"wrote {sum(map(len, got.values()))} lines to {EXPECTED}")
+        return 0
+    expected, failed = read_expected(), 0
+    for name, lines in got.items():
+        names = moved(expected.get(name, []), lines)
+        failed += len(names)
+        print(f"{name}: {len(names)} of {len(lines)} lines moved")
+        for line in names:
+            print(f"  {line}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
