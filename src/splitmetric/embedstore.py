@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -298,12 +299,10 @@ def cosine_knn(
     available = gallery.n - (1 if exclude_self else 0)
     if k > available:
         raise EmbedStoreError(f"k={k} exceeds {available} available gallery rows")
-    self_row = np.full(queries.n, -1, dtype=np.intp)
-    if exclude_self:
-        gallery_row = gallery.row_of()
-        for qi, qid in enumerate(queries.ids):
-            if qid not in gallery_row:
-                raise EmbedStoreError(f"exclude_self: query id {qid!r} not in gallery")
-            self_row[qi] = gallery_row[qid]
+    row = gallery.row_of() if exclude_self else {}
+    self_row = np.fromiter(map(row.get, queries.ids, repeat(-1)), np.intp, queries.n)
+    if exclude_self and (self_row < 0).any():
+        qid = queries.ids[np.argmax(self_row < 0)]
+        raise EmbedStoreError(f"exclude_self: query id {qid!r} not in gallery")
     return NeighborList(*top_k(unit_rows(queries.data), unit_rows(gallery.data), k, self_row,
                                np.arange(gallery.n), threads))

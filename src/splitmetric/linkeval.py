@@ -49,10 +49,12 @@ class LinkOracle:
     def codes(self, image_ids) -> np.ndarray:
         """Branch code per id, branches numbered in sorted name order.
 
-        Object dtype keeps names exact; a ``'<U'`` array drops trailing NULs.
+        A dict keyed by the names themselves keeps them exact, so a trailing
+        NUL still makes a branch of its own (a ``'<U'`` array drops it).
         """
-        branches = np.array([self.branch(i) for i in image_ids], dtype=object)
-        return np.unique(branches, return_inverse=True)[1]
+        branches = list(map(self.branch, image_ids))
+        code = {name: c for c, name in enumerate(sorted(set(branches)))}
+        return np.fromiter(map(code.__getitem__, branches), np.intp, len(branches))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,23 +113,20 @@ class MetricReport:
 
 
 def auroc(pos_scores, neg_scores) -> float:
-    """Mann-Whitney AUROC with exact 0.5 credit for ties, via midranks."""
+    """Mann-Whitney AUROC with exact 0.5 credit for ties, by sort and count.
+
+    With the negatives sorted, two searches give each positive the number of
+    negatives strictly below it and at or below it; U is half the sum of both
+    exact integer counts, so no union of scores is ranked.
+    """
     pos = np.asarray(pos_scores, dtype=np.float64).reshape(-1)
     neg = np.asarray(neg_scores, dtype=np.float64).reshape(-1)
     if pos.size == 0 or neg.size == 0:
         raise EvalError("auroc needs at least one score on each side")
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise EvalError("auroc scores must be finite")
-    scores = np.concatenate([pos, neg])
-    order = np.argsort(scores, kind="mergesort")
-    sv = scores[order]
-    # midrank per tie group: group spanning sorted slots [s, e) gets (s+e+1)/2
-    bounds = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1], True])
-    sizes = np.diff(bounds)
-    mids = bounds[:-1] + (sizes - 1) / 2.0 + 1.0
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.repeat(mids, sizes)
-    u = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+    pos, neg = np.sort(pos), np.sort(neg)  # sorted keys make each search resume
+    u = (np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()) / 2.0
     return float(u / (pos.size * neg.size))
 
 
@@ -251,9 +250,10 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
     branches = oracle.codes(ids)
     indices, sims = top_k(unit_rows(sub.data), unit_rows(sub.data), min(k, len(ids)),
                           branches, branches, threads)
-    finite = np.count_nonzero(sims > -np.inf, axis=1).tolist()  # -inf cells sort last
-    return HardNegPool({anchor: tuple(map(ids.__getitem__, row[:n]))
-                        for anchor, row, n in zip(ids, indices.tolist(), finite)}, k)
+    pools = dict(zip(ids, map(tuple, np.array(ids, dtype=object)[indices].tolist())))
+    for r in np.flatnonzero(np.isneginf(sims).any(axis=1)):  # -inf cells sort last
+        pools[ids[r]] = pools[ids[r]][:np.count_nonzero(sims[r] > -np.inf)]
+    return HardNegPool(pools, k)
 
 
 def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptions) -> MetricReport:

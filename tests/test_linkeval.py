@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def brute_auroc(pos, neg):
     return wins / (len(pos) * len(neg))
 
 
+def exact_auroc(pos, neg):
+    """(2 wins + ties) / (2 n+ n-) from a pair count, rounded once."""
+    pos, neg = np.asarray(pos, dtype=np.float64), np.asarray(neg, dtype=np.float64)
+    wins = ties = 0
+    for lo in range(0, pos.size, 500):
+        block = pos[lo:lo + 500, None]
+        wins += int(np.count_nonzero(block > neg))
+        ties += int(np.count_nonzero(block == neg))
+    return float(Fraction(2 * wins + ties, 2 * pos.size * neg.size))
+
+
 class TestAuroc:
     def test_perfect_separation(self):
         assert auroc([0.9, 0.8], [0.1, 0.2]) == 1.0
@@ -96,6 +108,19 @@ class TestAuroc:
             p = rng.integers(-2, 7, size=int(rng.integers(1, 26))) / 4.0
             n = rng.integers(-2, 7, size=int(rng.integers(1, 26))) / 4.0
             assert auroc(p, n) == pytest.approx(brute_auroc(list(p), list(n)), abs=1e-12)
+
+    def test_equals_the_exact_pair_count(self):
+        rng = np.random.default_rng(52)
+        cases = [([0.0], [-0.0]), ([-0.0, 0.0, 0.0], [0.0, -0.0]), ([0.3], [0.7]), ([0.7], [0.3]),
+                 ([0.5], rng.standard_normal(9)), (rng.standard_normal(9), [0.5])]
+        for n_pos, n_neg in ((1, 1), (7, 3), (40, 60), (5000, 5000), (1, 5000), (5000, 1)):
+            # rounded to one decimal: every side is heavy with ties across both sides
+            cases.append((np.round(rng.standard_normal(n_pos), 1),
+                          np.round(rng.standard_normal(n_neg) + 0.3, 1)))
+        cases.append((rng.standard_normal(5000), rng.standard_normal(5000) - 0.5))
+        for pos, neg in cases:
+            assert auroc(pos, neg) == exact_auroc(pos, neg)
+        assert auroc([0.0], [-0.0]) == auroc([-0.0], [0.0]) == 0.5
 
     def test_complement_identity(self):
         rng = np.random.default_rng(51)
@@ -129,6 +154,20 @@ class TestOracle:
         oracle = oracle_of({"x": "b", "y": "b", "z": "a", "w": "a\x00"})
         assert oracle.codes(["x", "z", "w", "y"]).tolist() == [2, 0, 1, 2]
         assert oracle.codes([]).tolist() == []
+
+    def test_codes_match_the_object_unique(self):
+        names = ["a", "a\x00", "A", "a\x00\x00", "b", "B", "é", "e", "É", "ß", "ss", "ı", "z"]
+        rng = np.random.default_rng(53)
+        labels = {f"i{j:03d}": names[int(rng.integers(len(names)))] for j in range(200)}
+        oracle = oracle_of(labels)
+        for ids in ([], ["i000"], list(labels), list(rng.permutation(list(labels))[:50])):
+            got = oracle.codes(ids)
+            want = np.unique(np.array([labels[i] for i in ids], dtype=object),
+                             return_inverse=True)[1]
+            assert got.dtype == want.dtype == np.intp
+            assert got.tolist() == want.tolist()
+        with pytest.raises(EvalError, match=r"^no branch label for image 'ghost'$"):
+            oracle.codes(["i000", "ghost"])
 
     def test_unknown_image(self):
         with pytest.raises(EvalError, match="ghost"):
@@ -278,22 +317,42 @@ class TestSampling:
             sample_eval_pairs(["i1", "i2", "i3", "i4"], oracle, seed=0, hard_pool=pool)
 
 
+def brute_pools(emb, oracle, k):
+    """Per anchor, its k most similar different-branch ids, ties to the smaller id."""
+    unit = emb.data.astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    row = {i: j for j, i in enumerate(emb.ids)}
+    pools = {}
+    for anchor in sorted(emb.ids):
+        scored = sorted(
+            (-float(unit[row[anchor]] @ unit[row[other]]), other)
+            for other in emb.ids
+            if other != anchor and oracle.branch(other) != oracle.branch(anchor)
+        )
+        pools[anchor] = tuple(o for _, o in scored[:k])
+    return pools
+
+
 class TestMining:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(70)
         emb, oracle = random_instance(rng, n=40, branches=5)
         pool = mine_hard_negatives(emb, oracle, k=6)
-        ids = sorted(emb.ids)
-        unit = emb.data.astype(np.float64)
-        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-        row = {i: j for j, i in enumerate(emb.ids)}
-        for anchor in ids:
-            scored = sorted(
-                (-float(unit[row[anchor]] @ unit[row[other]]), other)
-                for other in ids
-                if other != anchor and oracle.branch(other) != oracle.branch(anchor)
-            )
-            assert pool.negatives[anchor] == tuple(o for _, o in scored[:6])
+        assert pool.negatives == brute_pools(emb, oracle, 6)
+
+    def test_short_and_full_pools_in_one_call(self):
+        rng = np.random.default_rng(77)
+        n, k = 700, 10  # more rows than one 512-row block
+        ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
+        # 694 images in one branch have 6 negatives each; the other 6 have full pools
+        labels = {i: "big" for i in ids[:694]} | {i: f"s{j % 3}" for j, i in enumerate(ids[694:])}
+        emb = EmbeddingMatrix(ids, rng.standard_normal((n, 5)).astype(np.float32))
+        oracle = oracle_of(labels)
+        want = brute_pools(emb, oracle, k)
+        assert sorted(map(len, want.values())) == [6] * 694 + [k] * 6
+        for threads in (1, 2):
+            pool = mine_hard_negatives(emb, oracle, k=k, threads=threads)
+            assert pool.negatives == want
 
     def test_tied_rows_match_brute_force(self):
         rng = np.random.default_rng(74)

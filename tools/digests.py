@@ -511,7 +511,7 @@ SECTIONS = {  # in run order
 # their lines moved under some BLAS kernel (OPENBLAS_CORETYPE NEHALEM or SANDYBRIDGE)
 KERNEL_DEPENDENT = ("loss", "tie", "block", "slab", "train")
 # kernel-stable and a few seconds together; carve is kernel-stable but takes about 9 s
-FAST = ("synth", "random_pair", "dedup", "split", "batch", "cli")
+FAST = ("synth", "random_pair", "dedup", "retrieval", "split", "batch", "cli")
 EXPECTED = Path(__file__).with_name("digests.expected")
 
 
