@@ -7,12 +7,11 @@ branches optionally belong to a chain.  A branch whose chain is not known is an
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from . import write_json
+from . import read_csv, write_csv
 
 
 class CatalogError(ValueError):
@@ -116,32 +115,29 @@ class DedupReport:
 def load_catalog(path: str | Path) -> Catalog:
     """Read a catalog CSV (header ``image_id,branch_id,chain_id,content_key``
     or a prefix of it naming at least two columns; no row has more cells)."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CatalogError(f"{path}: missing header") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or tuple(header) != CSV_HEADER[: len(header)]:
-            raise CatalogError(f"{path}: bad header {header!r}, expected prefix of {','.join(CSV_HEADER)}")
-        records: list[ImageRecord] = []
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            n = len(row)
-            if n < 4:
-                if n == 0 or (n == 1 and not row[0].strip()):
-                    continue
-                row += [""] * (4 - n)
-            elif n > 4:
-                del row[4:]
-            image_id, branch_id, chain_id, content_key = map(str.strip, row)
-            if not image_id or not branch_id:
-                raise CatalogError(f"{path}:{lineno}: image_id and branch_id are required")
-            if n > width:  # a cell past the header's names would be read as a chain or key
-                raise CatalogError(f"{path}:{lineno}: too many columns")
-            records.append(ImageRecord(image_id, branch_id, chain_id or None, content_key or None))
+    reader = read_csv(path, CatalogError)
+    header = next(reader, None)
+    if header is None:
+        raise CatalogError(f"{path}: missing header")
+    header = [h.strip() for h in header]
+    if len(header) < 2 or tuple(header) != CSV_HEADER[: len(header)]:
+        raise CatalogError(f"{path}: bad header {header!r}, expected prefix of {','.join(CSV_HEADER)}")
+    records: list[ImageRecord] = []
+    width = len(header)
+    for lineno, row in enumerate(reader, start=2):
+        n = len(row)
+        if n < 4:
+            if n == 0 or (n == 1 and not row[0].strip()):
+                continue
+            row += [""] * (4 - n)
+        elif n > 4:
+            del row[4:]
+        image_id, branch_id, chain_id, content_key = map(str.strip, row)
+        if not image_id or not branch_id:
+            raise CatalogError(f"{path}:{lineno}: image_id and branch_id are required")
+        if n > width:  # a cell past the header's names would be read as a chain or key
+            raise CatalogError(f"{path}:{lineno}: too many columns")
+        records.append(ImageRecord(image_id, branch_id, chain_id or None, content_key or None))
     return Catalog.from_records(records)
 
 
@@ -152,17 +148,13 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
     ``None``, so an id or branch must be a non-empty unpadded string, and a
     chain or key ``None`` or one.
     """
-    path = Path(path)
     columns = zip(*catalog.records)
     for name, column, optional in zip(CSV_HEADER, columns, (False, False, True, True)):
         for value in dict.fromkeys(column):  # each distinct value once, in record order
             if not (isinstance(value, str) and value and value == value.strip()
                     or optional and value is None):
                 raise CatalogError(f"{path}: {name} {value!r} would not load back as itself")
-    with path.open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(catalog.records)  # None is written as an empty cell
+    write_csv(path, CSV_HEADER, catalog.records)  # None is written as an empty cell
 
 
 def dedup_merge(catalog: Catalog) -> tuple[Catalog, DedupReport]:
@@ -240,7 +232,3 @@ def stats(catalog: Catalog) -> CatalogStats:
         chains=len(catalog.chain_index),
         branch_size_histogram=hist,
     )
-
-
-def save_dedup_report(report: DedupReport, path: str | Path) -> None:
-    write_json(path, report.to_json_dict())

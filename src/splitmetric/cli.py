@@ -40,10 +40,9 @@ from .catalog import (
     dedup_merge,
     load_catalog,
     save_catalog,
-    save_dedup_report,
     stats,
 )
-from .embedstore import EmbeddingMatrix, EmbedStoreError, read_embeddings, write_embeddings
+from .embedstore import EmbeddingMatrix, EmbedStoreError, ids_path, read_embeddings, write_embeddings
 from .linkeval import EvalError, EvalOptions, LinkOracle, evaluate, mine_hard_negatives
 from .losses import LossError, LossParams, LOSS_KINDS
 from .splitgen import (
@@ -53,7 +52,6 @@ from .splitgen import (
     generate_splits,
     load_assignment,
     save_assignment,
-    save_report,
     verify_splits,
 )
 from .synth import SynthConfig, SynthError, generate
@@ -101,7 +99,7 @@ def _check_usage(args) -> None:
                 raise UsageError(f"no such directory: {path.parent}")
             files = [(path, flag)]
             if dest in EMB1_FLAGS:
-                files.append((Path(f"{path}.ids"), f"the .ids file of {flag}"))
+                files.append((ids_path(path), f"the .ids file of {flag}"))
             if dest == primary and output:
                 files.append((Path(f"{path}.manifest.json"), f"the manifest of {flag}"))
             for file, name in files:
@@ -150,7 +148,7 @@ def cmd_split(args):
     assignment = generate_splits(catalog, _config(args))
     report = verify_splits(catalog, assignment)
     save_assignment(assignment, args.out)
-    save_report(report, args.report)
+    write_json(args.report, report.to_json_dict())
     for name in SPLIT_NAMES:
         print(f"{name}: {report.counts[name]['images']} images")
     if not report.passed:
@@ -166,7 +164,7 @@ def cmd_verify(args):
     for check in report.checks:
         marker = "ok" if check.passed else "FAIL"
         print(f"[{marker}] {check.name}" + ("" if check.passed else f": {check.offenders[:5]}"))
-    save_report(report, args.report)
+    write_json(args.report, report.to_json_dict())
     if not report.passed:
         raise SplitError("verification failed")
 
@@ -258,7 +256,7 @@ def cmd_dedup(args):
     catalog = load_catalog(args.catalog)
     merged, report = dedup_merge(catalog)
     save_catalog(merged, args.out)
-    save_dedup_report(report, args.report)
+    write_json(args.report, report.to_json_dict())
     print(f"{len(catalog.records)} -> {len(merged.records)} images; "
           f"{len(report.merged_groups)} merges, {len(report.skipped)} conflicts skipped")
 

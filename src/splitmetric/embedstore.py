@@ -1,24 +1,25 @@
 """Embedding matrix I/O, unit-row normalization, and exact cosine top-k.
 
-Binary layout (little-endian): magic ``EMB1``, u32 N, u32 d, then N*d float32
-values row-major.  Image ids live in a companion text file ``<path>.ids``,
-one id per row, same order.  Search is exact brute force through one
-routine, `top_k`, in float64 with ties to the smaller gallery index: 512
-query rows by 2,048 gallery columns at a time into one buffer per worker
-that the call owns, 8 MB whatever N is, in whole-slab numpy passes with no
-Python loop per row, so a second thread speeds it up.  Its block and slab
-shapes and separate inputs fix the bits.
+EMB1 is the package's binary frame: magic ``EMB1``, u32 N, u32 d, then N*d
+float32 values row-major.  Image ids live in a UTF-8 text file beside it
+(`ids_path`), one id per row, same order.  Search is exact brute force
+through one routine, `top_k`, in float64 with ties to the smaller gallery
+index: 512 query rows by 2,048 gallery columns at a time into one buffer per
+worker that the call owns, 8 MB whatever N is, in whole-slab numpy passes
+with no Python loop per row, so a second thread speeds it up.  Its block and
+slab shapes and separate inputs fix the bits.
 """
 
 from __future__ import annotations
 
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+
+from . import read_frame, read_text, write_frame
 
 MAGIC = b"EMB1"
 BLOCK = 512  # query rows scored together
@@ -82,8 +83,9 @@ class NeighborList:
     similarities: np.ndarray  # Q x k, descending per row
 
 
-def _ids_path(path: Path) -> Path:
-    return Path(str(path) + ".ids")
+def ids_path(path) -> Path:
+    """The companion file ``<path>.ids`` that holds the ids of the EMB1 matrix at ``path``."""
+    return Path(f"{path}.ids")
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
@@ -92,35 +94,23 @@ def write_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
     if ids_text.splitlines() != list(matrix.ids):
         bad = next(i for i in matrix.ids if (i + "\n").splitlines() != [i])
         raise EmbedStoreError(f"id {bad!r} holds a line break")
-    path = Path(path)
-    with path.open("wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", matrix.n, matrix.d))
-        f.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
-    _ids_path(path).write_text(ids_text, encoding="utf-8")
+    write_frame(path, MAGIC, matrix.n, matrix.d, matrix.data)
+    ids_path(path).write_text(ids_text, encoding="utf-8")
 
 
 def read_embeddings(path: str | Path) -> EmbeddingMatrix:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise EmbedStoreError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 12:
-        raise EmbedStoreError(f"{path}: truncated header")
-    n, d = struct.unpack("<II", raw[4:12])
+    n, d, values = read_frame(path, MAGIC, EmbedStoreError)
     if d < 1:
         raise EmbedStoreError(f"{path}: d must be >= 1")
-    expected = 12 + 4 * n * d
-    if len(raw) != expected:
-        raise EmbedStoreError(f"{path}: size {len(raw)} does not match {n}x{d} ({expected} bytes)")
-    data = np.frombuffer(raw, dtype="<f4", count=n * d, offset=12).reshape(n, d)
-    ids_file = _ids_path(path)
+    if values.size != n * d:
+        raise EmbedStoreError(f"{path}: size {12 + 4 * values.size} does not match {n}x{d}")
+    ids_file = ids_path(path)
     if not ids_file.exists():
         raise EmbedStoreError(f"missing id file {ids_file}")
-    ids = tuple(ids_file.read_text(encoding="utf-8").splitlines())
+    ids = tuple(read_text(ids_file, EmbedStoreError).splitlines())
     if len(ids) != n:
         raise EmbedStoreError(f"{ids_file}: {len(ids)} ids for {n} rows")
-    return EmbeddingMatrix(ids, data.copy())
+    return EmbeddingMatrix(ids, values.reshape(n, d).copy())
 
 
 def unit_rows(rows) -> np.ndarray:

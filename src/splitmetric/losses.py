@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import check_fields
+from . import check_fields, read_text
 from .embedstore import unit_rows
 
 
@@ -94,7 +94,10 @@ class LossParams:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "LossParams":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(read_text(path, LossError))
+        except json.JSONDecodeError as exc:
+            raise LossError(f"{path}: not JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise LossError("loss parameters must be a JSON object")
         known = {f.name for f in fields(cls)}

@@ -17,7 +17,6 @@ every check and every reported count reads it.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import check_fields, seeded_rng, write_json
+from . import check_fields, read_csv, seeded_rng, write_csv
 from .catalog import Catalog
 
 SPLIT_NAMES = (
@@ -254,34 +253,23 @@ def verify_splits(catalog: Catalog, assignment: SplitAssignment) -> ConstraintRe
 
 
 def save_assignment(assignment: SplitAssignment, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["image_id", "split"])
-        for image in sorted(assignment.assignment):
-            writer.writerow([image, assignment.assignment[image]])
+    write_csv(path, ["image_id", "split"], sorted(assignment.assignment.items()))  # ids are unique
 
 
 def load_assignment(path: str | Path, config: SplitConfig | None = None) -> SplitAssignment:
-    path = Path(path)
     mapping: dict[str, str] = {}
-    with path.open("r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "split"]:
-            raise SplitError(f"{path}: bad header, expected image_id,split")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SplitError(f"{path}:{lineno}: expected 2 columns")
-            image, name = row[0].strip(), row[1].strip()
-            if name not in SPLIT_NAMES:
-                raise SplitError(f"{path}:{lineno}: unknown split name {name!r}")
-            if image in mapping:
-                raise SplitError(f"{path}:{lineno}: duplicate image {image!r}")
-            mapping[image] = name
+    reader = read_csv(path, SplitError)
+    if [h.strip() for h in next(reader, ())] != ["image_id", "split"]:
+        raise SplitError(f"{path}: bad header, expected image_id,split")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise SplitError(f"{path}:{lineno}: expected 2 columns")
+        image, name = row[0].strip(), row[1].strip()
+        if name not in SPLIT_NAMES:
+            raise SplitError(f"{path}:{lineno}: unknown split name {name!r}")
+        if image in mapping:
+            raise SplitError(f"{path}:{lineno}: duplicate image {image!r}")
+        mapping[image] = name
     return SplitAssignment(assignment=mapping, config=config)
-
-
-def save_report(report: ConstraintReport, path: str | Path) -> None:
-    write_json(path, report.to_json_dict())

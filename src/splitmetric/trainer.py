@@ -20,18 +20,17 @@ its own seeded stream of one ``Generator.choice(replace=False)`` for the
 classes and one per class, made as two `integers` calls, and Floyd's rule
 and the shuffle run over the whole chunk (`_choice_rows`), so seeded batches
 are bit-identical to the `choice` draw.
+
+A TOY1 checkpoint is the binary frame ``TOY1``, d_in, d_out, then W (row-major) and b.
 """
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import check_fields, seeded_rng
+from . import check_fields, read_frame, seeded_rng, write_csv, write_frame
 from .embedstore import EmbeddingMatrix, unit_rows
 from .linkeval import EvalOptions, LinkOracle, evaluate
 from .losses import LOSSES, Batch, CenterBank, LossParams, ProxyBank, compute_loss
@@ -335,11 +334,8 @@ class TrainHistory:
     rows: list  # (epoch, train_loss, val_r_at_1, val_auc)
 
     def save(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_r_at_1", "val_auc"])
-            for row in self.rows:
-                writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", f"{row[3]:.6f}"])
+        write_csv(path, ["epoch", "train_loss", "val_r_at_1", "val_auc"],
+                  ([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", f"{row[3]:.6f}"] for row in self.rows))
 
 
 def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
@@ -421,23 +417,12 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
 
 
 def save_model(path, model: ToyModel) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<II", model.d_in, model.d_out))
-        fh.write(model.weight.astype("<f4").tobytes(order="C"))
-        fh.write(model.bias.astype("<f4").tobytes())
+    write_frame(path, MODEL_MAGIC, model.d_in, model.d_out, model.weight, model.bias)
 
 
 def load_model(path) -> ToyModel:
-    blob = Path(path).read_bytes()
-    if blob[:4] != MODEL_MAGIC:
-        raise TrainError(f"bad model magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise TrainError("truncated model header")
-    d_in, d_out = struct.unpack_from("<II", blob, 4)
-    expected = 12 + 4 * (d_out * d_in + d_out)
-    if len(blob) != expected:
-        raise TrainError(f"model size {len(blob)} != expected {expected}")
-    w = np.frombuffer(blob, dtype="<f4", count=d_out * d_in, offset=12)
-    b = np.frombuffer(blob, dtype="<f4", count=d_out, offset=12 + 4 * d_out * d_in)
-    return ToyModel(w.reshape(d_out, d_in).astype(np.float64), b.astype(np.float64))
+    d_in, d_out, values = read_frame(path, MODEL_MAGIC, TrainError)
+    n = d_out * d_in
+    if values.size != n + d_out:
+        raise TrainError(f"{path}: model size {12 + 4 * values.size} != expected {12 + 4 * (n + d_out)}")
+    return ToyModel(values[:n].reshape(d_out, d_in), values[n:])  # float64 copies

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from splitmetric import write_json
 from splitmetric.catalog import (
     Catalog,
     CatalogError,
@@ -11,7 +12,6 @@ from splitmetric.catalog import (
     dedup_merge,
     load_catalog,
     save_catalog,
-    save_dedup_report,
     stats,
 )
 from splitmetric.synth import generate, standard_corpus_config
@@ -325,7 +325,7 @@ class TestDedup:
         cat = Catalog.from_records((rec("i1", "b1", "c1", "k"), rec("i2", "b2", "c1", "k")))
         _, report = dedup_merge(cat)
         p = tmp_path / "report.json"
-        save_dedup_report(report, p)
+        write_json(p, report.to_json_dict())
         payload = json.loads(p.read_text())
         assert set(payload) == {"merged_groups", "dropped", "skipped"}
         assert payload["merged_groups"] == [["b1", "b2"]]

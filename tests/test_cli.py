@@ -506,6 +506,42 @@ class TestExitCodes:
         assert rc == 1
         assert "mystery_dial" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["json", "json_bytes", "catalog_bytes", "catalog_cell",
+                                      "ids_bytes", "splits_bytes"])
+    def test_a_file_that_does_not_decode_is_a_domain_error(self, art, tmp_path, capsys,
+                                                           monkeypatch, case):
+        """A file that is not valid UTF-8, CSV or JSON exits 1 naming the file, and
+        nothing is written."""
+        inputs, outputs = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        outputs.mkdir()
+        catalog, splits, features = (inputs / art[k].name for k in ("catalog", "splits", "features"))
+        params, ids = inputs / "p.json", Path(f"{features}.ids")
+        for path, source in ((catalog, art["catalog"]), (splits, art["splits"]),
+                             (features, art["features"]), (ids, Path(f"{art['features']}.ids"))):
+            path.write_bytes(source.read_bytes())
+        params.write_text("{}")
+        bad, payload = {
+            "json": (params, b"{"),
+            "json_bytes": (params, b'{"supcon_tau": 0.\xff}'),
+            "catalog_bytes": (catalog, catalog.read_bytes() + b"i\xff,b0,c0,\r\n"),
+            "catalog_cell": (catalog, catalog.read_bytes() + b"i,b0,c0," + b"k" * 200_000 + b"\r\n"),
+            "ids_bytes": (ids, b"\xff" + ids.read_bytes()),
+            "splits_bytes": (splits, splits.read_bytes() + b"i\xff,train\r\n"),
+        }[case]
+        bad.write_bytes(payload)
+        argv = {
+            params: ["train", "--catalog", catalog, "--splits", splits, "--features", features,
+                     "--loss-params", params, "--epochs", 1, "--m", 4, "--k", 3, "--d-out", 8],
+            catalog: ["split", "--catalog", catalog],
+            ids: ["mine", "--catalog", catalog, "--embeddings", features],
+            splits: ["verify", "--catalog", catalog, "--splits", splits],
+        }[bad]
+        monkeypatch.chdir(outputs)  # default outputs land here, if any is written
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:")
+        assert list(outputs.iterdir()) == []
+
     @pytest.mark.parametrize("payload", [
         '{"supcon_tau": "0.1"}', '{"triplet_margin": NaN}', '{"supcon_tau": true}',
         '{"softtriple_centers": 2.5}', '{"circle_gamma": Infinity}', '5',

@@ -1,5 +1,6 @@
 import itertools
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,17 @@ class TestIO:
         write_embeddings(m, p)
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(EmbedStoreError, match="size|truncated"):
+            read_embeddings(p)
+
+    @pytest.mark.parametrize("blob", [
+        b"NOPE" + bytes(16),  # bad magic
+        b"EMB1" + bytes(9),  # 13 bytes: no whole float32 after the header
+        b"EMB1" + struct.pack("<II", 3, 2) + bytes(4 * 5),  # 5 values for a 3 x 2 header
+    ])
+    def test_a_bad_frame_names_its_file(self, tmp_path, blob):
+        p = tmp_path / "e.emb"
+        p.write_bytes(blob)
+        with pytest.raises(EmbedStoreError, match=f"^{re.escape(str(p))}: (bad magic|size) "):
             read_embeddings(p)
 
     def test_missing_ids_file(self, tmp_path):

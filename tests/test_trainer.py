@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -551,6 +553,18 @@ class TestCheckpoint:
         save_model(p, model)
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(TrainError, match="size"):
+            load_model(p)
+
+
+    @pytest.mark.parametrize("blob", [
+        b"EMB1" + bytes(20),  # another frame's magic
+        b"TOY1" + bytes(9),  # 13 bytes: no whole float32 after the header
+        b"TOY1" + struct.pack("<II", 4, 3) + bytes(4 * 12),  # no bias for a 4 -> 3 head
+    ])
+    def test_a_bad_frame_names_its_file(self, tmp_path, blob):
+        p = tmp_path / "m.toy1"
+        p.write_bytes(blob)
+        with pytest.raises(TrainError, match=f"^{re.escape(str(p))}: (bad magic|model size|size) "):
             load_model(p)
 
 

@@ -15,7 +15,7 @@ To compare two checkouts, print the lines of each and diff them.
 
 It uses only `train`, `sample_batch`, `evaluate`, `mine_hard_negatives`,
 `sample_eval_pairs`, `cosine_knn`, `compute_loss`, `generate_splits`,
-`verify_splits`, `dedup_merge`, `save_catalog`, `save_dedup_report`,
+`verify_splits`, `dedup_merge`, `save_catalog`, `write_csv`, `write_json`,
 `generate`, `write_embeddings` and `cli.main`, plus the catalog generators,
 seeded mutations and the finite-difference gradient checker
 (`finite_diff_check`) in ``tests/``, so the same script runs on either side
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import io
 import itertools
@@ -84,14 +83,13 @@ from pathlib import Path
 
 import numpy as np
 
-from splitmetric import cli
+from splitmetric import cli, write_csv, write_json
 from splitmetric.catalog import (
     CSV_HEADER,
     Catalog,
     ImageRecord,
     dedup_merge,
     save_catalog,
-    save_dedup_report,
 )
 from splitmetric.embedstore import EmbeddingMatrix, cosine_knn, unit_rows, write_embeddings
 from splitmetric.linkeval import (
@@ -402,24 +400,15 @@ def synth_digests() -> None:
             emit(f"synth.{case}", catalog_path.read_bytes(), features_path.read_bytes())
 
 
-def catalog_csv(catalog: Catalog) -> bytes:
-    """The bytes of a catalog CSV, written here because some dedup cases keep
-    empty-string chains, which `save_catalog` refuses (they load back as unknown)."""
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(CSV_HEADER)
-    for rec in catalog.records:
-        writer.writerow([rec.image_id, rec.branch_id, rec.chain_id or "", rec.content_key or ""])
-    return text.getvalue().encode()
-
-
 def dedup_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        report_path = Path(tmp) / "report.json"
+        report_path, catalog_path = Path(tmp) / "report.json", Path(tmp) / "merged.csv"
         for case, catalog in dedup_cases():
             merged, report = dedup_merge(catalog)
-            save_dedup_report(report, report_path)
-            emit(f"dedup.{case}", report_path.read_bytes(), catalog_csv(merged))
+            write_json(report_path, report.to_json_dict())
+            # `write_csv`, not `save_catalog`: some cases keep '' chains, which it refuses
+            write_csv(catalog_path, CSV_HEADER, merged.records)
+            emit(f"dedup.{case}", report_path.read_bytes(), catalog_path.read_bytes())
 
 
 def retrieval_digests() -> None:
