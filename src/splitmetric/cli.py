@@ -74,6 +74,11 @@ FLAG_DESTS = {"n_chains": "chains", "unknown_chain_fraction": "unknown_frac",
 FLAG_TYPES = {"int": int, "float": float}  # the config field types that get a flag
 
 
+def manifest_path(path) -> Path:
+    """The manifest ``<path>.manifest.json`` that a command writes beside its primary output."""
+    return Path(f"{path}.manifest.json")
+
+
 def _check_usage(args) -> None:
     """Every flag rule, then the declared files, before any file is read."""
     if "split" in vars(args) and bool(args.split) != bool(args.splits):
@@ -101,7 +106,7 @@ def _check_usage(args) -> None:
             if dest in EMB1_FLAGS:
                 files.append((ids_path(path), f"the .ids file of {flag}"))
             if dest == primary and output:
-                files.append((Path(f"{path}.manifest.json"), f"the manifest of {flag}"))
+                files.append((manifest_path(path), f"the manifest of {flag}"))
             for file, name in files:
                 if output and file.is_dir():
                     raise UsageError(f"{file} is a directory")
@@ -125,7 +130,7 @@ def _write_manifest(args, argv: list, started: float) -> None:
         "outputs": {k: str(v) for k, v in outputs.items() if v is not None},
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
-    write_json(str(primary) + ".manifest.json", manifest)
+    write_json(manifest_path(primary), manifest)
 
 
 def _config(args, **given):
@@ -150,7 +155,10 @@ def cmd_split(args):
     save_assignment(assignment, args.out)
     write_json(args.report, report.to_json_dict())
     for name in SPLIT_NAMES:
-        print(f"{name}: {report.counts[name]['images']} images")
+        images = report.counts[name]["images"]
+        print(f"{name}: {images} images")
+        if not images:
+            print(f"note: split {name} is empty", file=sys.stderr)
     if not report.passed:
         raise SplitError(f"generated splits failed verification: {_failed(report)}")
 

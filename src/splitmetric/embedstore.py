@@ -110,7 +110,10 @@ def read_embeddings(path: str | Path) -> EmbeddingMatrix:
     ids = tuple(read_text(ids_file, EmbedStoreError).splitlines())
     if len(ids) != n:
         raise EmbedStoreError(f"{ids_file}: {len(ids)} ids for {n} rows")
-    return EmbeddingMatrix(ids, values.reshape(n, d).copy())
+    try:
+        return EmbeddingMatrix(ids, values.reshape(n, d).copy())
+    except EmbedStoreError as exc:
+        raise EmbedStoreError(f"{path}: {exc}") from None
 
 
 def unit_rows(rows) -> np.ndarray:

@@ -15,7 +15,8 @@ follow the original publications:
 Defaults not determined by our training setup are the published ones.  All
 reductions run in float64 over whole B x B rows: a per-anchor sum is a masked
 row reduction (terms off the mask enter as exact zeros), so its value does
-not depend on how rows are split into calls; softmax-like sums are
+not depend on how rows are split into calls or stacked into one (multisim
+takes its positive and negative terms in one call); softmax-like sums are
 log-sum-exp stabilized.  Degenerate batches (no usable pair) return exactly
 zero with zero gradients instead of raising.
 
@@ -158,8 +159,9 @@ def _pairs(batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The batch's similarity matrix, and its positive and negative pair masks."""
     emb, labels = batch.embeddings, batch.labels
     same = labels[:, None] == labels[None, :]
-    off = ~np.eye(labels.shape[0], dtype=bool)
-    return emb @ emb.T, same & off, (~same) & off
+    neg = ~same  # the diagonal is always same
+    np.fill_diagonal(same, False)
+    return emb @ emb.T, same, neg
 
 
 def _masked_lse(x: np.ndarray, mask: np.ndarray,
@@ -167,9 +169,9 @@ def _masked_lse(x: np.ndarray, mask: np.ndarray,
     """Per row, log(exp(floor) + sum of exp(x) over the mask), and the softmax
     weights (zero off the mask).  ``floor = 0`` gives log(1 + sum exp), which
     is 0 on an empty row; with the default floor every row needs a cell."""
-    m = np.maximum(floor, np.max(x, axis=1, where=mask, initial=-np.inf))
+    m = np.maximum(floor, np.maximum.reduce(x, axis=1, where=mask, initial=-np.inf))
     ex = np.exp(x - m[:, None], where=mask, out=np.zeros_like(x))
-    total = np.exp(floor - m) + ex.sum(axis=1)
+    total = np.exp(floor - m) + np.add.reduce(ex, axis=1)
     return m + np.log(total), ex / total[:, None]
 
 
@@ -178,19 +180,22 @@ def triplet_loss(batch: Batch, params: LossParams) -> LossResult:
     s, pos, neg = _pairs(batch)
     # one row per positive pair (a, p), anchor-major: h[r, n] = s_an - s_ap + margin,
     # valid where n is a negative of a
-    a, p = np.nonzero(pos)
-    h = s[a] - s[a, p][:, None] + params.triplet_margin
-    valid = neg[a]
-    count = int(valid.sum())
+    per_anchor = np.add.reduce(pos, axis=1)
+    h = s.repeat(per_anchor, axis=0) - s[pos][:, None] + params.triplet_margin
+    valid = neg.repeat(per_anchor, axis=0)
+    count = int(np.count_nonzero(valid))
     if count == 0:
         return _zero(batch)
     active = valid & (h > 0.0)
-    value = float(np.sum(np.where(active, h, 0.0))) / count
-    # active triplets counted per (a, n) over each anchor's rows and per (a, p)
-    starts = np.flatnonzero(np.diff(a, prepend=-1))
+    value = float(np.add.reduce(np.where(active, h, 0.0), axis=None)) / count
+    # active triplets counted per (a, n) over each anchor's rows and per (a, p);
+    # the rows of the anchors with positives start at their counts' running sums
+    anchors = per_anchor.nonzero()[0]
+    rows = per_anchor[anchors]
     g = np.zeros((batch.size, batch.size), dtype=np.int64)
-    g[a[starts]] = np.add.reduceat(active, starts, axis=0, dtype=np.int64)  # d/ds_an
-    g[a, p] -= active.sum(axis=1)  # d/ds_ap
+    g[anchors] = np.add.reduceat(active, np.add.accumulate(rows) - rows, axis=0,
+                                 dtype=np.int64)  # d/ds_an
+    g[pos] = -np.add.reduce(active, axis=1)  # d/ds_ap; no (a, p) is active
     g = g / count
     grad = (g + g.T) @ batch.embeddings
     return LossResult(value, grad)
@@ -228,19 +233,21 @@ def multisim_loss(batch: Batch, params: LossParams) -> LossResult:
     # mine against each anchor's hardest pairs: negatives above min_pos - eps,
     # positives below max_neg + eps; an anchor without positives or negatives
     # keeps nothing
-    min_pos = np.min(s, axis=1, where=pos, initial=np.inf)
-    max_neg = np.max(s, axis=1, where=neg, initial=-np.inf)
+    min_pos = np.minimum.reduce(s, axis=1, where=pos, initial=np.inf)
+    max_neg = np.maximum.reduce(s, axis=1, where=neg, initial=-np.inf)
     keep_n = neg & (s > (min_pos - eps)[:, None])
     keep_p = pos & (s < (max_neg + eps)[:, None])
-    rows = keep_n.any(axis=1) | keep_p.any(axis=1)
-    m_count = int(rows.sum())
+    rows = (keep_n | keep_p).any(axis=1)
+    m_count = int(np.count_nonzero(rows))
     if m_count == 0:
         return _zero(batch)
-    lp, w_p = _masked_lse(-alpha * (s[rows] - lam), keep_p[rows], floor=0.0)
-    ln, w_n = _masked_lse(beta * (s[rows] - lam), keep_n[rows], floor=0.0)
-    value = float(np.sum(lp / alpha + ln / beta)) / m_count
-    g = np.zeros_like(s)
-    g[rows] = (w_n - w_p) / m_count
+    # one row-wise call over the positive terms' rows, then the negative terms';
+    # a row that keeps nothing has log-sum-exp 0 and zero weights
+    b, x = batch.size, s - lam
+    lse, w = _masked_lse(np.concatenate((-alpha * x, beta * x)),
+                         np.concatenate((keep_p, keep_n)), floor=0.0)
+    value = float(np.add.reduce((lse[:b] / alpha + lse[b:] / beta)[rows])) / m_count
+    g = (w[b:] - w[:b]) / m_count
     grad = (g + g.T) @ batch.embeddings
     return LossResult(value, grad)
 

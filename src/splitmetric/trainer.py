@@ -26,6 +26,7 @@ A TOY1 checkpoint is the binary frame ``TOY1``, d_in, d_out, then W (row-major) 
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +89,7 @@ def _layernorm(model: ToyModel, features: np.ndarray) -> np.ndarray:
 
 
 def _norm(y: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(y * y, axis=1, keepdims=True) + 1e-12)
+    return np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True) + 1e-12)
 
 
 def _project(model: ToyModel, z: np.ndarray):
@@ -100,8 +101,8 @@ def _project(model: ToyModel, z: np.ndarray):
 def _backward(z: np.ndarray, y: np.ndarray, nu: np.ndarray, g: np.ndarray):
     """Gradient w.r.t. (W, b) from the head's (z, y, nu) and g = dL/d(y / nu)."""
     # h = y / nu  =>  dL/dy = g/nu - y * (y.g) / nu^3
-    dy = g / nu - y * np.sum(y * g, axis=1, keepdims=True) / nu**3
-    return dy.T @ z, dy.sum(axis=0)
+    dy = g / nu - y * np.add.reduce(y * g, axis=1, keepdims=True) / nu**3
+    return dy.T @ z, np.add.reduce(dy, axis=0)
 
 
 def forward(model: ToyModel, features: np.ndarray) -> np.ndarray:
@@ -287,13 +288,15 @@ def _step(model: ToyModel, z: np.ndarray, labels: np.ndarray, config: TrainConfi
     """One SGD step in place on layernormed rows z; returns the batch loss."""
     y, nu = _project(model, z)
     result = compute_loss(config.loss, Batch(y / nu, labels), config.params, state.bank)
-    if not np.isfinite(result.value):
+    if not math.isfinite(result.value):
         raise TrainError(
             f"non-finite {config.loss} loss ({result.value}) on batch of {len(labels)}"
         )
     d_weight, d_bias = _backward(z, y, nu, result.grad_embeddings)
-    state.v_weight = config.momentum * state.v_weight + d_weight
-    state.v_bias = config.momentum * state.v_bias + d_bias
+    state.v_weight *= config.momentum  # in place, with the rounding of momentum * v + d
+    state.v_weight += d_weight
+    state.v_bias *= config.momentum
+    state.v_bias += d_bias
     model.weight -= config.lr * state.v_weight
     model.bias -= config.lr * state.v_bias
     if state.bank is not None and result.grad_aux is not None:
@@ -425,4 +428,7 @@ def load_model(path) -> ToyModel:
     n = d_out * d_in
     if values.size != n + d_out:
         raise TrainError(f"{path}: model size {12 + 4 * values.size} != expected {12 + 4 * (n + d_out)}")
-    return ToyModel(values[:n].reshape(d_out, d_in), values[n:])  # float64 copies
+    try:
+        return ToyModel(values[:n].reshape(d_out, d_in), values[n:])  # float64 copies
+    except TrainError as exc:
+        raise TrainError(f"{path}: {exc}") from None

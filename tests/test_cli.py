@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitmetric import cli
+from splitmetric import cli, write_frame
 from splitmetric.cli import build_parser, main
 from splitmetric.linkeval import EvalOptions
 from splitmetric.losses import LOSS_KINDS
@@ -128,6 +128,18 @@ class TestPipeline:
         assert set(payload["counts"]) == {
             "train", "val_ss", "val_su", "val_uu", "test_ss", "test_su", "test_uu", "test_unk",
         }
+
+    def test_split_notes_each_empty_split_on_stderr(self, art, tmp_path, capsys):
+        """Every branch of this corpus reaches t1, so the val stage may take
+        no uu chain and no su branch; stdout keeps its lines."""
+        assert run("split", "--catalog", art["catalog"], "--out", tmp_path / "s.csv",
+                   "--report", tmp_path / "r.json") == 0
+        out, err = capsys.readouterr()
+        counts = json.loads((tmp_path / "r.json").read_text())["counts"]
+        empty = [name for name in SPLIT_NAMES if not counts[name]["images"]]
+        assert empty == ["val_su", "val_uu"]
+        assert out.splitlines() == [f"{name}: {counts[name]['images']} images" for name in SPLIT_NAMES]
+        assert err.splitlines() == [f"note: split {name} is empty" for name in empty]
 
     def test_verify_report_written(self, art):
         assert json.loads(art["verify_report"].read_text())["passed"] is True
@@ -540,6 +552,28 @@ class TestExitCodes:
         monkeypatch.chdir(outputs)  # default outputs land here, if any is written
         assert run(*argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}:")
+        assert list(outputs.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["emb1_nan", "toy1_d_out_1"])
+    def test_a_well_framed_file_with_bad_values_is_a_domain_error(self, art, tmp_path, capsys,
+                                                                  monkeypatch, case):
+        """An EMB1 or TOY1 file whose frame is sound but whose values are not
+        exits 1 naming the file, and nothing is written."""
+        outputs = tmp_path / "out"
+        outputs.mkdir()
+        if case == "emb1_nan":
+            bad = tmp_path / "bad.emb"
+            write_frame(bad, b"EMB1", 2, 2, np.array([[np.nan, 0.0], [1.0, 1.0]]))
+            Path(f"{bad}.ids").write_text("a\nb\n")
+            argv = ["mine", "--catalog", art["catalog"], "--embeddings", bad]
+        else:
+            bad = tmp_path / "bad.toy1"
+            write_frame(bad, b"TOY1", 12, 1, np.ones((1, 12)), np.zeros(1))
+            argv = ["eval", "--catalog", art["catalog"], "--model", bad,
+                    "--features", art["features"]]
+        monkeypatch.chdir(outputs)  # default outputs land here, if any is written
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert list(outputs.iterdir()) == []
 
     @pytest.mark.parametrize("payload", [

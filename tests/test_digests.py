@@ -21,3 +21,14 @@ _spec.loader.exec_module(digests)
 def test_section_matches_the_committed_digests(section):
     expected = digests.read_expected()[section]
     assert digests.moved(expected, digests.section_lines(section)) == []
+
+
+def test_check_of_named_sections_compares_only_those(capsys, monkeypatch):
+    expected = digests.read_expected()
+    lines = len(expected["batch"])
+    assert digests.main(["--check", "--section", "batch"]) == 0
+    assert capsys.readouterr().out == f"batch: 0 of {lines} lines moved\n"
+    first = expected["batch"][0].split()[0]
+    monkeypatch.setattr(digests, "read_expected", lambda: {"batch": expected["batch"][1:]})
+    assert digests.main(["--check", "--section", "batch"]) == 1
+    assert capsys.readouterr().out == f"batch: 1 of {lines} lines moved\n  {first}\n"

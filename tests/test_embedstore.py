@@ -67,6 +67,17 @@ class TestIO:
         with pytest.raises(EmbedStoreError, match=f"^{re.escape(str(p))}: (bad magic|size) "):
             read_embeddings(p)
 
+    @pytest.mark.parametrize("values, ids, message", [
+        ([np.nan, 0.0, 1.0, 1.0], "a\nb\n", "row 0 has non-finite values"),
+        ([1.0, 0.0, 1.0, 1.0], "a\na\n", "ids must be unique"),
+    ])
+    def test_bad_values_in_a_sound_frame_name_the_file(self, tmp_path, values, ids, message):
+        p = tmp_path / "e.emb"
+        p.write_bytes(b"EMB1" + struct.pack("<II", 2, 2) + np.array(values, "<f4").tobytes())
+        (tmp_path / "e.emb.ids").write_text(ids)
+        with pytest.raises(EmbedStoreError, match=f"^{re.escape(str(p))}: {message}$"):
+            read_embeddings(p)
+
     def test_missing_ids_file(self, tmp_path):
         m = matrix(np.ones((2, 2)))
         p = tmp_path / "e.emb"

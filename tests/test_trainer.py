@@ -435,6 +435,20 @@ class TestTrainLoop:
         assert best.bias.tobytes() == want.bias.tobytes()
         assert repr(history.rows) == repr(want_rows)
 
+    @pytest.mark.parametrize("loss", ["triplet", "supcon"])
+    def test_every_step_calls_the_module_compute_loss(self, monkeypatch, loss):
+        """Each step dispatches through ``trainer.compute_loss``, the name that
+        perfbench's loss spans rebind, and never around it."""
+        catalog, assignment, features = wide_corpus()
+        config = TrainConfig(loss=loss, lr=0.1, epochs=2, d_out=6, seed=7, m=2, k=2)
+        calls = []
+        real = trainer.compute_loss
+        monkeypatch.setattr(trainer, "compute_loss",
+                            lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs))
+        train(catalog, assignment, features, config)
+        steps = len(assignment.images_of("train")) // 4
+        assert calls == [loss] * (config.epochs * steps)
+
     def test_history_and_selection(self):
         catalog, assignment, features = toy_corpus()
         config = TrainConfig(loss="multisim", epochs=3, d_out=16, seed=0, m=4, k=3)
@@ -565,6 +579,16 @@ class TestCheckpoint:
         p = tmp_path / "m.toy1"
         p.write_bytes(blob)
         with pytest.raises(TrainError, match=f"^{re.escape(str(p))}: (bad magic|model size|size) "):
+            load_model(p)
+
+    @pytest.mark.parametrize("d_out, values, message", [
+        (1, [1.0, 1.0, 0.0], "d_out must be >= 2"),
+        (2, [1.0, np.inf, 0.0, 1.0, 0.0, 0.0], "non-finite model parameters"),
+    ])
+    def test_bad_values_in_a_sound_frame_name_the_file(self, tmp_path, d_out, values, message):
+        p = tmp_path / "m.toy1"
+        p.write_bytes(b"TOY1" + struct.pack("<II", 2, d_out) + np.array(values, "<f4").tobytes())
+        with pytest.raises(TrainError, match=f"^{re.escape(str(p))}: {message}$"):
             load_model(p)
 
 

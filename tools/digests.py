@@ -5,13 +5,16 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 tools/digests.py            # print every line
     PYTHONPATH=src python3 tools/digests.py --check    # compare with digests.expected
     PYTHONPATH=src python3 tools/digests.py --write    # rewrite digests.expected
+    PYTHONPATH=src python3 tools/digests.py --check --section loss --section train
 
 ``--check`` names every line that moved, grouped by section, and exits 1 if
-any did.  A change that moves outputs on purpose commits the file that
-``--write`` makes, whose diff lists the moved lines.  ``tests/test_digests.py``
-compares the fast sections (``FAST``) in tier-1; the sections whose lines
-depend on the BLAS kernel are left to ``--check`` (see ``KERNEL_DEPENDENT``).
-To compare two checkouts, print the lines of each and diff them.
+any did; with ``--section`` it runs and compares only the named sections
+(``--section`` limits a plain print too).  A change that moves outputs on
+purpose commits the file that ``--write`` makes, whose diff lists the moved
+lines.  ``tests/test_digests.py`` compares the fast sections (``FAST``) in
+tier-1; the sections whose lines depend on the BLAS kernel are left to
+``--check`` (see ``KERNEL_DEPENDENT``).  To compare two checkouts, print the
+lines of each and diff them.
 
 It uses only `train`, `sample_batch`, `evaluate`, `mine_hard_negatives`,
 `sample_eval_pairs`, `cosine_knn`, `compute_loss`, `generate_splits`,
@@ -545,12 +548,17 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true", help=f"compare with {EXPECTED.name}")
     mode.add_argument("--write", action="store_true", help=f"rewrite {EXPECTED.name}")
+    parser.add_argument("--section", action="append", choices=SECTIONS,
+                        help="run only this section (repeatable); not with --write")
     args = parser.parse_args(argv)
+    if args.write and args.section:
+        parser.error("--write rewrites every section")
+    names = [name for name in SECTIONS if name in (args.section or SECTIONS)]
     if not (args.check or args.write):
-        for run in SECTIONS.values():
-            run()
+        for name in names:
+            SECTIONS[name]()
         return 0
-    got = {name: section_lines(name) for name in SECTIONS}
+    got = {name: section_lines(name) for name in names}
     if args.write:
         text = header() + [line for name, lines in got.items() for line in [f"[{name}]", *lines]]
         EXPECTED.write_text("\n".join(text) + "\n", encoding="utf-8")
