@@ -7,6 +7,7 @@ branches optionally belong to a chain.  A branch whose chain is not known is an
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -37,35 +38,41 @@ class Catalog:
 
     @classmethod
     def from_records(cls, records: list[ImageRecord] | tuple[ImageRecord, ...]) -> "Catalog":
+        """The catalog of ``records``: ids and branches are non-empty, unpadded ``str``, chains
+        and keys ``None`` or such a string, as a CSV holds them; the first bad field raises."""
+
+        def check(name: str, value) -> None:
+            if not (isinstance(value, str) and value == value.strip() != ""):
+                raise CatalogError(f"{name} {value!r} is not a non-empty, unpadded str")
+
         seen_ids: set[str] = set()
         branch_images: dict[str, list[str]] = {}
         branch_chain: dict[str, str | None] = {}
-        for image_id, branch_id, chain_id, _ in records:
+        for image_id, branch_id, chain_id, content_key in records:
+            check("image_id", image_id)
+            check("branch_id", branch_id)  # before it is hashed
+            if branch_id not in branch_chain:  # a branch's chain is checked once
+                if chain_id is not None:
+                    check("chain_id", chain_id)
+                branch_chain[branch_id], branch_images[branch_id] = chain_id, []
+            elif branch_chain[branch_id] != chain_id:
+                raise CatalogError(f"branch {branch_id!r} has conflicting chain ids: "
+                                   f"{branch_chain[branch_id]!r} vs {chain_id!r}")
+            if content_key is not None:
+                check("content_key", content_key)
             if image_id in seen_ids:
                 raise CatalogError(f"duplicate image_id: {image_id!r}")
             seen_ids.add(image_id)
-            branch_images.setdefault(branch_id, []).append(image_id)
-            if branch_id in branch_chain:
-                if branch_chain[branch_id] != chain_id:
-                    raise CatalogError(
-                        f"branch {branch_id!r} has conflicting chain ids: "
-                        f"{branch_chain[branch_id]!r} vs {chain_id!r}"
-                    )
-            else:
-                branch_chain[branch_id] = chain_id
+            branch_images[branch_id].append(image_id)
         chain_branches: dict[str, list[str]] = {}
-        unknown: set[str] = set()
-        for branch in sorted(branch_images):
-            chain = branch_chain[branch]
-            if chain is None:
-                unknown.add(branch)
-            else:
+        for branch, chain in sorted(branch_chain.items()):
+            if chain is not None:
                 chain_branches.setdefault(chain, []).append(branch)
         return cls(
             records=tuple(records),
             branch_index={b: tuple(ids) for b, ids in sorted(branch_images.items())},
             chain_index={c: tuple(bs) for c, bs in sorted(chain_branches.items())},
-            unknown_branches=frozenset(unknown),
+            unknown_branches=frozenset(b for b, c in branch_chain.items() if c is None),
         )
 
     # -- derived views ----------------------------------------------------
@@ -138,22 +145,14 @@ def load_catalog(path: str | Path) -> Catalog:
         if n > width:  # a cell past the header's names would be read as a chain or key
             raise CatalogError(f"{path}:{lineno}: too many columns")
         records.append(ImageRecord(image_id, branch_id, chain_id or None, content_key or None))
-    return Catalog.from_records(records)
+    try:
+        return Catalog.from_records(records)
+    except CatalogError as exc:  # a repeated id or a branch with two chains
+        raise CatalogError(f"{path}: {exc}") from None
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    """Write the catalog CSV, or raise before writing anything if it would not load back.
-
-    `load_catalog` strips every cell and reads an empty chain or key as
-    ``None``, so an id or branch must be a non-empty unpadded string, and a
-    chain or key ``None`` or one.
-    """
-    columns = zip(*catalog.records)
-    for name, column, optional in zip(CSV_HEADER, columns, (False, False, True, True)):
-        for value in dict.fromkeys(column):  # each distinct value once, in record order
-            if not (isinstance(value, str) and value and value == value.strip()
-                    or optional and value is None):
-                raise CatalogError(f"{path}: {name} {value!r} would not load back as itself")
+    """Write the catalog CSV; `Catalog.from_records` made sure that it loads back as itself."""
     write_csv(path, CSV_HEADER, catalog.records)  # None is written as an empty cell
 
 
@@ -223,12 +222,9 @@ def dedup_merge(catalog: Catalog) -> tuple[Catalog, DedupReport]:
 
 
 def stats(catalog: Catalog) -> CatalogStats:
-    hist: dict[int, int] = {}
-    for images in catalog.branch_index.values():
-        hist[len(images)] = hist.get(len(images), 0) + 1
     return CatalogStats(
         images=len(catalog.records),
         branches=len(catalog.branch_index),
         chains=len(catalog.chain_index),
-        branch_size_histogram=hist,
+        branch_size_histogram=dict(Counter(map(len, catalog.branch_index.values()))),
     )

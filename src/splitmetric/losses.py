@@ -100,13 +100,15 @@ class LossParams:
         except json.JSONDecodeError as exc:
             raise LossError(f"{path}: not JSON: {exc}") from None
         if not isinstance(payload, dict):
-            raise LossError("loss parameters must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        bad = sorted(set(payload) - known)
+            raise LossError(f"{path}: loss parameters must be a JSON object")
+        bad = sorted(set(payload) - {f.name for f in fields(cls)})
         if bad:
-            raise LossError(f"unknown loss parameter(s): {bad}")
+            raise LossError(f"{path}: unknown loss parameter(s): {bad}")
         params = replace(cls(), **payload)
-        params.validate()
+        try:
+            params.validate()
+        except LossError as exc:
+            raise LossError(f"{path}: {exc}") from None
         return params
 
 

@@ -246,6 +246,8 @@ def sample_batch(codes: np.ndarray, spec: BatchSpec, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class TrainConfig:
+    """``d_out`` is 2: at 512, default multisim training mines no pair on the standard corpus."""
+
     loss: str = "multisim"
     params: LossParams = field(default_factory=LossParams)
     lr: float = 0.05
@@ -254,7 +256,7 @@ class TrainConfig:
     seed: int = 0
     m: int = 8
     k: int = 4
-    d_out: int = 512
+    d_out: int = 2
 
     def validate(self) -> None:
         if self.loss not in LOSSES:

@@ -5,6 +5,7 @@ import pytest
 
 from splitmetric import write_json
 from splitmetric.catalog import (
+    CSV_HEADER,
     Catalog,
     CatalogError,
     DedupReport,
@@ -95,13 +96,13 @@ def reference_dedup(catalog):
 
 
 def random_keyed_catalog(rng):
-    """Up to 80 records on up to 25 branches: unknown and empty-string chains,
-    keys shared within a branch, across branches and across chains."""
+    """Up to 80 records on up to 25 branches: unknown chains, keys shared
+    within a branch, across branches and across chains."""
     n_branches = int(rng.integers(1, 26))
     chain_of = {}
     for b in range(n_branches):
         draw = rng.random()
-        chain_of[f"b{b:02d}"] = (None if draw < 0.25 else "" if draw < 0.3
+        chain_of[f"b{b:02d}"] = (None if draw < 0.3
                                  else f"c{int(rng.integers(int(rng.integers(1, 6))))}")
     n_keys = int(rng.integers(1, 40))
     key_rate = rng.random()
@@ -203,26 +204,27 @@ class TestLoad:
 
 
 class TestSave:
-    @pytest.mark.parametrize("record", [
-        rec(" a", "b1"), rec("a\n", "b1"), rec("", "b1"), rec("a", "b1 "), rec("a", ""),
-        rec("a", "b1", ""), rec("a", "b1", " c1"), rec("a", "b1", "c1", ""),
-        rec("a", "b1", "c1", "k\t"), rec(7, "b1"),
-    ], ids=["padded_id", "newline_id", "empty_id", "padded_branch", "empty_branch",
-            "empty_chain", "padded_chain", "empty_key", "padded_key", "int_id"])
-    def test_field_that_would_not_load_back_is_refused(self, tmp_path, record):
-        p = tmp_path / "out.csv"
-        p.write_bytes(b"before")
-        cat = Catalog.from_records([rec("z", "b0", "c0", "k0"), record])
-        with pytest.raises(CatalogError, match="would not load back as itself"):
-            save_catalog(cat, p)
-        assert p.read_bytes() == b"before"
+    """`save_catalog` only writes: a record that a catalog CSV would not hold
+    as itself is refused by `Catalog.from_records`, so no such catalog exists."""
 
-    def test_records_that_load_back_merged_are_refused(self, tmp_path):
-        cat = Catalog.from_records([rec(" a", "b1", ""), rec("b", "b1 ", "", ""),
-                                    rec("c", "b2", "c1")])
-        with pytest.raises(CatalogError, match="image_id ' a'"):
-            save_catalog(cat, tmp_path / "out.csv")
-        assert not (tmp_path / "out.csv").exists()
+    @pytest.mark.parametrize("record, column", [
+        (rec(" a", "b1"), "image_id"), (rec("a\n", "b1"), "image_id"), (rec("", "b1"), "image_id"),
+        (rec("a", "b1 "), "branch_id"), (rec("a", ""), "branch_id"),
+        (rec("a", "b1", ""), "chain_id"), (rec("a", "b1", " c1"), "chain_id"),
+        (rec("a", "b1", "c1", ""), "content_key"), (rec("a", "b1", "c1", "k\t"), "content_key"),
+        (rec(7, "b1"), "image_id"), (rec("a", ["b1"]), "branch_id"),
+    ], ids=["padded_id", "newline_id", "empty_id", "padded_branch", "empty_branch",
+            "empty_chain", "padded_chain", "empty_key", "padded_key", "int_id", "list_branch"])
+    def test_field_that_would_not_load_back_is_refused(self, record, column):
+        value = record[CSV_HEADER.index(column)]
+        with pytest.raises(CatalogError) as err:
+            Catalog.from_records([rec("z", "b0", "c0", "k0"), record])
+        assert str(err.value) == f"{column} {value!r} is not a non-empty, unpadded str"
+
+    def test_records_that_load_back_merged_are_refused(self):
+        with pytest.raises(CatalogError, match="^image_id ' a' "):
+            Catalog.from_records([rec(" a", "b1", ""), rec("b", "b1 ", "", ""),
+                                  rec("c", "b2", "c1")])
 
     def test_synth_corpus_round_trips_byte_for_byte(self, tmp_path):
         cat, _ = generate(standard_corpus_config(seed=3))
@@ -381,8 +383,54 @@ class TestViews:
         rng = np.random.default_rng(11)
         catalogs = [_small_catalog(rng) for _ in range(200)]
         catalogs.append(generate(standard_corpus_config(seed=0))[0])
-        # records out of branch order, an empty-string chain, an unknown branch
-        catalogs.append(Catalog.from_records((rec("z", "b2", ""), rec("a", "b1", "c1"),
-                                              rec("m", "b3"), rec("q", "b2", ""))))
+        # records out of branch order, unknown branches
+        catalogs.append(Catalog.from_records((rec("z", "b2"), rec("a", "b1", "c1"),
+                                              rec("m", "b3"), rec("q", "b2"))))
         for catalog in catalogs:
             assert catalog.branch_chain_map() == self.record_pass(catalog)
+
+
+class TestFileParity:
+    """A catalog means the same in the library and in its CSV."""
+
+    @staticmethod
+    def through_a_file(catalog, path):
+        save_catalog(catalog, path)
+        return load_catalog(path)
+
+    def test_catalogs_load_back_as_themselves(self, tmp_path):
+        from test_digests import digests
+
+        rng = np.random.default_rng(25)
+        catalogs = [c for _, c in digests.dedup_cases()]
+        catalogs += [random_keyed_catalog(rng) for _ in range(200)]
+        for catalog in catalogs:
+            again = self.through_a_file(catalog, tmp_path / "c.csv")
+            assert again.records == catalog.records
+            assert again.chain_index == catalog.chain_index
+            assert again.unknown_branches == catalog.unknown_branches
+            (merged, report), (want, want_report) = dedup_merge(again), dedup_merge(catalog)
+            assert (merged.records, report) == (want.records, want_report)
+
+    def test_splits_carve_the_same_from_a_file(self, tmp_path):
+        from splitmetric.splitgen import generate_splits
+        from test_splitgen import fuzz_cases
+
+        for case, catalog, config in fuzz_cases():
+            again = self.through_a_file(catalog, tmp_path / "c.csv")
+            assert (generate_splits(again, config).assignment
+                    == generate_splits(catalog, config).assignment), case
+
+    def test_an_empty_string_chain_is_refused(self):
+        """Read back from a file, chain ``''`` would be an unknown chain, and
+        `SplitConfig()`'s carve would put 106 of these 192 images elsewhere."""
+        records = [rec(f"c{c}_b{b}_i{i:02d}", f"c{c}_b{b}", "" if c == 0 else f"c{c}")
+                   for c in range(4) for b in range(4) for i in range(12)]
+        with pytest.raises(CatalogError, match="^chain_id '' is not"):
+            Catalog.from_records(records)
+
+    def test_an_int_id_is_refused(self):
+        records = [rec(f"i{j}", f"b{j % 4}", "c0") for j in range(40)]
+        records[7] = rec(7, "b3", "c0")
+        with pytest.raises(CatalogError, match="^image_id 7 is not"):
+            Catalog.from_records(records)

@@ -519,11 +519,13 @@ class TestExitCodes:
         assert "mystery_dial" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["json", "json_bytes", "catalog_bytes", "catalog_cell",
-                                      "ids_bytes", "splits_bytes"])
+                                      "ids_bytes", "splits_bytes", "catalog_duplicate_id",
+                                      "catalog_two_chains", "json_negative_tau", "json_list",
+                                      "json_unknown_key"])
     def test_a_file_that_does_not_decode_is_a_domain_error(self, art, tmp_path, capsys,
                                                            monkeypatch, case):
-        """A file that is not valid UTF-8, CSV or JSON exits 1 naming the file, and
-        nothing is written."""
+        """A file that is not valid UTF-8, CSV or JSON, or whose catalog or loss
+        parameters are refused, exits 1 naming the file, and nothing is written."""
         inputs, outputs = tmp_path / "in", tmp_path / "out"
         inputs.mkdir()
         outputs.mkdir()
@@ -533,6 +535,8 @@ class TestExitCodes:
                              (features, art["features"]), (ids, Path(f"{art['features']}.ids"))):
             path.write_bytes(source.read_bytes())
         params.write_text("{}")
+        first = catalog.read_bytes().split(b"\r\n")[1]  # image_id,branch_id,chain_id,key
+        other_chain = b"zz," + first.split(b",")[1] + b",c_other,\r\n"
         bad, payload = {
             "json": (params, b"{"),
             "json_bytes": (params, b'{"supcon_tau": 0.\xff}'),
@@ -540,6 +544,11 @@ class TestExitCodes:
             "catalog_cell": (catalog, catalog.read_bytes() + b"i,b0,c0," + b"k" * 200_000 + b"\r\n"),
             "ids_bytes": (ids, b"\xff" + ids.read_bytes()),
             "splits_bytes": (splits, splits.read_bytes() + b"i\xff,train\r\n"),
+            "catalog_duplicate_id": (catalog, catalog.read_bytes() + first + b"\r\n"),
+            "catalog_two_chains": (catalog, catalog.read_bytes() + other_chain),
+            "json_negative_tau": (params, b'{"supcon_tau": -1}'),
+            "json_list": (params, b"[1]"),
+            "json_unknown_key": (params, b'{"mystery_dial": 3}'),
         }[case]
         bad.write_bytes(payload)
         argv = {
@@ -603,7 +612,7 @@ class TestExitCodes:
             "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv",
         )
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: softtriple_centers ")
+        assert capsys.readouterr().err.startswith(f"error: {params}: softtriple_centers ")
         assert not (tmp_path / "m.toy1").exists()
 
     def test_loss_param_too_large_for_a_float_is_a_domain_error(self, art, tmp_path, capsys):
@@ -616,7 +625,8 @@ class TestExitCodes:
             "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv",
         )
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: triplet_margin must be a finite float")
+        assert capsys.readouterr().err.startswith(
+            f"error: {params}: triplet_margin must be a finite float")
         assert not (tmp_path / "m.toy1").exists()
 
     def test_d_out_beyond_int64_is_a_domain_error(self, art, tmp_path, capsys):
@@ -715,7 +725,7 @@ FLAG_TABLE = {
         "--seed": (int, 0, None, None),
         "--m": (int, 8, None, None),
         "--k": (int, 4, None, None),
-        "--d-out": (int, 512, None, None),
+        "--d-out": (int, 2, None, None),
     },
     "eval": {
         "--threads": (int, 1, None, "k-NN worker threads"),
@@ -802,6 +812,16 @@ class TestConfigFlags:
     def test_a_flag_sets_its_field(self, command, argv, field, value):
         default, _ = CONFIGS[command]
         assert cli._config(parsed(command, *argv)) == replace(default, **{field: value})
+
+    def test_default_train_has_a_nonzero_first_epoch_loss(self, tmp_path, monkeypatch):
+        """At ``d_out`` 512 the default multisim run mined no pair: epoch 1's loss was 0."""
+        monkeypatch.chdir(tmp_path)
+        assert run("synth") == 0
+        assert run("split", "--catalog", "catalog.csv") == 0
+        assert run("train", "--catalog", "catalog.csv", "--splits", "splits.csv",
+                   "--features", "features.emb") == 0
+        first = Path("history.csv").read_text().splitlines()[1].split(",")
+        assert first[0] == "1" and float(first[1]) > 0.0
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--chains", "x"], ["split", "--catalog", "c.csv", "--t1", "1.5"],

@@ -18,7 +18,7 @@ lines of each and diff them.
 
 It uses only `train`, `sample_batch`, `evaluate`, `mine_hard_negatives`,
 `sample_eval_pairs`, `cosine_knn`, `compute_loss`, `generate_splits`,
-`verify_splits`, `dedup_merge`, `save_catalog`, `write_csv`, `write_json`,
+`verify_splits`, `dedup_merge`, `save_catalog`, `write_json`,
 `generate`, `write_embeddings` and `cli.main`, plus the catalog generators,
 seeded mutations and the finite-difference gradient checker
 (`finite_diff_check`) in ``tests/``, so the same script runs on either side
@@ -86,14 +86,8 @@ from pathlib import Path
 
 import numpy as np
 
-from splitmetric import cli, write_csv, write_json
-from splitmetric.catalog import (
-    CSV_HEADER,
-    Catalog,
-    ImageRecord,
-    dedup_merge,
-    save_catalog,
-)
+from splitmetric import cli, write_json
+from splitmetric.catalog import Catalog, ImageRecord, dedup_merge, save_catalog
 from splitmetric.embedstore import EmbeddingMatrix, cosine_knn, unit_rows, write_embeddings
 from splitmetric.linkeval import (
     EvalError,
@@ -366,7 +360,7 @@ def dedup_cases():
         r("i4", "b3", "c2", "k2"), r("i5", "b4", "c3", "k4"), r("i6", "b5", "c3", "k4")])
     yield "unknown_chains", Catalog.from_records([
         r("i1", "b3", None, "k"), r("i2", "b1", None, "k"), r("i3", "b2", None, "k5"),
-        r("i4", "b4", "", "k5"), r("i5", "b6", None, "k6"), r("i6", "b8", "c1", "k6")])
+        r("i4", "b4", None, "k5"), r("i5", "b6", None, "k6"), r("i6", "b8", "c1", "k6")])
     yield "within_branch", Catalog.from_records([
         r("i9", "b1", "c1", "k"), r("i3", "b1", "c1", "k"), r("i5", "b1", "c1", "k"),
         r("i4", "b1", "c1"), r("i1", "b2", "c1", "k2"), r("i2", "b2", "c1", "k2")])
@@ -409,8 +403,7 @@ def dedup_digests() -> None:
         for case, catalog in dedup_cases():
             merged, report = dedup_merge(catalog)
             write_json(report_path, report.to_json_dict())
-            # `write_csv`, not `save_catalog`: some cases keep '' chains, which it refuses
-            write_csv(catalog_path, CSV_HEADER, merged.records)
+            save_catalog(merged, catalog_path)
             emit(f"dedup.{case}", report_path.read_bytes(), catalog_path.read_bytes())
 
 
