@@ -37,9 +37,10 @@ class Catalog:
     unknown_branches: frozenset[str] = field(compare=False)
 
     @classmethod
-    def from_records(cls, records: list[ImageRecord] | tuple[ImageRecord, ...]) -> "Catalog":
-        """The catalog of ``records``: ids and branches are non-empty, unpadded ``str``, chains
-        and keys ``None`` or such a string, as a CSV holds them; the first bad field raises."""
+    def from_records(cls, records) -> "Catalog":
+        """The catalog of ``records``, any iterable, read once: ids and branches are non-empty,
+        unpadded ``str``, chains and keys ``None`` or such a string, as a CSV holds them; the
+        first bad field raises."""
 
         def check(name: str, value) -> None:
             if not (isinstance(value, str) and value == value.strip() != ""):
@@ -48,7 +49,9 @@ class Catalog:
         seen_ids: set[str] = set()
         branch_images: dict[str, list[str]] = {}
         branch_chain: dict[str, str | None] = {}
-        for image_id, branch_id, chain_id, content_key in records:
+        taken: list[ImageRecord] = []
+        for record in records:
+            image_id, branch_id, chain_id, content_key = record
             check("image_id", image_id)
             check("branch_id", branch_id)  # before it is hashed
             if branch_id not in branch_chain:  # a branch's chain is checked once
@@ -64,12 +67,13 @@ class Catalog:
                 raise CatalogError(f"duplicate image_id: {image_id!r}")
             seen_ids.add(image_id)
             branch_images[branch_id].append(image_id)
+            taken.append(record)
         chain_branches: dict[str, list[str]] = {}
         for branch, chain in sorted(branch_chain.items()):
             if chain is not None:
                 chain_branches.setdefault(chain, []).append(branch)
         return cls(
-            records=tuple(records),
+            records=tuple(taken),
             branch_index={b: tuple(ids) for b, ids in sorted(branch_images.items())},
             chain_index={c: tuple(bs) for c, bs in sorted(chain_branches.items())},
             unknown_branches=frozenset(b for b, c in branch_chain.items() if c is None),
@@ -129,26 +133,32 @@ def load_catalog(path: str | Path) -> Catalog:
     header = [h.strip() for h in header]
     if len(header) < 2 or tuple(header) != CSV_HEADER[: len(header)]:
         raise CatalogError(f"{path}: bad header {header!r}, expected prefix of {','.join(CSV_HEADER)}")
-    records: list[ImageRecord] = []
     width = len(header)
-    for lineno, row in enumerate(reader, start=2):
-        n = len(row)
-        if n < 4:
-            if n == 0 or (n == 1 and not row[0].strip()):
-                continue
-            row += [""] * (4 - n)
-        elif n > 4:
-            del row[4:]
-        image_id, branch_id, chain_id, content_key = map(str.strip, row)
-        if not image_id or not branch_id:
-            raise CatalogError(f"{path}:{lineno}: image_id and branch_id are required")
-        if n > width:  # a cell past the header's names would be read as a chain or key
-            raise CatalogError(f"{path}:{lineno}: too many columns")
-        records.append(ImageRecord(image_id, branch_id, chain_id or None, content_key or None))
+    line = None  # the line of the record that `from_records` holds, while it holds one
+
+    def parsed():
+        nonlocal line
+        for lineno, row in enumerate(reader, start=2):
+            n = len(row)
+            if n < 4:
+                if n == 0 or (n == 1 and not row[0].strip()):
+                    continue
+                row += [""] * (4 - n)
+            elif n > 4:
+                del row[4:]
+            if n > width:  # a cell past the header's names would be read as a chain or key
+                raise CatalogError(f"{path}:{lineno}: too many columns")
+            image_id, branch_id, chain_id, content_key = map(str.strip, row)
+            line = lineno
+            yield ImageRecord(image_id, branch_id, chain_id or None, content_key or None)
+            line = None
+
     try:
-        return Catalog.from_records(records)
-    except CatalogError as exc:  # a repeated id or a branch with two chains
-        raise CatalogError(f"{path}: {exc}") from None
+        return Catalog.from_records(parsed())
+    except CatalogError as exc:
+        if line is None:  # a parse refusal, which names its place itself
+            raise
+        raise CatalogError(f"{path}:{line}: {exc}") from None
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:

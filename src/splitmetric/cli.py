@@ -196,7 +196,10 @@ def cmd_train(args):
     features = read_embeddings(args.features)
     params = LossParams.from_json(args.loss_params) if args.loss_params else LossParams()
     config = _config(args, params=params)
-    model, history = train(catalog, assignment, features, config)
+    try:
+        model, history = train(catalog, assignment, features, config)
+    except EmbedStoreError as exc:  # a train or val_ss id that the matrix lacks
+        raise EmbedStoreError(f"{args.features}: {exc}") from None
     save_model(args.out, model)
     history.save(args.history)
     last = history.rows[-1]
@@ -204,33 +207,35 @@ def cmd_train(args):
           f"final val R@1 {last[2]:.4f}, val AUC {last[3]:.4f}")
 
 
-def _embeddings_for_eval(args):
-    if args.embeddings:
-        return read_embeddings(args.embeddings)
-    model = load_model(args.model)
-    feats = read_embeddings(args.features)
-    rows = forward(model, feats.data.astype(np.float64))
-    return EmbeddingMatrix(feats.ids, rows.astype(np.float32), normalized=True)
-
-
-def _in_split(args, catalog, read):
-    """The rows of ``read()`` in ``--split``, in id order, or all rows without
-    it; ``--splits`` is verified on ``catalog`` before ``read`` runs."""
+def _in_split(args, catalog, path) -> EmbeddingMatrix:
+    """The rows of the EMB1 file ``path`` in ``--split``, in id order, or all rows without
+    it; ``--splits`` is verified on ``catalog`` before the file is read."""
     if not args.split:
-        return read()
+        return read_embeddings(path)
     ids = _verified_splits(args, catalog).images_of(args.split)
     if not ids:
         raise EvalError(f"split {args.split!r} is empty")
-    return read().subset(sorted(ids))
+    matrix = read_embeddings(path)
+    try:
+        return matrix.subset(sorted(ids))
+    except EmbedStoreError as exc:  # an id of the split that the matrix lacks
+        raise EmbedStoreError(f"{path}: {exc}") from None
 
 
 def cmd_eval(args):
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    emb = _in_split(args, catalog, lambda: _embeddings_for_eval(args))
+    emb = _in_split(args, catalog, args.embeddings or args.features)
+    if args.model:  # the head runs on the split's rows only
+        rows = forward(load_model(args.model), emb.data.astype(np.float64))
+        emb = EmbeddingMatrix(emb.ids, rows.astype(np.float32), normalized=True)
     hard_pool = None
     if args.reference:
-        reference = read_embeddings(args.reference).subset(sorted(emb.ids))
+        reference = read_embeddings(args.reference)
+        try:
+            reference = reference.subset(sorted(emb.ids))
+        except EmbedStoreError as exc:  # an evaluated id that the reference lacks
+            raise EmbedStoreError(f"{args.reference}: {exc}") from None
         hard_pool = mine_hard_negatives(reference, oracle, k=args.hard_k, threads=args.threads)
     report = evaluate(emb, oracle, _config(args, hard_pool=hard_pool))
     payload = report.to_json_dict()
@@ -243,7 +248,7 @@ def cmd_eval(args):
 def cmd_mine(args):
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    reference = _in_split(args, catalog, lambda: read_embeddings(args.embeddings))
+    reference = _in_split(args, catalog, args.embeddings)
     pool = mine_hard_negatives(reference, oracle, k=args.k, threads=args.threads)
     payload = {anchor: list(ids) for anchor, ids in sorted(pool.negatives.items())}
     write_json(args.out, payload)

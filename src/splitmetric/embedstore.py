@@ -178,12 +178,13 @@ def top_k(q: np.ndarray, g: np.ndarray, k: int, q_group: np.ndarray, g_group: np
     arrays and a few candidates per row and slab: the calling thread makes
     one float64 buffer of ``min(BLOCK, n_q) x min(SLAB, n_g)`` per worker, and
     for k > 1 a slab's fold adds ``span`` float64 columns.  Worker w of
-    ``min(threads, blocks)`` scores query blocks w, w + workers, ...; one
-    worker runs on the calling thread.  Same-group cells are struck by index:
-    one stable argsort of ``g_group`` lists each group's columns in ascending
-    order, two ``searchsorted`` calls cut each row's run at a slab edge
-    inside the gallery, and the struck cells are written in pieces whose
-    index arrays take under a byte per buffer cell.  Block shape and separate
+    ``min(threads, blocks)`` scores query blocks w, w + workers, ...; a lone
+    worker runs on the calling thread, and two or more run each on a pool
+    thread.  Same-group cells are struck by index: one stable argsort of
+    ``g_group`` lists each group's columns in ascending order, two
+    ``searchsorted`` calls cut each row's run at a slab edge inside the
+    gallery, and the struck cells are written in pieces whose index arrays
+    take under a byte per buffer cell.  Block shape and separate
     inputs fix the bits: on OpenBLAS a 1-row block or a column split can
     round many cells differently, another row count or slab edge a few
     unless the widths are multiples of 8, and ``a @ a.T`` on one buffer runs

@@ -9,10 +9,10 @@ each); AUC_H replaces the uniform negative with a draw from a mined pool of
 the most-similar negatives under a fixed reference embedding.  Repeats are
 independent, with repeat r seeded as seed+r, and reduced in repeat order.
 
-`evaluate` builds one pair index per mode (branch order, ranks, draw bounds
-and the checked hard pool, all as row positions) and scores each repeat's
-seeded draw straight from the unit rows; `sample_eval_pairs` returns the
-same index's draw as id pairs.
+`evaluate` takes the rows in id order once, builds one pair index per mode
+(branch order, ranks, draw bounds and the checked hard pool, all as row
+positions) and scores each repeat's seeded draw straight from the unit rows;
+`sample_eval_pairs` returns the same index's draw as id pairs.
 """
 
 from __future__ import annotations
@@ -259,10 +259,13 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
 def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptions) -> MetricReport:
     """R@1 plus AUC (and AUC_H when a hard pool is supplied) over repeats.
 
-    Each mode builds one pair index over the sorted ids; every repeat draws
-    positions from it, which one row array maps to the unit embeddings.
+    Everything runs on the rows in id order, so no result depends on the
+    matrix's row order: an R@1 tie goes to the smaller id, as in mining.
+    Each mode builds one pair index over those rows; every repeat draws
+    positions from it and scores them straight from the unit rows.
     """
     options.validate()
+    embeddings = embeddings.subset(sorted(embeddings.ids))
     ids = embeddings.ids
     codes = oracle.codes(ids)
     eligible = np.bincount(codes)[codes] >= 2
@@ -271,13 +274,10 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
 
     knn = cosine_knn(embeddings, embeddings, k=1, exclude_self=True, threads=options.threads)
     r_at_1 = float(np.mean(codes[knn.indices[eligible, 0]] == codes[eligible]))
-
-    rows = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)  # in id order
-    unit = unit_rows(embeddings.data)[rows]
-    sorted_ids = [ids[r] for r in rows]
+    unit = unit_rows(embeddings.data)
 
     def auc_over_repeats(hard_pool):
-        index = _PairIndex(sorted_ids, codes[rows], hard_pool)
+        index = _PairIndex(ids, codes, hard_pool)
         anchors = unit[index.anchors]
         vals = []
         for r in range(options.repeats):

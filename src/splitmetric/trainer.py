@@ -136,8 +136,7 @@ class _ClassIndex:
 
     ``order`` lists each class's rows in ascending order, class by class, and
     class c's rows start at ``starts[c]``, so ``order[starts[c] + off]`` is
-    ``np.flatnonzero(codes == c)[off]``.  Every seed draws its m classes from
-    the same eligible count, so those bounds are built here once.
+    ``np.flatnonzero(codes == c)[off]``.
     """
 
     def __init__(self, codes: np.ndarray, spec: BatchSpec) -> None:
@@ -149,7 +148,6 @@ class _ClassIndex:
             )
         self.order = np.argsort(codes, kind="stable")
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.class_bounds = _bounds(np.array([[len(self.eligible)]]), spec.m)
         self.spec = spec
 
     def draws(self, seeds) -> np.ndarray:
@@ -161,66 +159,39 @@ class _ClassIndex:
         calls on each seed's stream and picks for all seeds at once.
         """
         rngs = [seeded_rng(seed) for seed in seeds]
-        classes = self.eligible[_choice_rows(rngs, self.class_bounds)[:, 0]]
-        offsets = _choice_rows(rngs, _bounds(self.sizes[classes], self.spec.k))
+        classes = self.eligible[_choice_rows(rngs, [[len(self.eligible)]], self.spec.m)[:, 0]]
+        offsets = _choice_rows(rngs, self.sizes[classes], self.spec.k)
         return self.order[self.starts[classes][..., None] + offsets].reshape(len(rngs), -1)
 
 
-def _bounds(sizes: np.ndarray, k: int) -> np.ndarray:
-    """The bounds of numpy's draws for ``choice(n, size=k, replace=False)``, per n in ``sizes``.
-
-    numpy (2.4) makes each such call from bounded draws on [0, bound]: for
-    n <= 10000 or k <= n // 50, Floyd's sampling (bounds n-k .. n-1) and a
-    Fisher-Yates shuffle of the k picks (bounds k-1 .. 1); otherwise a tail
-    Fisher-Yates over range(n) (bounds n-1 down to max(n-k, 1)), keeping its
-    last k slots.  Shape ``sizes.shape + (2k - 1,)``; a tail row's
-    min(k, n - 1) bounds are followed by -1s, which mark no draw.
-    """
-    n = np.asarray(sizes, dtype=np.int64)[..., None]
-    out = np.empty(n.shape[:-1] + (2 * k - 1,), dtype=np.int64)
-    out[..., :k] = n - k + np.arange(k)
-    out[..., k:] = np.arange(k - 1, 0, -1)
-    tail = (n[..., 0] > 10000) & (k > n[..., 0] // 50)
-    if tail.any():
-        at, top = np.arange(2 * k - 1), n[tail] - 1
-        out[tail] = np.where(at < np.minimum(k, top), top - at, -1)
-    return out
-
-
-def _choice_rows(rngs: list, bounds: np.ndarray) -> np.ndarray:
+def _choice_rows(rngs: list, sizes, k: int) -> np.ndarray:
     """What ``rngs[s].choice(n, size=k, replace=False)`` returns for each n of row s, S x r x k.
 
-    ``bounds`` is `_bounds` of r sizes per generator (S x r x (2k - 1)), or of
-    r sizes shared by all (1 x r x (2k - 1)).  `integers` with int64 bounds
+    ``sizes`` holds r sizes per generator (S x r), or r sizes shared by all
+    (1 x r).  numpy (2.4) makes such a call, for n <= 10000 or k <= n // 50,
+    from 2k - 1 bounded draws: Floyd's sampling on bounds n-k .. n-1, then a
+    shuffle of the k picks on bounds k-1 .. 1.  `integers` with int64 bounds
     makes the bounded draws one by one, so one call per generator serves its
-    r sizes and leaves the stream where the `choice` calls would leave it.
-    Floyd's rule and the shuffle then run over all S*r rows at once, and tail
-    rows are resolved one by one.  numpy does not promise this across
+    r sizes and leaves the stream where the `choice` calls would leave it;
+    Floyd's rule and the shuffle then run over all S*r rows at once.  Any
+    other size takes numpy's tail shuffle, so then every row is the
+    generator's own `choice` call.  numpy does not promise this across
     versions; the trainer tests pin it to `choice`.
     """
-    bounds = np.broadcast_to(bounds, (len(rngs),) + bounds.shape[1:])
-    k = (bounds.shape[-1] + 1) // 2
-    if (bounds[..., -1] >= 0).all():
-        draws = np.stack([rng.integers(0, b, endpoint=True) for rng, b in zip(rngs, bounds)])
-    else:
-        draws = np.zeros(bounds.shape, dtype=np.int64)
-        for rng, b, d in zip(rngs, bounds, draws):
-            d[b >= 0] = rng.integers(0, b[b >= 0], endpoint=True)
-    b, d = bounds.reshape(-1, 2 * k - 1), draws.reshape(-1, 2 * k - 1)
-    floyd = b[:, -1] >= 0
-    picks = np.empty((len(b), k), dtype=np.int64)
-    picks[floyd] = _floyd(b[floyd], d[floyd])
-    for row in np.flatnonzero(~floyd):
-        n = int(b[row, 0]) + 1
-        moved = {}  # slot -> value, where it differs from the slot
-        for i, j in zip(range(n - 1, max(n - k, 1) - 1, -1), d[row].tolist()):
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        picks[row] = [moved.get(i, i) for i in range(n - k, n)]
-    return picks.reshape(bounds.shape[:-1] + (k,))
+    sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64), (len(rngs),) + np.shape(sizes)[1:])
+    if ((sizes > 10000) & (k > sizes // 50)).any():
+        return np.array([[rng.choice(n, size=k, replace=False) for n in row]
+                         for rng, row in zip(rngs, sizes.tolist())], dtype=np.int64)
+    bounds = np.empty(sizes.shape + (2 * k - 1,), dtype=np.int64)
+    bounds[..., :k] = sizes[..., None] - k + np.arange(k)
+    bounds[..., k:] = np.arange(k - 1, 0, -1)
+    draws = np.stack([rng.integers(0, b, endpoint=True) for rng, b in zip(rngs, bounds)])
+    flat = (-1, 2 * k - 1)
+    return _floyd(bounds.reshape(flat), draws.reshape(flat)).reshape(sizes.shape + (k,))
 
 
 def _floyd(bounds: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Floyd's sampling then the shuffle of its k picks, for rows of Floyd-regime bounds."""
+    """Floyd's sampling then the shuffle of its k picks, per row of `_choice_rows` bounds."""
     k = (bounds.shape[1] + 1) // 2
     picks = draws[:, :k].copy()
     for i in range(1, k):
@@ -346,7 +317,8 @@ class TrainHistory:
 def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     """Train the head on the train split; return (best model, history).
 
-    Best = highest val_ss R@1, earliest epoch on ties.
+    Best = highest val_ss R@1, earliest epoch on ties.  A train or val_ss id
+    that ``features`` lacks raises `EmbedStoreError`, from `EmbeddingMatrix.subset`.
     """
     config.validate()
     oracle = LinkOracle.from_catalog(catalog)
@@ -363,12 +335,8 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     if len(val_sizes) < 2:
         raise TrainError("val_ss holds one branch; model selection needs negatives from another")
 
-    row_of = {image_id: i for i, image_id in enumerate(features.ids)}
-    missing = [i for i in train_ids + val_ids if i not in row_of]
-    if missing:
-        raise TrainError(f"features missing for {len(missing)} images, e.g. {missing[0]!r}")
-    train_feat = features.data[[row_of[i] for i in train_ids]].astype(np.float64)
-    val_feat = features.data[[row_of[i] for i in val_ids]].astype(np.float64)
+    train_feat = features.subset(train_ids).data.astype(np.float64)
+    val_feat = features.subset(val_ids).data.astype(np.float64)
     codes = oracle.codes(train_ids)
 
     rng = seeded_rng(config.seed)

@@ -134,14 +134,22 @@ class TestLoad:
         assert cat.records == ()
 
     def test_duplicate_id_rejected(self, tmp_path):
-        p = write(tmp_path, "image_id,branch_id,chain_id\nx,b1,c1\nx,b9,c2\n")
-        with pytest.raises(CatalogError, match="duplicate image_id"):
+        p = write(tmp_path, "image_id,branch_id,chain_id\nx,b1,c1\n\ny,b1,c1\nx,b9,c2\n")
+        with pytest.raises(CatalogError) as err:
             load_catalog(p)
+        assert str(err.value) == f"{p}:5: duplicate image_id: 'x'"  # the blank line counts
 
     def test_conflicting_chain_rejected(self, tmp_path):
         p = write(tmp_path, "image_id,branch_id,chain_id\na,b1,c1\nb,b1,c2\n")
-        with pytest.raises(CatalogError, match="b1"):
+        with pytest.raises(CatalogError) as err:
             load_catalog(p)
+        assert str(err.value) == f"{p}:3: branch 'b1' has conflicting chain ids: 'c1' vs 'c2'"
+
+    def test_a_bad_csv_row_keeps_its_one_prefix(self, tmp_path):
+        p = write(tmp_path, "image_id,branch_id\na,b1\nb,\"" + "k" * 200_000 + "\"\n")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(p)
+        assert str(err.value).startswith(f"{p}: line 3: field larger than field limit")
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(CatalogError, match="header"):
@@ -168,10 +176,11 @@ class TestLoad:
 
     @pytest.mark.parametrize("row", ["a", " a ,  ", ",b1,c1", "  ,b1", "a,,c1,k1"])
     def test_missing_image_or_branch_names_the_line(self, tmp_path, row):
-        p = write(tmp_path, f"image_id,branch_id,chain_id\nx,b0\n{row}\n")
+        p = write(tmp_path, f"image_id,branch_id,chain_id,content_key\nx,b0\n{row}\n")
+        column = "branch_id" if row.split(",")[0].strip() else "image_id"
         with pytest.raises(CatalogError) as err:
             load_catalog(p)
-        assert str(err.value) == f"{p}:3: image_id and branch_id are required"
+        assert str(err.value) == f"{p}:3: {column} '' is not a non-empty, unpadded str"
 
     def test_short_rows_are_padded_and_cells_stripped(self, tmp_path):
         p = write(tmp_path, "image_id,branch_id,chain_id,content_key\n"
@@ -220,6 +229,11 @@ class TestSave:
         with pytest.raises(CatalogError) as err:
             Catalog.from_records([rec("z", "b0", "c0", "k0"), record])
         assert str(err.value) == f"{column} {value!r} is not a non-empty, unpadded str"
+
+    def test_records_are_read_once(self):
+        cat = Catalog.from_records(ImageRecord(f"i{j}", "b0", "c0") for j in range(3))
+        assert cat.records == tuple(ImageRecord(f"i{j}", "b0", "c0") for j in range(3))
+        assert cat.branch_index == {"b0": ("i0", "i1", "i2")}
 
     def test_records_that_load_back_merged_are_refused(self):
         with pytest.raises(CatalogError, match="^image_id ' a' "):

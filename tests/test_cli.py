@@ -585,6 +585,36 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert list(outputs.iterdir()) == []
 
+    @pytest.mark.parametrize("case", ["train --features", "eval --features",
+                                      "eval --embeddings", "eval --reference",
+                                      "mine --embeddings"])
+    def test_a_matrix_without_an_id_of_the_split_names_its_file(self, art, tmp_path, capsys,
+                                                                 monkeypatch, case):
+        """A matrix that lacks one id that the command needs exits 1 naming
+        the file of the flag that gave it, and nothing is written."""
+        from splitmetric.embedstore import read_embeddings, write_embeddings
+        from splitmetric.splitgen import load_assignment
+
+        split = "train" if case.startswith("train") else "test_ss"
+        dropped = sorted(load_assignment(art["splits"]).images_of(split))[3]
+        features = read_embeddings(art["features"])
+        short = tmp_path / "short.emb"
+        write_embeddings(features.subset([i for i in features.ids if i != dropped]), short)
+        argv = {
+            "train --features": ["train", "--features", short, "--epochs", 1, "--m", 4,
+                                 "--k", 3, "--d-out", 8],
+            "eval --features": ["eval", "--model", art["model"], "--features", short],
+            "eval --embeddings": ["eval", "--embeddings", short],
+            "eval --reference": ["eval", "--embeddings", art["features"], "--reference", short],
+            "mine --embeddings": ["mine", "--embeddings", short],
+        }[case] + ([] if split == "train" else ["--split", split])
+        outputs = tmp_path / "out"
+        outputs.mkdir()
+        monkeypatch.chdir(outputs)  # default outputs land here, if any is written
+        assert run(*argv, "--catalog", art["catalog"], "--splits", art["splits"]) == 1
+        assert capsys.readouterr().err == f"error: {short}: ids not in matrix: {[dropped]!r}\n"
+        assert list(outputs.iterdir()) == []
+
     @pytest.mark.parametrize("payload", [
         '{"supcon_tau": "0.1"}', '{"triplet_margin": NaN}', '{"supcon_tau": true}',
         '{"softtriple_centers": 2.5}', '{"circle_gamma": Infinity}', '5',

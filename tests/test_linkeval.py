@@ -478,7 +478,10 @@ class TestMining:
 
 
 def brute_evaluate(emb, oracle, repeats, seed):
-    """Loop reimplementation of the whole report (no package internals)."""
+    """Loop reimplementation of the whole report (no package internals).
+
+    Every loop walks the ids in sorted order, so an R@1 tie goes to the smaller id.
+    """
     ids = list(emb.ids)
     unit = emb.data.astype(np.float64)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
@@ -487,13 +490,14 @@ def brute_evaluate(emb, oracle, repeats, seed):
     for i in ids:
         counts[oracle.branch(i)] = counts.get(oracle.branch(i), 0) + 1
 
+    sorted_ids = sorted(ids)
     hits = total = 0
-    for i in ids:
+    for i in sorted_ids:
         if counts[oracle.branch(i)] < 2:
             continue
         total += 1
         best, best_j = -np.inf, None
-        for j in ids:
+        for j in sorted_ids:
             if j == i:
                 continue
             s = float(unit[row[i]] @ unit[row[j]])
@@ -502,7 +506,6 @@ def brute_evaluate(emb, oracle, repeats, seed):
         if oracle.branch(best_j) == oracle.branch(i):
             hits += 1
 
-    sorted_ids = sorted(ids)
     groups = {}
     for i in sorted_ids:
         groups.setdefault(oracle.branch(i), []).append(i)
@@ -557,6 +560,23 @@ class TestEvaluate:
         assert report.auc_repeats == pytest.approx(want_aucs, abs=1e-12)
         assert report.auc_mean == pytest.approx(float(np.mean(want_aucs)), abs=1e-12)
         assert report.auc_std == pytest.approx(float(np.std(want_aucs)), abs=1e-12)
+
+    def test_row_order_is_neutral_under_ties(self):
+        """60 rows on 4 directions over 6 branches: every cosine ties with many
+        others, and every row order gives the same report, R@1 included."""
+        rng = np.random.default_rng(86)
+        palette = rng.standard_normal((4, 3)).astype(np.float32)
+        ids = tuple(f"i{j:02d}" for j in range(60))
+        data = palette[rng.integers(4, size=60)]
+        oracle = oracle_of({i: f"b{int(rng.integers(6))}" for i in ids})
+        emb = EmbeddingMatrix(ids, data)
+        options = EvalOptions(repeats=3, seed=5, hard_pool=mine_hard_negatives(emb, oracle, k=5))
+        want = evaluate(emb, oracle, options).to_json_dict()
+        assert want["r_at_1"] == brute_evaluate(emb, oracle, repeats=1, seed=0)[0]
+        for _ in range(20):
+            perm = rng.permutation(60)
+            shuffled = EmbeddingMatrix(tuple(ids[p] for p in perm), data[perm])
+            assert evaluate(shuffled, oracle, options).to_json_dict() == want
 
     def test_row_scaling_is_neutral(self):
         rng = np.random.default_rng(81)

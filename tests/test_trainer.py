@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitmetric import trainer
-from splitmetric.embedstore import EmbeddingMatrix, unit_rows
+from splitmetric.embedstore import EmbeddingMatrix, EmbedStoreError, unit_rows
 from splitmetric.linkeval import EvalOptions, LinkOracle, evaluate
 from splitmetric.losses import LOSSES, CenterBank, LossParams, ProxyBank
 from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits
@@ -20,7 +20,6 @@ from splitmetric.trainer import (
     TrainError,
     TrainHistory,
     _ClassIndex,
-    _bounds,
     _choice_rows,
     _layernorm,
     forward,
@@ -275,7 +274,7 @@ class TestSampleBatch:
         # numpy does not promise its Generator streams across versions (NEP 19);
         # this pins the batched draw to `choice` on the installed numpy
         seeds = range(300 if n * k < 10**4 else 30)
-        picks = _choice_rows([np.random.default_rng(s) for s in seeds], _bounds([[n]], k))
+        picks = _choice_rows([np.random.default_rng(s) for s in seeds], [[n]], k)
         for seed, got in zip(seeds, picks):
             want = np.random.default_rng(seed).choice(n, size=k, replace=False)
             assert got[0].tolist() == want.tolist()
@@ -283,7 +282,7 @@ class TestSampleBatch:
         sizes = [[n, max(n // 2, k), n], [max(n // 3, k), n, n]]
         wants = [np.random.default_rng(99 + s) for s in range(2)]
         gots = [np.random.default_rng(99 + s) for s in range(2)]
-        picks = _choice_rows(gots, _bounds(sizes, k))
+        picks = _choice_rows(gots, sizes, k)
         for want, got, row, size in zip(wants, gots, picks, sizes):
             calls = [want.choice(n_, size=k, replace=False).tolist() for n_ in size]
             assert row.tolist() == calls
@@ -510,7 +509,7 @@ class TestTrainLoop:
     def test_missing_features_rejected(self):
         catalog, assignment, features = toy_corpus()
         truncated = features.subset(features.ids[:-1])
-        with pytest.raises(TrainError, match="missing"):
+        with pytest.raises(EmbedStoreError, match="ids not in matrix"):
             train(catalog, assignment, truncated, TrainConfig(epochs=1, m=4, k=3))
 
     def test_config_validation(self):

@@ -160,8 +160,7 @@ def pair_parts(pairs):
 
 
 def embed(model, features: EmbeddingMatrix, ids) -> EmbeddingMatrix:
-    row_of = {i: j for j, i in enumerate(features.ids)}
-    feat = features.data.astype(np.float64)[[row_of[i] for i in ids]]
+    feat = features.subset(ids).data.astype(np.float64)
     return EmbeddingMatrix(tuple(ids), forward(model, feat).astype(np.float32), normalized=True)
 
 
