@@ -209,9 +209,15 @@ def cmd_train(args):
 
 def _in_split(args, catalog, path) -> EmbeddingMatrix:
     """The rows of the EMB1 file ``path`` in ``--split``, in id order, or all rows without
-    it; ``--splits`` is verified on ``catalog`` before the file is read."""
+    it, which must all be images of ``catalog``; ``--splits`` is verified on ``catalog``
+    before the file is read."""
     if not args.split:
-        return read_embeddings(path)
+        matrix = read_embeddings(path)
+        known = {record.image_id for record in catalog.records}
+        unknown = [i for i in matrix.ids if i not in known]
+        if unknown:
+            raise EmbedStoreError(f"{path}: ids not in catalog {args.catalog}: {unknown[:5]!r}")
+        return matrix
     ids = _verified_splits(args, catalog).images_of(args.split)
     if not ids:
         raise EvalError(f"split {args.split!r} is empty")

@@ -290,11 +290,10 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     rows = np.arange(labels.shape[0])
     shift = logits - logits.max(axis=1, keepdims=True)
     ex = np.exp(shift)
-    softmax = ex / ex.sum(axis=1, keepdims=True)
-    logp = shift[rows, labels] - np.log(ex.sum(axis=1))
-    onehot = np.zeros_like(logits)
-    onehot[rows, labels] = 1.0
-    return float(-np.mean(logp)), softmax - onehot
+    total = ex.sum(axis=1)
+    resid = ex / total[:, None]
+    resid[rows, labels] -= 1.0
+    return float(-np.mean(shift[rows, labels] - np.log(total))), resid
 
 
 def proxynca_loss(batch: Batch, proxies: ProxyBank, params: LossParams) -> LossResult:
@@ -322,21 +321,22 @@ def softtriple_loss(batch: Batch, centers: CenterBank, params: LossParams) -> Lo
     delta, tau_reg = params.softtriple_delta, params.softtriple_tau_reg
     b = batch.size
 
-    q = np.einsum("id,cjd->icj", emb, w)
+    # centers first, q[j, c, i] = w[c, j] . emb[i]: each reduction over J takes C x B slabs
+    wt = np.ascontiguousarray(w.transpose(1, 0, 2))  # J x C x d
+    q = wt @ emb.T
     qs = q / gamma
-    qs -= qs.max(axis=2, keepdims=True)
-    r = np.exp(qs)
-    r /= r.sum(axis=2, keepdims=True)
-    sim = np.sum(r * q, axis=2)  # relaxed per-class similarity
+    qs -= qs.max(axis=0)
+    r = np.exp(qs, out=qs)
+    r /= r.sum(axis=0)
+    sim = np.sum(r * q, axis=0)  # C x B, the relaxed per-class similarity
 
-    z = lam * sim
+    z = lam * sim.T
     z[np.arange(b), labels] -= lam * delta
     value, resid = _softmax_xent(z, labels)
-    dz = resid / b
-    dsim = lam * dz
-    dq = dsim[:, :, None] * r * (1.0 + (q - sim[:, :, None]) / gamma)
-    grad_emb = np.einsum("icj,cjd->id", dq, w)
-    grad_w = np.einsum("icj,id->cjd", dq, emb)
+    dsim = lam * (resid / b).T
+    dq = (dsim * r * (1.0 + (q - sim) / gamma)).reshape(n_centers * n_classes, b)
+    grad_emb = dq.T @ wt.reshape(n_centers * n_classes, -1)
+    grad_w = (dq @ emb).reshape(n_centers, n_classes, -1).transpose(1, 0, 2)
 
     if n_centers >= 2 and tau_reg != 0.0:
         denom = n_classes * n_centers * (n_centers - 1)

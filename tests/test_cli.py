@@ -615,6 +615,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {short}: ids not in matrix: {[dropped]!r}\n"
         assert list(outputs.iterdir()) == []
 
+    @pytest.mark.parametrize("case", ["eval --embeddings", "eval --reference",
+                                      "mine --embeddings"])
+    def test_a_matrix_with_an_id_the_catalog_lacks_names_both_files(self, art, tmp_path,
+                                                                    capsys, monkeypatch, case):
+        """Without ``--split``, a matrix that holds an id the catalog lacks exits 1
+        before any search, naming the EMB1 file and the catalog, and nothing is written."""
+        from splitmetric.embedstore import EmbeddingMatrix, read_embeddings, write_embeddings
+
+        features = read_embeddings(art["features"])
+        extra = tmp_path / "extra.emb"
+        write_embeddings(EmbeddingMatrix(features.ids + ("stray",),
+                                         np.vstack([features.data, features.data[:1]])), extra)
+        argv = {
+            "eval --embeddings": ["eval", "--embeddings", extra],
+            "eval --reference": ["eval", "--embeddings", extra, "--reference", extra],
+            "mine --embeddings": ["mine", "--embeddings", extra],
+        }[case]
+        outputs = tmp_path / "out"
+        outputs.mkdir()
+        monkeypatch.chdir(outputs)  # default outputs land here, if any is written
+        assert run(*argv, "--catalog", art["catalog"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {extra}: ids not in catalog {art['catalog']}: ['stray']\n")
+        assert list(outputs.iterdir()) == []
+
     @pytest.mark.parametrize("payload", [
         '{"supcon_tau": "0.1"}', '{"triplet_margin": NaN}', '{"supcon_tau": true}',
         '{"softtriple_centers": 2.5}', '{"circle_gamma": Infinity}', '5',

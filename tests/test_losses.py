@@ -941,3 +941,22 @@ class TestAgainstPerAnchorReference:
             assert close(got.grad_aux, want_w), case
             decisions.add(loop_softtriple_kink(bank))
         assert decisions == {0.0, np.inf}
+
+    @pytest.mark.parametrize("n_classes, d", [(190, 2), (190, 8), (1000, 2), (1000, 8)])
+    def test_softtriple_matches_at_training_bank_sizes(self, n_classes, d):
+        """8 x 4 batches against banks of a training run's size, J = 5: banks seeded
+        as `train` seeds them (jittered copies of a class mean) alternate with
+        independent random centers."""
+        rng = np.random.default_rng(517 + n_classes + d)
+        params = LossParams()
+        for draw in range(60):
+            labels = np.repeat(rng.choice(n_classes, size=8, replace=False), 4)
+            batch = Batch(unit_rows(rng.standard_normal((32, d))), labels)
+            means = unit_rows(rng.standard_normal((n_classes, d)))
+            bank = (CenterBank.seeded(means, params, rng) if draw % 2 == 0
+                    else CenterBank(unit_rows(rng.standard_normal((n_classes, 5, d)))))
+            want_value, want_emb, want_w = loop_softtriple(batch, bank, params)
+            got = compute_loss("softtriple", batch, params, bank)
+            assert close(got.value, want_value), (draw, got.value, want_value)
+            assert close(got.grad_embeddings, want_emb), draw
+            assert close(got.grad_aux, want_w), draw

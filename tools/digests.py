@@ -6,12 +6,15 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 tools/digests.py --check    # compare with digests.expected
     PYTHONPATH=src python3 tools/digests.py --write    # rewrite digests.expected
     PYTHONPATH=src python3 tools/digests.py --check --section loss --section train
+    PYTHONPATH=src python3 tools/digests.py --write --section loss --section train
 
 ``--check`` names every line that moved, grouped by section, and exits 1 if
 any did; with ``--section`` it runs and compares only the named sections
-(``--section`` limits a plain print too).  A change that moves outputs on
-purpose commits the file that ``--write`` makes, whose diff lists the moved
-lines.  ``tests/test_digests.py`` compares the fast sections (``FAST``) in
+(``--section`` limits a plain print too).  ``--write --section NAME``
+rewrites only the named sections; the header and every other section keep
+their bytes.  A change that moves outputs on purpose commits the file that
+``--write`` makes, whose diff lists the moved lines.
+``tests/test_digests.py`` compares the fast sections (``FAST``) in
 tier-1; the sections whose lines depend on the BLAS kernel are left to
 ``--check`` (see ``KERNEL_DEPENDENT``).  To compare two checkouts, print the
 lines of each and diff them.
@@ -541,10 +544,8 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true", help=f"compare with {EXPECTED.name}")
     mode.add_argument("--write", action="store_true", help=f"rewrite {EXPECTED.name}")
     parser.add_argument("--section", action="append", choices=SECTIONS,
-                        help="run only this section (repeatable); not with --write")
+                        help="run only this section (repeatable)")
     args = parser.parse_args(argv)
-    if args.write and args.section:
-        parser.error("--write rewrites every section")
     names = [name for name in SECTIONS if name in (args.section or SECTIONS)]
     if not (args.check or args.write):
         for name in names:
@@ -552,7 +553,12 @@ def main(argv=None) -> int:
         return 0
     got = {name: section_lines(name) for name in names}
     if args.write:
-        text = header() + [line for name, lines in got.items() for line in [f"[{name}]", *lines]]
+        sections, head = got, header()
+        if args.section:  # the header and every other section keep their lines
+            sections = {**read_expected(EXPECTED), **got}
+            head = [line for line in EXPECTED.read_text(encoding="utf-8").splitlines()
+                    if line.startswith("#")]
+        text = head + [line for name, lines in sections.items() for line in [f"[{name}]", *lines]]
         EXPECTED.write_text("\n".join(text) + "\n", encoding="utf-8")
         print(f"wrote {sum(map(len, got.values()))} lines to {EXPECTED}")
         return 0
