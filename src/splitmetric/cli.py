@@ -11,7 +11,8 @@ well: the ``<path>.ids`` of every EMB1 input and output, and the manifest.
 After the command it writes `<primary-output>.manifest.json` from the same
 declaration, so a run can be reproduced from the manifest alone.  A
 command that reads ``--splits`` refuses a file that fails `verify_splits`
-before it reads any features.
+before it reads any features.  `_rows` gathers an EMB1 file's rows, naming
+the file on a missing id; a row searched as it is may not be all zero.
 
 The ``synth``, ``split``, ``train`` and ``eval`` commands each take one flag
 per ``int`` or ``float`` field of their config dataclass (`SynthConfig`,
@@ -207,41 +208,55 @@ def cmd_train(args):
           f"final val R@1 {last[2]:.4f}, val AUC {last[3]:.4f}")
 
 
-def _in_split(args, catalog, path) -> EmbeddingMatrix:
+def _rows(path, ids) -> EmbeddingMatrix:
+    """The rows of the EMB1 file ``path`` for ``ids``, in that order; a missing id names the file."""
+    matrix = read_embeddings(path)
+    try:
+        return matrix.subset(ids)
+    except EmbedStoreError as exc:
+        raise EmbedStoreError(f"{path}: {exc}") from None
+
+
+def _in_split(args, catalog, oracle, path) -> EmbeddingMatrix:
     """The rows of the EMB1 file ``path`` in ``--split``, in id order, or all rows without
-    it, which must all be images of ``catalog``; ``--splits`` is verified on ``catalog``
+    it, which must all be images of ``oracle``; ``--splits`` is verified on ``catalog``
     before the file is read."""
     if not args.split:
         matrix = read_embeddings(path)
-        known = {record.image_id for record in catalog.records}
-        unknown = [i for i in matrix.ids if i not in known]
+        unknown = [i for i in matrix.ids if i not in oracle.labels]
         if unknown:
             raise EmbedStoreError(f"{path}: ids not in catalog {args.catalog}: {unknown[:5]!r}")
         return matrix
-    ids = _verified_splits(args, catalog).images_of(args.split)
+    ids = _verified_splits(args, catalog).images_of(args.split)  # in id order
     if not ids:
         raise EvalError(f"split {args.split!r} is empty")
-    matrix = read_embeddings(path)
-    try:
-        return matrix.subset(sorted(ids))
-    except EmbedStoreError as exc:  # an id of the split that the matrix lacks
-        raise EmbedStoreError(f"{path}: {exc}") from None
+    return _rows(path, ids)
+
+
+def _directed(path, matrix) -> EmbeddingMatrix:
+    """``matrix``, rows of the EMB1 file ``path`` searched as they are; a zero row is refused."""
+    zero = np.flatnonzero(~matrix.data.any(axis=1))
+    if zero.size:
+        raise EmbedStoreError(f"{path}: image {matrix.ids[zero[0]]!r} has an all-zero row, "
+                              "which has no direction")
+    return matrix
 
 
 def cmd_eval(args):
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    emb = _in_split(args, catalog, args.embeddings or args.features)
+    emb = _in_split(args, catalog, oracle, args.embeddings or args.features)
     if args.model:  # the head runs on the split's rows only
-        rows = forward(load_model(args.model), emb.data.astype(np.float64))
-        emb = EmbeddingMatrix(emb.ids, rows.astype(np.float32), normalized=True)
+        model = load_model(args.model)
+        if model.d_in != emb.d:
+            raise TrainError(f"{args.model}: the model takes {model.d_in}-d features, "
+                             f"but {args.features} holds {emb.d}-d rows")
+        emb = EmbeddingMatrix(emb.ids, forward(model, emb.data).astype(np.float32), normalized=True)
+    else:
+        _directed(args.embeddings, emb)
     hard_pool = None
     if args.reference:
-        reference = read_embeddings(args.reference)
-        try:
-            reference = reference.subset(sorted(emb.ids))
-        except EmbedStoreError as exc:  # an evaluated id that the reference lacks
-            raise EmbedStoreError(f"{args.reference}: {exc}") from None
+        reference = _directed(args.reference, _rows(args.reference, sorted(emb.ids)))
         hard_pool = mine_hard_negatives(reference, oracle, k=args.hard_k, threads=args.threads)
     report = evaluate(emb, oracle, _config(args, hard_pool=hard_pool))
     payload = report.to_json_dict()
@@ -254,9 +269,9 @@ def cmd_eval(args):
 def cmd_mine(args):
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    reference = _in_split(args, catalog, args.embeddings)
+    reference = _directed(args.embeddings, _in_split(args, catalog, oracle, args.embeddings))
     pool = mine_hard_negatives(reference, oracle, k=args.k, threads=args.threads)
-    payload = {anchor: list(ids) for anchor, ids in sorted(pool.negatives.items())}
+    payload = {anchor: list(ids) for anchor, ids in pool.negatives.items()}  # in id order
     write_json(args.out, payload)
     sizes = [len(v) for v in payload.values()]
     print(f"mined pools for {len(payload)} images (k={args.k}, "

@@ -9,9 +9,10 @@ each); AUC_H replaces the uniform negative with a draw from a mined pool of
 the most-similar negatives under a fixed reference embedding.  Repeats are
 independent, with repeat r seeded as seed+r, and reduced in repeat order.
 
-`evaluate` takes the rows in id order once, builds one pair index per mode
-(branch order, ranks, draw bounds and the checked hard pool, all as row
-positions) and scores each repeat's seeded draw straight from the unit rows;
+`evaluate` takes the rows in id order once and builds one pair index per
+mode (branch order, ranks, draw bounds and the checked hard pool, all as row
+positions).  The uniform index's anchors are R@1's anchors too, and each
+repeat's seeded draw is scored straight from the unit rows;
 `sample_eval_pairs` returns the same index's draw as id pairs.
 """
 
@@ -38,7 +39,7 @@ class LinkOracle:
 
     @classmethod
     def from_catalog(cls, catalog) -> "LinkOracle":
-        return cls({rec.image_id: rec.branch_id for rec in catalog.records})
+        return cls(catalog.branch_of())
 
     def branch(self, image_id: str) -> str:
         try:
@@ -137,8 +138,9 @@ class _PairIndex:
     position below indexes ``ids``.  An anchor is eligible when its branch
     has another member; the others are ``skipped``.  With a hard pool, the
     eligible anchors' pools are checked once (each entry must be an id here,
-    from another branch) and kept as a padded array of positions plus the
-    pool lengths, which bound the negative draws.
+    from another branch) and kept as one flat array of positions with each
+    anchor's start in it, as ``order`` and ``first_mate`` keep the positives;
+    the pool lengths bound the negative draws.
     """
 
     def __init__(self, ids: list, codes: np.ndarray, hard_pool: HardNegPool | None) -> None:
@@ -177,8 +179,7 @@ class _PairIndex:
                 anchor, entry = ids[owner[bad[0]]], entries[bad[0]]
                 why = "not an evaluated id" if at[bad[0]] < 0 else "in the anchor's own branch"
                 raise EvalError(f"hard pool of anchor {anchor!r} holds {entry!r}, which is {why}")
-            self.pool = np.zeros((len(available), available.max(initial=0)), dtype=np.intp)
-            self.pool[np.arange(self.pool.shape[1]) < available[:, None]] = at
+            self.pool, self.pool_start = at, np.cumsum(available) - available
         self.bounds = np.stack([sizes[branch] - 1, available], axis=1).ravel()
 
     def draw(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +198,7 @@ class _PairIndex:
             members_before = np.searchsorted(self.keys, self.key_base + r_neg, side="right")
             negatives = r_neg + members_before - self.first_mate
         else:
-            negatives = self.pool[np.arange(len(r_neg)), r_neg]
+            negatives = self.pool[self.pool_start + r_neg]
         return positives, negatives
 
 
@@ -250,10 +251,9 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
     branches = oracle.codes(ids)
     indices, sims = top_k(unit_rows(sub.data), unit_rows(sub.data), min(k, len(ids)),
                           branches, branches, threads)
-    pools = dict(zip(ids, map(tuple, np.array(ids, dtype=object)[indices].tolist())))
-    for r in np.flatnonzero(np.isneginf(sims).any(axis=1)):  # -inf cells sort last
-        pools[ids[r]] = pools[ids[r]][:np.count_nonzero(sims[r] > -np.inf)]
-    return HardNegPool(pools, k)
+    kept = np.count_nonzero(sims > -np.inf, axis=1).tolist()  # -inf cells sort last
+    named = np.array(ids, dtype=object)[indices].tolist()
+    return HardNegPool({i: tuple(row[:n]) for i, row, n in zip(ids, named, kept)}, k)
 
 
 def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptions) -> MetricReport:
@@ -261,54 +261,38 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
 
     Everything runs on the rows in id order, so no result depends on the
     matrix's row order: an R@1 tie goes to the smaller id, as in mining.
-    Each mode builds one pair index over those rows; every repeat draws
-    positions from it and scores them straight from the unit rows.
+    Each mode builds one pair index over those rows, and the uniform one's
+    anchors are the ids R@1 averages over; every repeat draws positions
+    from an index and scores them straight from the unit rows.
     """
     options.validate()
     embeddings = embeddings.subset(sorted(embeddings.ids))
     ids = embeddings.ids
     codes = oracle.codes(ids)
-    eligible = np.bincount(codes)[codes] >= 2
-    if not eligible.any():
+    if np.bincount(codes).max(initial=0) < 2:
         raise EvalError("every branch is a singleton; no metric is defined")
 
     knn = cosine_knn(embeddings, embeddings, k=1, exclude_self=True, threads=options.threads)
-    r_at_1 = float(np.mean(codes[knn.indices[eligible, 0]] == codes[eligible]))
+    index = _PairIndex(ids, codes, None)
     unit = unit_rows(embeddings.data)
 
-    def auc_over_repeats(hard_pool):
-        index = _PairIndex(ids, codes, hard_pool)
+    def aucs(index: _PairIndex) -> tuple:
         anchors = unit[index.anchors]
-        vals = []
-        for r in range(options.repeats):
-            positives, negatives = index.draw(int(options.seed) + r)  # no int64 wrap
-            vals.append(auroc(np.einsum("ij,ij->i", anchors, unit[positives]),
-                              np.einsum("ij,ij->i", anchors, unit[negatives])))
-        return vals, index.skipped
+        draws = (index.draw(int(options.seed) + r) for r in range(options.repeats))  # no int64 wrap
+        return tuple(auroc(np.einsum("ij,ij->i", anchors, unit[positives]),
+                           np.einsum("ij,ij->i", anchors, unit[negatives]))
+                     for positives, negatives in draws)
 
-    auc_vals, skipped = auc_over_repeats(None)
-    auc_h_vals = None
-    if options.hard_pool is not None:
-        auc_h_vals, _ = auc_over_repeats(options.hard_pool)
-
-    def mean_std(vals):
-        arr = np.asarray(vals, dtype=np.float64)
-        return float(arr.mean()), float(arr.std())
-
-    auc_mean, auc_std = mean_std(auc_vals)
-    if auc_h_vals is None:
-        h_mean = h_std = h_rep = None
-    else:
-        h_mean, h_std = mean_std(auc_h_vals)
-        h_rep = tuple(auc_h_vals)
+    auc = aucs(index)
+    auc_h = None if options.hard_pool is None else aucs(_PairIndex(ids, codes, options.hard_pool))
     return MetricReport(
-        r_at_1=r_at_1,
-        auc_mean=auc_mean,
-        auc_std=auc_std,
-        auc_repeats=tuple(auc_vals),
-        auc_h_mean=h_mean,
-        auc_h_std=h_std,
-        auc_h_repeats=h_rep,
+        r_at_1=float(np.mean(codes[knn.indices[index.anchors, 0]] == codes[index.anchors])),
+        auc_mean=float(np.mean(auc)),
+        auc_std=float(np.std(auc)),
+        auc_repeats=auc,
+        auc_h_mean=auc_h and float(np.mean(auc_h)),  # None without a hard pool
+        auc_h_std=auc_h and float(np.std(auc_h)),
+        auc_h_repeats=auc_h,
         repeats=options.repeats,
-        skipped=skipped,
+        skipped=index.skipped,
     )

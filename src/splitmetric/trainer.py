@@ -336,7 +336,6 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
         raise TrainError("val_ss holds one branch; model selection needs negatives from another")
 
     train_feat = features.subset(train_ids).data.astype(np.float64)
-    val_feat = features.subset(val_ids).data.astype(np.float64)
     codes = oracle.codes(train_ids)
 
     rng = seeded_rng(config.seed)
@@ -356,7 +355,7 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     two_views = LOSSES[config.loss].two_views
     train_z = None if two_views else _layernorm(model, train_feat)
     noise = np.empty((min(CHUNK, steps), 2, spec.size, features.d)) if two_views else None
-    val_z = _layernorm(model, val_feat)
+    val_z = _layernorm(model, features.subset(val_ids).data)
 
     history = TrainHistory([])
     best = model.copy()

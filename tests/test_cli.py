@@ -640,6 +640,72 @@ class TestExitCodes:
             f"error: {extra}: ids not in catalog {art['catalog']}: ['stray']\n")
         assert list(outputs.iterdir()) == []
 
+    @pytest.mark.parametrize("case", ["eval --embeddings", "eval --reference",
+                                      "mine --embeddings"])
+    def test_a_searched_zero_row_names_the_file_and_the_image(self, art, tmp_path, capsys,
+                                                              monkeypatch, case):
+        """An all-zero row in a matrix that is searched as it is exits 1 before any
+        search, naming the EMB1 file and the row's image, and nothing is written."""
+        from splitmetric.embedstore import EmbeddingMatrix, read_embeddings, write_embeddings
+
+        features = read_embeddings(art["features"])
+        order = np.random.default_rng(5).permutation(features.n)  # file rows not in id order
+        data = features.data[order]
+        data[5] = 0.0
+        zeroed = tmp_path / "zeroed.emb"
+        write_embeddings(EmbeddingMatrix(tuple(np.array(features.ids)[order]), data), zeroed)
+        argv = {
+            "eval --embeddings": ["eval", "--embeddings", zeroed],
+            "eval --reference": ["eval", "--embeddings", art["features"], "--reference", zeroed],
+            "mine --embeddings": ["mine", "--embeddings", zeroed],
+        }[case]
+        outputs = tmp_path / "out"
+        outputs.mkdir()
+        monkeypatch.chdir(outputs)  # default outputs land here, if any is written
+        assert run(*argv, "--catalog", art["catalog"]) == 1
+        image = features.ids[order[5]]
+        assert capsys.readouterr().err == (
+            f"error: {zeroed}: image {image!r} has an all-zero row, which has no direction\n")
+        assert list(outputs.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["eval --embeddings", "eval --reference",
+                                      "mine --embeddings", "eval --features"])
+    def test_a_zero_row_that_is_not_searched_as_it_is_passes(self, art, tmp_path, case):
+        """A zero row outside ``--split`` is never read, and a zero ``--features``
+        row under ``--model`` is layernormed to the head's bias first."""
+        from splitmetric.embedstore import EmbeddingMatrix, read_embeddings, write_embeddings
+        from splitmetric.splitgen import load_assignment
+
+        features = read_embeddings(art["features"])
+        split = set(load_assignment(art["splits"]).images_of("test_ss"))
+        data = features.data.copy()
+        inside = case == "eval --features"
+        data[next(r for r, i in enumerate(features.ids) if (i in split) == inside)] = 0.0
+        zeroed = tmp_path / "zeroed.emb"
+        write_embeddings(EmbeddingMatrix(features.ids, data), zeroed)
+        argv = {
+            "eval --embeddings": ["eval", "--embeddings", zeroed],
+            "eval --reference": ["eval", "--embeddings", art["features"], "--reference", zeroed],
+            "mine --embeddings": ["mine", "--embeddings", zeroed],
+            "eval --features": ["eval", "--model", art["model"], "--features", zeroed],
+        }[case]
+        assert run(*argv, "--catalog", art["catalog"], "--splits", art["splits"],
+                   "--split", "test_ss", "--out", tmp_path / "out.json") == 0
+
+    def test_model_and_features_of_other_widths_name_both_files(self, art, tmp_path, capsys):
+        from splitmetric.embedstore import EmbeddingMatrix, read_embeddings, write_embeddings
+
+        features = read_embeddings(art["features"])
+        narrow = tmp_path / "narrow.emb"
+        write_embeddings(EmbeddingMatrix(features.ids, features.data[:, :8]), narrow)
+        out = tmp_path / "metrics.json"
+        assert run("eval", "--catalog", art["catalog"], "--model", art["model"],
+                   "--features", narrow, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {art['model']}: the model takes {features.d}-d features, "
+            f"but {narrow} holds 8-d rows\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("payload", [
         '{"supcon_tau": "0.1"}', '{"triplet_margin": NaN}', '{"supcon_tau": true}',
         '{"softtriple_centers": 2.5}', '{"circle_gamma": Infinity}', '5',

@@ -677,6 +677,18 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="singleton"):
             evaluate(emb, oracle_of({"a": "x", "b": "y"}), EvalOptions())
 
+    @pytest.mark.parametrize("labels, message", [
+        ({}, "every branch is a singleton; no metric is defined"),
+        ({"a": "x"}, "every branch is a singleton; no metric is defined"),
+        ({"a": "x", "b": "y", "c": "z"}, "every branch is a singleton; no metric is defined"),
+        ({"a": "x", "b": "x"}, "need at least 2 branches to sample negatives, got 1"),
+    ])
+    def test_refusals_keep_their_messages(self, labels, message):
+        emb = EmbeddingMatrix(tuple(labels), np.ones((len(labels), 2), dtype=np.float32))
+        with pytest.raises(EvalError) as caught:
+            evaluate(emb, oracle_of(labels), EvalOptions())
+        assert str(caught.value) == message
+
 
 def test_branches_differing_by_a_trailing_nul_stay_apart(tmp_path):
     path = tmp_path / "catalog.csv"
