@@ -68,13 +68,24 @@ class EmbeddingMatrix:
         return {img: i for i, img in enumerate(self.ids)}
 
     def subset(self, ids: list[str] | tuple[str, ...]) -> "EmbeddingMatrix":
-        """Rows for the given ids, in the given order."""
+        """Rows for the given ids, in the given order; the matrix itself if that is its order."""
+        ids = tuple(ids)
+        if ids == self.ids:  # rows this matrix already checked
+            return self
         row = self.row_of()
         missing = [i for i in ids if i not in row]
         if missing:
             raise EmbedStoreError(f"ids not in matrix: {missing[:5]!r}")
         idx = np.array([row[i] for i in ids], dtype=np.intp)
-        return EmbeddingMatrix(tuple(ids), self.data[idx], self.normalized)
+        return EmbeddingMatrix(ids, self.data[idx], self.normalized)
+
+    def unit(self) -> np.ndarray:
+        """The rows as `unit_rows` scales them; a zero row is refused by its image id."""
+        zero = np.flatnonzero(~self.data.any(axis=1))
+        if zero.size:
+            raise EmbedStoreError(f"image {self.ids[zero[0]]!r} has a zero row, "
+                                  "which has no direction")
+        return unit_rows(self.data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,10 +304,17 @@ def cosine_knn(
     available = gallery.n - (1 if exclude_self else 0)
     if k > available:
         raise EmbedStoreError(f"k={k} exceeds {available} available gallery rows")
-    row = gallery.row_of() if exclude_self else {}
-    self_row = np.fromiter(map(row.get, queries.ids, repeat(-1)), np.intp, queries.n)
-    if exclude_self and (self_row < 0).any():
-        qid = queries.ids[np.argmax(self_row < 0)]
-        raise EmbedStoreError(f"exclude_self: query id {qid!r} not in gallery")
-    return NeighborList(*top_k(unit_rows(queries.data), unit_rows(gallery.data), k, self_row,
-                               np.arange(gallery.n), threads))
+    if not exclude_self:
+        self_row = np.full(queries.n, -1)
+    elif queries is gallery:
+        self_row = np.arange(gallery.n)
+    else:
+        row = gallery.row_of()
+        self_row = np.fromiter(map(row.get, queries.ids, repeat(-1)), np.intp, queries.n)
+        if (self_row < 0).any():
+            qid = queries.ids[np.argmax(self_row < 0)]
+            raise EmbedStoreError(f"exclude_self: query id {qid!r} not in gallery")
+    q = queries.unit()
+    # a self-join scales its rows once; the copy is the separate buffer that fixes the bits
+    g = q.copy() if queries is gallery else gallery.unit()
+    return NeighborList(*top_k(q, g, k, self_row, np.arange(gallery.n), threads))

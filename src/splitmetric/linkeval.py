@@ -13,13 +13,15 @@ independent, with repeat r seeded as seed+r, and reduced in repeat order.
 mode (branch order, ranks, draw bounds and the checked hard pool, all as row
 positions).  The uniform index's anchors are R@1's anchors too, and each
 repeat's seeded draw is scored straight from the unit rows;
-`sample_eval_pairs` returns the same index's draw as id pairs.
+`sample_eval_pairs` returns the same index's draw as id pairs.  A mined pool
+stays the positions `top_k` gave until something reads its ids, so mining
+then evaluating the same rows never turns a position into an id and back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -53,7 +55,10 @@ class LinkOracle:
         A dict keyed by the names themselves keeps them exact, so a trailing
         NUL still makes a branch of its own (a ``'<U'`` array drops it).
         """
-        branches = list(map(self.branch, image_ids))
+        try:
+            branches = list(map(self.labels.__getitem__, image_ids))
+        except KeyError as missing:  # the first id without a label
+            raise EvalError(f"no branch label for image {missing.args[0]!r}") from None
         code = {name: c for c, name in enumerate(sorted(set(branches)))}
         return np.fromiter(map(code.__getitem__, branches), np.intp, len(branches))
 
@@ -66,10 +71,57 @@ class PairSet:
     skipped: int  # singleton-branch anchors left out entirely
 
 
-@dataclass(frozen=True, eq=False)
 class HardNegPool:
-    negatives: dict  # anchor id -> tuple of ids, descending reference similarity
-    k: int
+    """Each anchor's hard negatives, by descending reference similarity, mined at ``k``.
+
+    ``HardNegPool(negatives, k)`` takes a dict anchor id -> tuple of ids.  A
+    mined pool is what `top_k` returned instead: its sorted ids, one flat
+    array of positions into them and one pool length per id.
+    Reading ``negatives`` names those positions once as the dict, which then
+    takes the layout's place, so a pool holds one form at a time.
+    """
+
+    __slots__ = ("k", "_negatives", "_rows")
+
+    def __init__(self, negatives: dict, k: int) -> None:
+        self.k = k
+        self._negatives = negatives
+        self._rows = None  # (ids, positions, lengths) of a mined pool not yet named
+
+    @classmethod
+    def _mined(cls, ids: tuple, positions: np.ndarray, lengths: np.ndarray,
+               k: int) -> "HardNegPool":
+        pool = cls(None, k)
+        pool._rows = (ids, positions, lengths)
+        return pool
+
+    @property
+    def negatives(self) -> dict:
+        """Anchor id -> tuple of ids, descending reference similarity."""
+        if self._rows is not None:
+            ids, positions, lengths = self._rows
+            named = iter(np.array(ids, dtype=object)[positions].tolist())
+            self._negatives = {i: tuple(islice(named, n)) for i, n in zip(ids, lengths.tolist())}
+            self._rows = None
+        return self._negatives
+
+    def rows(self) -> tuple:
+        """(ids, positions, lengths): id j's pool is the ``lengths[j]`` ids named by
+        ``positions`` after those of ids 0..j-1.
+
+        A dict's ids are its keys in order, then each other id its pools
+        hold; those have empty pools.
+        """
+        if self._rows is not None:
+            return self._rows
+        pooled = [p or () for p in self._negatives.values()]
+        position = {image_id: j for j, image_id in enumerate(self._negatives)}
+        entries = list(chain.from_iterable(pooled))
+        positions = np.fromiter(map(position.get, entries, repeat(-1)), np.intp, len(entries))
+        for j in np.flatnonzero(positions < 0).tolist():
+            positions[j] = position.setdefault(entries[j], len(position))
+        lengths = list(map(len, pooled)) + [0] * (len(position) - len(pooled))
+        return tuple(position), positions, np.array(lengths, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -137,10 +189,12 @@ class _PairIndex:
     ``ids`` must be sorted and ``codes`` are their branch codes; every
     position below indexes ``ids``.  An anchor is eligible when its branch
     has another member; the others are ``skipped``.  With a hard pool, the
-    eligible anchors' pools are checked once (each entry must be an id here,
-    from another branch) and kept as one flat array of positions with each
-    anchor's start in it, as ``order`` and ``first_mate`` keep the positives;
-    the pool lengths bound the negative draws.
+    eligible anchors' pools are cut from the pool's layout (`HardNegPool.rows`),
+    checked once (each entry must be an id here, from another branch) and
+    kept as one flat array of positions with each anchor's start in it, as
+    ``order`` and ``first_mate`` keep the positives; the pool lengths bound
+    the negative draws.  A pool mined on these very ids holds positions here
+    already; any other pool's ids are looked up once each, not once per entry.
     """
 
     def __init__(self, ids: list, codes: np.ndarray, hard_pool: HardNegPool | None) -> None:
@@ -165,21 +219,34 @@ class _PairIndex:
             self.keys = codes[self.order] * (n + 1) + self.order - rank[self.order]
             self.key_base = branch * (n + 1)
         else:
-            pooled = [hard_pool.negatives.get(ids[a]) for a in self.anchors]
-            missing = next((ids[a] for a, p in zip(self.anchors, pooled) if not p), None)
-            if missing is not None:
-                raise EvalError(f"hard pool has no negatives for anchor {missing!r}")
-            available = np.array([len(p) for p in pooled], dtype=np.int64)
-            position = {image_id: j for j, image_id in enumerate(ids)}
-            entries = list(chain.from_iterable(pooled))
-            at = np.fromiter(map(position.get, entries, repeat(-1)), np.intp, len(entries))
+            pool_ids, entries, lengths = hard_pool.rows()
+            start_of = np.cumsum(lengths) - lengths
+            here = None  # each pool id's position here, -1 if none, when the ids differ
+            row = self.anchors  # each anchor's row in the pool
+            if pool_ids != tuple(ids):
+                position = {image_id: j for j, image_id in enumerate(ids)}
+                here = np.fromiter(map(position.get, pool_ids, repeat(-1)), np.intp,
+                                   len(pool_ids))
+                known = np.flatnonzero(here >= 0)
+                row = np.full(n, len(pool_ids))  # past the end: an anchor the pool lacks
+                row[here[known]] = known
+                row = row[self.anchors]
+                lengths = np.append(lengths, 0)
+            available = lengths[row]
+            missing = self.anchors[available == 0]
+            if missing.size:
+                raise EvalError(f"hard pool has no negatives for anchor {ids[missing[0]]!r}")
+            pool_start = np.cumsum(available) - available
+            entries = entries[np.repeat(start_of[row] - pool_start, available)
+                              + np.arange(available.sum())]
+            at = entries if here is None else here[entries]
             owner = np.repeat(self.anchors, available)
             bad = np.flatnonzero((at < 0) | (codes[at] == codes[owner]))
             if bad.size:
-                anchor, entry = ids[owner[bad[0]]], entries[bad[0]]
+                anchor, entry = ids[owner[bad[0]]], pool_ids[entries[bad[0]]]
                 why = "not an evaluated id" if at[bad[0]] < 0 else "in the anchor's own branch"
                 raise EvalError(f"hard pool of anchor {anchor!r} holds {entry!r}, which is {why}")
-            self.pool, self.pool_start = at, np.cumsum(available) - available
+            self.pool, self.pool_start = at, pool_start
         self.bounds = np.stack([sizes[branch] - 1, available], axis=1).ravel()
 
     def draw(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,23 +304,22 @@ def mine_hard_negatives(reference: EmbeddingMatrix, oracle: LinkOracle, k: int =
 
     One `embedstore.top_k` call with branch codes as groups: same-branch
     cells, self included, score -inf and are dropped.  Memory is one 512 x
-    2,048 block and its fold per worker, whatever N is, and the two separate
-    unit-row arrays keep `top_k`'s bits.
+    2,048 block and its fold per worker, whatever N is.  The rows are scaled
+    once, and a copy is the second, separate buffer that keeps `top_k`'s bits.
     Ties break toward the lexicographically smaller id.  Pools are shorter
     than k only when fewer negatives exist; same-branch-only inputs give
-    empty pools.
+    empty pools.  The pool keeps `top_k`'s positions (`HardNegPool`), and
+    names them as ids only when ``negatives`` is read.
     """
     if k < 1:
         raise EvalError("k must be >= 1")
     EvalOptions(threads=threads).validate()  # the threads rule of `evaluate`
-    ids = sorted(reference.ids)
-    sub = reference.subset(ids)  # gallery in id order, so index ties == id ties
-    branches = oracle.codes(ids)
-    indices, sims = top_k(unit_rows(sub.data), unit_rows(sub.data), min(k, len(ids)),
-                          branches, branches, threads)
-    kept = np.count_nonzero(sims > -np.inf, axis=1).tolist()  # -inf cells sort last
-    named = np.array(ids, dtype=object)[indices].tolist()
-    return HardNegPool({i: tuple(row[:n]) for i, row, n in zip(ids, named, kept)}, k)
+    sub = reference.subset(sorted(reference.ids))  # gallery in id order, so index ties == id ties
+    branches = oracle.codes(sub.ids)
+    unit = sub.unit()
+    indices, sims = top_k(unit, unit.copy(), min(k, sub.n), branches, branches, threads)
+    kept = sims > -np.inf  # -inf cells sort last, so each row keeps a prefix
+    return HardNegPool._mined(sub.ids, indices[kept], np.count_nonzero(kept, axis=1), k)
 
 
 def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptions) -> MetricReport:

@@ -131,6 +131,18 @@ class TestIO:
         with pytest.raises(EmbedStoreError, match="not in matrix"):
             m.subset(["zzz"])
 
+    def test_subset_in_the_matrix_order_is_the_matrix(self):
+        m = matrix([[1, 0], [2, 0], [3, 0]], ids=("a", "b", "c"))
+        assert m.subset(m.ids) is m
+        assert m.subset(["a", "b", "c"]) is m
+        assert m.subset(iter(["a", "b", "c"])) is m
+        again = m.subset(["a", "c", "b"])
+        assert again is not m and again.ids == ("a", "c", "b")
+        with pytest.raises(EmbedStoreError, match=r"^ids not in matrix: \['zzz'\]$"):
+            m.subset(["a", "b", "c", "zzz"])
+        with pytest.raises(EmbedStoreError, match="^ids must be unique$"):
+            m.subset(["a", "b", "c", "a"])
+
 
 class TestNormalize:
     def test_three_four_row(self):
@@ -168,6 +180,15 @@ class TestNormalize:
         assert out.shape == (4, 5, 6)
         assert np.allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-12)
         assert np.array_equal(out.reshape(20, 6), unit_rows(bank.reshape(20, 6)))
+
+    def test_matrix_unit_names_a_zero_row_by_its_id(self):
+        rng = np.random.default_rng(6)
+        m = matrix(rng.standard_normal((5, 3)), ids=("e", "d", "c", "b", "a"))
+        assert np.array_equal(m.unit(), unit_rows(m.data))
+        zeroed = matrix(np.r_[m.data[:3], np.zeros((1, 3)), m.data[4:]], ids=m.ids)
+        with pytest.raises(EmbedStoreError,
+                           match="^image 'b' has a zero row, which has no direction$"):
+            zeroed.unit()
 
     def test_normalized_flag_checks_rows(self):
         with pytest.raises(EmbedStoreError, match="norm"):
@@ -230,6 +251,29 @@ class TestKnn:
         res = cosine_knn(g, g, k=3, exclude_self=True)
         idx, _ = brute_knn(g.data, g.data, 3, exclude=list(range(n)))
         assert np.array_equal(res.indices, idx)
+
+    def test_self_join_keeps_the_bits_of_two_matrices(self):
+        # a self-join scales its rows once; the result must be that of a separate gallery
+        rng = np.random.default_rng(14)
+        for n, d, k in ((40, 5, 3), (700, 8, 1), (700, 8, 4)):
+            g = matrix(rng.standard_normal((n, d)))
+            twin = EmbeddingMatrix(g.ids, g.data.copy())
+            for exclude, threads in itertools.product((False, True), (1, 2)):
+                got = cosine_knn(g, g, k, exclude_self=exclude, threads=threads)
+                want = cosine_knn(g, twin, k, exclude_self=exclude, threads=threads)
+                assert np.array_equal(got.indices, want.indices)
+                assert got.similarities.tobytes() == want.similarities.tobytes()
+
+    def test_zero_row_is_named_by_its_id(self):
+        g = matrix(np.eye(3, dtype=np.float32), ids=("z", "y", "x"))
+        q = matrix([[0.0, 0.0, 0.0]], ids=("q",))
+        message = "^image {!r} has a zero row, which has no direction$"
+        with pytest.raises(EmbedStoreError, match=message.format("q")):
+            cosine_knn(q, g, k=1)
+        zeroed = matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]], ids=g.ids)
+        for queries in (zeroed, g):
+            with pytest.raises(EmbedStoreError, match=message.format("y")):
+                cosine_knn(queries, zeroed, k=1, exclude_self=queries is zeroed)
 
     def test_k_exceeds_gallery(self):
         g = matrix(np.eye(3, dtype=np.float32))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitmetric.catalog import Catalog, ImageRecord, load_catalog
-from splitmetric.embedstore import EmbeddingMatrix
+from splitmetric.embedstore import EmbeddingMatrix, EmbedStoreError, top_k, unit_rows
 from splitmetric.linkeval import (
     EvalError,
     EvalOptions,
@@ -28,6 +28,23 @@ def random_instance(rng, n=40, branches=6, d=5):
     labels = {i: f"b{int(rng.integers(branches))}" for i in ids}
     emb = EmbeddingMatrix(ids, rng.standard_normal((n, d)).astype(np.float32))
     return emb, oracle_of(labels)
+
+
+def tied_instance(rng, n, branches):
+    """Rows on five directions at two scales, shuffled ids: most cosines tie."""
+    palette = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1], [-1, 1, 1]])
+    data = palette[rng.integers(len(palette), size=n)] * rng.choice([1, 2], (n, 1))
+    ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
+    emb = EmbeddingMatrix(ids, data.astype(np.float32))
+    return emb, oracle_of({i: f"b{int(rng.integers(branches))}" for i in ids})
+
+
+def outcome_of(fn, *args):
+    """A call's JSON report, or its EvalError's text."""
+    try:
+        return fn(*args).to_json_dict()
+    except EvalError as exc:
+        return f"EvalError: {exc}"
 
 
 def random_labels(rng):
@@ -333,7 +350,55 @@ def brute_pools(emb, oracle, k):
     return pools
 
 
+def reference_pools(reference, oracle, k, threads=1):
+    """The dict that mining built before pools kept `top_k`'s positions."""
+    ids = sorted(reference.ids)
+    sub = reference.subset(ids)
+    branches = oracle.codes(ids)
+    indices, sims = top_k(unit_rows(sub.data), unit_rows(sub.data), min(k, len(ids)),
+                          branches, branches, threads)
+    kept = np.count_nonzero(sims > -np.inf, axis=1).tolist()
+    named = np.array(ids, dtype=object)[indices].tolist()
+    return {i: tuple(row[:n]) for i, row, n in zip(ids, named, kept)}
+
+
 class TestMining:
+    def test_pools_equal_the_reference_dict(self):
+        rng = np.random.default_rng(78)
+        cases = [tied_instance(rng, n, branches)
+                 for n, branches in ((1, 2), (9, 3), (60, 4), (700, 6))]
+        cases += [random_instance(rng, n=int(rng.integers(2, 60)), branches=int(rng.integers(2, 8)),
+                                  d=int(rng.integers(2, 6))) for _ in range(6)]
+        cases += [(emb, oracle_of(dict.fromkeys(emb.ids, "x"))) for emb, _ in cases[1:3]]
+        empty = 0
+        for emb, oracle in cases:
+            for k in sorted({1, 2, 3, 10, emb.n - 1, emb.n, emb.n + 5} - {0}):
+                for threads in (1, 2):
+                    pool = mine_hard_negatives(emb, oracle, k=k, threads=threads)
+                    want = reference_pools(emb, oracle, k, threads)
+                    assert (pool.k, pool.negatives) == (k, want), (emb.n, k, threads)
+                    empty += all(p == () for p in want.values())
+        assert empty > 0
+
+    def test_named_pool_keeps_its_dict_and_layout(self):
+        emb, oracle = tied_instance(np.random.default_rng(79), 60, 4)
+        pool = mine_hard_negatives(emb, oracle, k=5)
+        ids, positions, lengths = pool.rows()
+        assert ids == tuple(sorted(emb.ids)) and len(lengths) == emb.n
+        named = pool.negatives
+        assert pool.negatives is named
+        again = pool.rows()  # now converted from the dict
+        assert again[0] == ids
+        assert np.array_equal(again[1], positions) and np.array_equal(again[2], lengths)
+
+    def test_zero_row_is_named_by_its_id(self):
+        emb = EmbeddingMatrix(("d", "c", "b", "a"), np.array(
+            [[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.float32))
+        oracle = oracle_of({"d": "x", "c": "x", "b": "y", "a": "y"})
+        with pytest.raises(EmbedStoreError,
+                           match="^image 'd' has a zero row, which has no direction$"):
+            mine_hard_negatives(emb, oracle, k=2)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(70)
         emb, oracle = random_instance(rng, n=40, branches=5)
@@ -355,13 +420,8 @@ class TestMining:
             assert pool.negatives == want
 
     def test_tied_rows_match_brute_force(self):
-        rng = np.random.default_rng(74)
-        palette = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1], [-1, 1, 1]])
-        n = 60
-        data = palette[rng.integers(len(palette), size=n)] * rng.choice([1, 2], (n, 1))
-        ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
-        emb = EmbeddingMatrix(ids, data.astype(np.float32))
-        oracle = oracle_of({i: f"b{int(rng.integers(4))}" for i in ids})
+        emb, oracle = tied_instance(np.random.default_rng(74), 60, 4)
+        ids, data = emb.ids, emb.data.astype(np.float64)
         unit = data / np.linalg.norm(data, axis=1, keepdims=True)
         row = {i: j for j, i in enumerate(ids)}
         for k in (1, 3, 50, 100):  # 100 exceeds every anchor's negatives
@@ -408,13 +468,8 @@ class TestMining:
             assert pool.negatives == {"a": (), "b": ()}
 
     def test_k1_matches_brute_force_across_block_edge(self):
-        rng = np.random.default_rng(76)
-        palette = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, 1], [-1, 1, 1]])
-        n = 700  # two 512-row query blocks
-        data = palette[rng.integers(len(palette), size=n)] * rng.choice([1, 2], (n, 1))
-        ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
-        emb = EmbeddingMatrix(ids, data.astype(np.float32))
-        oracle = oracle_of({i: f"b{int(rng.integers(6))}" for i in ids})
+        emb, oracle = tied_instance(np.random.default_rng(76), 700, 6)  # two 512-row blocks
+        ids, data = emb.ids, emb.data.astype(np.float64)
         unit = data / np.linalg.norm(data, axis=1, keepdims=True)
         row = {i: j for j, i in enumerate(ids)}
         general = mine_hard_negatives(emb, oracle, k=2)  # the k > 1 path
@@ -671,6 +726,43 @@ class TestEvaluate:
                     assert got[r] == pytest.approx(pair_auroc(pairs), abs=1e-12)
             checked += report.skipped > 0
         assert checked > 0
+
+    def test_zero_row_is_named_by_its_id(self):
+        emb = EmbeddingMatrix(("d", "c", "b", "a"), np.array(
+            [[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.float32))
+        oracle = oracle_of({"d": "x", "c": "x", "b": "y", "a": "y"})
+        with pytest.raises(EmbedStoreError,
+                           match="^image 'd' has a zero row, which has no direction$"):
+            evaluate(emb, oracle, EvalOptions(repeats=2))
+
+    def test_mined_pool_scores_like_its_dict(self):
+        """A mined pool and the dict it names give the same report bit for bit,
+        on the mined ids, a strict subset of them and a strict superset."""
+        rng = np.random.default_rng(87)
+        n = 80
+        # 60 rows in the positive orthant; 20 more point away from all of them,
+        # so no anchor among the 60 has any of the 20 in its 4 hardest negatives
+        inner = np.abs(rng.standard_normal((60, 4))) + 0.1
+        data = np.r_[inner, -np.abs(rng.standard_normal((20, 4))) - 0.1].astype(np.float32)
+        ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
+        oracle = oracle_of({i: f"b{j % 5}" for j, i in enumerate(ids)})
+        full = EmbeddingMatrix(ids, data)
+        head = EmbeddingMatrix(ids, rng.standard_normal((n, 3)).astype(np.float32))
+        lacking = f"EvalError: hard pool has no negatives for anchor {min(ids[60:])!r}"
+        for mined_on, evaluated_on, want_error in ((ids, ids, None), (ids[:60], ids[:60], None),
+                                                   (ids, ids[:60], None), (ids[:60], ids, lacking)):
+            reference, evaluated = full.subset(mined_on), head.subset(evaluated_on)
+            for k in (1, 4):
+                mined = mine_hard_negatives(reference, oracle, k=k)
+                named = HardNegPool(dict(mine_hard_negatives(reference, oracle, k=k).negatives), k)
+                got, want = (outcome_of(evaluate, evaluated, oracle,
+                                        EvalOptions(repeats=3, seed=9, hard_pool=pool))
+                             for pool in (mined, named))
+                assert got == want
+                if want_error is None:
+                    assert want["auc_h"] is not None
+                else:
+                    assert want == want_error
 
     def test_all_singletons_rejected(self):
         emb = EmbeddingMatrix(("a", "b"), np.eye(2, dtype=np.float32))
