@@ -11,8 +11,9 @@ well: the ``<path>.ids`` of every EMB1 input and output, and the manifest.
 After the command it writes `<primary-output>.manifest.json` from the same
 declaration, so a run can be reproduced from the manifest alone.  A
 command that reads ``--splits`` refuses a file that fails `verify_splits`
-before it reads any features.  `_rows` gathers an EMB1 file's rows, naming
-the file on a missing id; a row searched as it is may not be all zero.
+before it reads any features.  `_naming` puts an EMB1 file's path on an
+`EmbedStoreError` raised while its rows are gathered, searched or trained on,
+so a missing id or a zero row that a search refuses names the file.
 
 The ``synth``, ``split``, ``train`` and ``eval`` commands each take one flag
 per ``int`` or ``float`` field of their config dataclass (`SynthConfig`,
@@ -30,6 +31,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -197,10 +199,8 @@ def cmd_train(args):
     features = read_embeddings(args.features)
     params = LossParams.from_json(args.loss_params) if args.loss_params else LossParams()
     config = _config(args, params=params)
-    try:
+    with _naming(args.features):  # a train or val_ss id that the matrix lacks
         model, history = train(catalog, assignment, features, config)
-    except EmbedStoreError as exc:  # a train or val_ss id that the matrix lacks
-        raise EmbedStoreError(f"{args.features}: {exc}") from None
     save_model(args.out, model)
     history.save(args.history)
     last = history.rows[-1]
@@ -208,13 +208,20 @@ def cmd_train(args):
           f"final val R@1 {last[2]:.4f}, val AUC {last[3]:.4f}")
 
 
+@contextmanager
+def _naming(path):
+    """Puts the EMB1 file's ``path`` before the message of an `EmbedStoreError` raised inside."""
+    try:
+        yield
+    except EmbedStoreError as exc:
+        raise EmbedStoreError(f"{path}: {exc}") from None
+
+
 def _rows(path, ids) -> EmbeddingMatrix:
     """The rows of the EMB1 file ``path`` for ``ids``, in that order; a missing id names the file."""
     matrix = read_embeddings(path)
-    try:
+    with _naming(path):
         return matrix.subset(ids)
-    except EmbedStoreError as exc:
-        raise EmbedStoreError(f"{path}: {exc}") from None
 
 
 def _in_split(args, catalog, oracle, path) -> EmbeddingMatrix:
@@ -233,15 +240,6 @@ def _in_split(args, catalog, oracle, path) -> EmbeddingMatrix:
     return _rows(path, ids)
 
 
-def _directed(path, matrix) -> EmbeddingMatrix:
-    """``matrix``, rows of the EMB1 file ``path`` searched as they are; a zero row is refused."""
-    zero = np.flatnonzero(~matrix.data.any(axis=1))
-    if zero.size:
-        raise EmbedStoreError(f"{path}: image {matrix.ids[zero[0]]!r} has an all-zero row, "
-                              "which has no direction")
-    return matrix
-
-
 def cmd_eval(args):
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
@@ -252,13 +250,13 @@ def cmd_eval(args):
             raise TrainError(f"{args.model}: the model takes {model.d_in}-d features, "
                              f"but {args.features} holds {emb.d}-d rows")
         emb = EmbeddingMatrix(emb.ids, forward(model, emb.data).astype(np.float32), normalized=True)
-    else:
-        _directed(args.embeddings, emb)
     hard_pool = None
     if args.reference:
-        reference = _directed(args.reference, _rows(args.reference, sorted(emb.ids)))
-        hard_pool = mine_hard_negatives(reference, oracle, k=args.hard_k, threads=args.threads)
-    report = evaluate(emb, oracle, _config(args, hard_pool=hard_pool))
+        reference = _rows(args.reference, sorted(emb.ids))
+        with _naming(args.reference):
+            hard_pool = mine_hard_negatives(reference, oracle, k=args.hard_k, threads=args.threads)
+    with _naming(args.embeddings or args.features):
+        report = evaluate(emb, oracle, _config(args, hard_pool=hard_pool))
     payload = report.to_json_dict()
     write_json(args.out, payload)
     auc_h = payload["auc_h"]
@@ -269,8 +267,9 @@ def cmd_eval(args):
 def cmd_mine(args):
     catalog = load_catalog(args.catalog)
     oracle = LinkOracle.from_catalog(catalog)
-    reference = _directed(args.embeddings, _in_split(args, catalog, oracle, args.embeddings))
-    pool = mine_hard_negatives(reference, oracle, k=args.k, threads=args.threads)
+    reference = _in_split(args, catalog, oracle, args.embeddings)
+    with _naming(args.embeddings):
+        pool = mine_hard_negatives(reference, oracle, k=args.k, threads=args.threads)
     payload = {anchor: list(ids) for anchor, ids in pool.negatives.items()}  # in id order
     write_json(args.out, payload)
     sizes = [len(v) for v in payload.values()]

@@ -13,9 +13,11 @@ independent, with repeat r seeded as seed+r, and reduced in repeat order.
 mode (branch order, ranks, draw bounds and the checked hard pool, all as row
 positions).  The uniform index's anchors are R@1's anchors too, and each
 repeat's seeded draw is scored straight from the unit rows;
-`sample_eval_pairs` returns the same index's draw as id pairs.  A mined pool
-stays the positions `top_k` gave until something reads its ids, so mining
-then evaluating the same rows never turns a position into an id and back.
+`sample_eval_pairs` returns the same index's draw as id pairs.  A hard pool
+holds one layout of positions from when it is made; a mined pool's is the
+one `top_k` gave, so mining then evaluating the same rows never turns a
+position into an id and back.  A report stores its repeats, and each mean and
+spread is computed from them when read.
 """
 
 from __future__ import annotations
@@ -74,54 +76,45 @@ class PairSet:
 class HardNegPool:
     """Each anchor's hard negatives, by descending reference similarity, mined at ``k``.
 
-    ``HardNegPool(negatives, k)`` takes a dict anchor id -> tuple of ids.  A
-    mined pool is what `top_k` returned instead: its sorted ids, one flat
-    array of positions into them and one pool length per id.
-    Reading ``negatives`` names those positions once as the dict, which then
-    takes the layout's place, so a pool holds one form at a time.
+    ``rows = (ids, positions, lengths)`` is the pool's one layout, set when
+    the pool is made: id j's pool is the ``lengths[j]`` ids named by
+    ``positions`` after those of ids 0..j-1.  A mined pool keeps what `top_k`
+    returned: its sorted ids, one flat array of positions into them and one
+    pool length per id.  ``HardNegPool(negatives, k)`` lays out a copy of the
+    dict anchor id -> tuple of ids once: its keys in order, then each other id
+    its pools hold, with an empty pool.  ``negatives`` names a mined layout as
+    that dict on its first read and keeps it beside the layout.
     """
 
-    __slots__ = ("k", "_negatives", "_rows")
+    __slots__ = ("k", "rows", "_negatives")
 
     def __init__(self, negatives: dict, k: int) -> None:
-        self.k = k
-        self._negatives = negatives
-        self._rows = None  # (ids, positions, lengths) of a mined pool not yet named
-
-    @classmethod
-    def _mined(cls, ids: tuple, positions: np.ndarray, lengths: np.ndarray,
-               k: int) -> "HardNegPool":
-        pool = cls(None, k)
-        pool._rows = (ids, positions, lengths)
-        return pool
-
-    @property
-    def negatives(self) -> dict:
-        """Anchor id -> tuple of ids, descending reference similarity."""
-        if self._rows is not None:
-            ids, positions, lengths = self._rows
-            named = iter(np.array(ids, dtype=object)[positions].tolist())
-            self._negatives = {i: tuple(islice(named, n)) for i, n in zip(ids, lengths.tolist())}
-            self._rows = None
-        return self._negatives
-
-    def rows(self) -> tuple:
-        """(ids, positions, lengths): id j's pool is the ``lengths[j]`` ids named by
-        ``positions`` after those of ids 0..j-1.
-
-        A dict's ids are its keys in order, then each other id its pools
-        hold; those have empty pools.
-        """
-        if self._rows is not None:
-            return self._rows
-        pooled = [p or () for p in self._negatives.values()]
-        position = {image_id: j for j, image_id in enumerate(self._negatives)}
+        negatives = dict(negatives)  # the caller's later edits cannot reach the layout
+        pooled = [p or () for p in negatives.values()]
+        position = {image_id: j for j, image_id in enumerate(negatives)}
         entries = list(chain.from_iterable(pooled))
         positions = np.fromiter(map(position.get, entries, repeat(-1)), np.intp, len(entries))
         for j in np.flatnonzero(positions < 0).tolist():
             positions[j] = position.setdefault(entries[j], len(position))
         lengths = list(map(len, pooled)) + [0] * (len(position) - len(pooled))
-        return tuple(position), positions, np.array(lengths, dtype=np.intp)
+        self.k, self._negatives = k, negatives
+        self.rows = (tuple(position), positions, np.array(lengths, dtype=np.intp))
+
+    @classmethod
+    def _mined(cls, ids: tuple, positions: np.ndarray, lengths: np.ndarray,
+               k: int) -> "HardNegPool":
+        pool = cls.__new__(cls)
+        pool.k, pool.rows, pool._negatives = k, (ids, positions, lengths), None
+        return pool
+
+    @property
+    def negatives(self) -> dict:
+        """Anchor id -> tuple of ids, descending reference similarity."""
+        if self._negatives is None:
+            ids, positions, lengths = self.rows
+            named = iter(np.array(ids, dtype=object)[positions].tolist())
+            self._negatives = {i: tuple(islice(named, n)) for i, n in zip(ids, lengths.tolist())}
+        return self._negatives
 
 
 @dataclass(frozen=True)
@@ -142,18 +135,33 @@ class EvalOptions:
 @dataclass(frozen=True)
 class MetricReport:
     r_at_1: float
-    auc_mean: float
-    auc_std: float
     auc_repeats: tuple
-    auc_h_mean: float | None
-    auc_h_std: float | None
-    auc_h_repeats: tuple | None
-    repeats: int
+    auc_h_repeats: tuple | None  # None without a hard pool
     skipped: int
+
+    @property
+    def repeats(self) -> int:
+        return len(self.auc_repeats)
+
+    @property
+    def auc_mean(self) -> float:
+        return float(np.mean(self.auc_repeats))
+
+    @property
+    def auc_std(self) -> float:
+        return float(np.std(self.auc_repeats))
+
+    @property
+    def auc_h_mean(self) -> float | None:
+        return None if self.auc_h_repeats is None else float(np.mean(self.auc_h_repeats))
+
+    @property
+    def auc_h_std(self) -> float | None:
+        return None if self.auc_h_repeats is None else float(np.std(self.auc_h_repeats))
 
     def to_json_dict(self) -> dict:
         hard = None
-        if self.auc_h_mean is not None:
+        if self.auc_h_repeats is not None:
             hard = {"mean": self.auc_h_mean, "std": self.auc_h_std,
                     "repeats": list(self.auc_h_repeats)}
         return {
@@ -189,7 +197,7 @@ class _PairIndex:
     ``ids`` must be sorted and ``codes`` are their branch codes; every
     position below indexes ``ids``.  An anchor is eligible when its branch
     has another member; the others are ``skipped``.  With a hard pool, the
-    eligible anchors' pools are cut from the pool's layout (`HardNegPool.rows`),
+    eligible anchors' pools are cut from the pool's one layout, `HardNegPool.rows`,
     checked once (each entry must be an id here, from another branch) and
     kept as one flat array of positions with each anchor's start in it, as
     ``order`` and ``first_mate`` keep the positives; the pool lengths bound
@@ -219,7 +227,7 @@ class _PairIndex:
             self.keys = codes[self.order] * (n + 1) + self.order - rank[self.order]
             self.key_base = branch * (n + 1)
         else:
-            pool_ids, entries, lengths = hard_pool.rows()
+            pool_ids, entries, lengths = hard_pool.rows
             start_of = np.cumsum(lengths) - lengths
             here = None  # each pool id's position here, -1 if none, when the ids differ
             row = self.anchors  # each anchor's row in the pool
@@ -351,14 +359,5 @@ def evaluate(embeddings: EmbeddingMatrix, oracle: LinkOracle, options: EvalOptio
 
     auc = aucs(index)
     auc_h = None if options.hard_pool is None else aucs(_PairIndex(ids, codes, options.hard_pool))
-    return MetricReport(
-        r_at_1=float(np.mean(codes[knn.indices[index.anchors, 0]] == codes[index.anchors])),
-        auc_mean=float(np.mean(auc)),
-        auc_std=float(np.std(auc)),
-        auc_repeats=auc,
-        auc_h_mean=auc_h and float(np.mean(auc_h)),  # None without a hard pool
-        auc_h_std=auc_h and float(np.std(auc_h)),
-        auc_h_repeats=auc_h,
-        repeats=options.repeats,
-        skipped=index.skipped,
-    )
+    r_at_1 = float(np.mean(codes[knn.indices[index.anchors, 0]] == codes[index.anchors]))
+    return MetricReport(r_at_1, auc, auc_h, index.skipped)

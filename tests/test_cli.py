@@ -665,7 +665,7 @@ class TestExitCodes:
         assert run(*argv, "--catalog", art["catalog"]) == 1
         image = features.ids[order[5]]
         assert capsys.readouterr().err == (
-            f"error: {zeroed}: image {image!r} has an all-zero row, which has no direction\n")
+            f"error: {zeroed}: image {image!r} has a zero row, which has no direction\n")
         assert list(outputs.iterdir()) == []
 
     @pytest.mark.parametrize("case", ["eval --embeddings", "eval --reference",

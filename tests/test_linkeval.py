@@ -383,13 +383,14 @@ class TestMining:
     def test_named_pool_keeps_its_dict_and_layout(self):
         emb, oracle = tied_instance(np.random.default_rng(79), 60, 4)
         pool = mine_hard_negatives(emb, oracle, k=5)
-        ids, positions, lengths = pool.rows()
-        assert ids == tuple(sorted(emb.ids)) and len(lengths) == emb.n
+        rows = pool.rows
+        assert rows[0] == tuple(sorted(emb.ids)) and len(rows[2]) == emb.n
         named = pool.negatives
-        assert pool.negatives is named
-        again = pool.rows()  # now converted from the dict
-        assert again[0] == ids
-        assert np.array_equal(again[1], positions) and np.array_equal(again[2], lengths)
+        assert pool.negatives is named and pool.rows is rows
+        # a dict pool's ids are its keys in order, then the other pooled ids with empty pools
+        ids, positions, lengths = HardNegPool({"c": ("a", "z"), "a": ("y",), "b": None}, 2).rows
+        assert ids == ("c", "a", "b", "z", "y")
+        assert positions.tolist() == [1, 3, 4] and lengths.tolist() == [2, 1, 0, 0, 0]
 
     def test_zero_row_is_named_by_its_id(self):
         emb = EmbeddingMatrix(("d", "c", "b", "a"), np.array(
@@ -736,8 +737,9 @@ class TestEvaluate:
             evaluate(emb, oracle, EvalOptions(repeats=2))
 
     def test_mined_pool_scores_like_its_dict(self):
-        """A mined pool and the dict it names give the same report bit for bit,
-        on the mined ids, a strict subset of them and a strict superset."""
+        """A mined pool, a mined pool whose ``negatives`` was read first and the
+        dict it names give the same report bit for bit, on the mined ids, a
+        strict subset of them and a strict superset."""
         rng = np.random.default_rng(87)
         n = 80
         # 60 rows in the positive orthant; 20 more point away from all of them,
@@ -753,16 +755,35 @@ class TestEvaluate:
                                                    (ids, ids[:60], None), (ids[:60], ids, lacking)):
             reference, evaluated = full.subset(mined_on), head.subset(evaluated_on)
             for k in (1, 4):
-                mined = mine_hard_negatives(reference, oracle, k=k)
-                named = HardNegPool(dict(mine_hard_negatives(reference, oracle, k=k).negatives), k)
-                got, want = (outcome_of(evaluate, evaluated, oracle,
-                                        EvalOptions(repeats=3, seed=9, hard_pool=pool))
-                             for pool in (mined, named))
-                assert got == want
+                mined, read = (mine_hard_negatives(reference, oracle, k=k) for _ in range(2))
+                named = HardNegPool(dict(read.negatives), k)
+                got, got_read, want = (outcome_of(evaluate, evaluated, oracle,
+                                                  EvalOptions(repeats=3, seed=9, hard_pool=pool))
+                                       for pool in (mined, read, named))
+                assert got == got_read == want
                 if want_error is None:
                     assert want["auc_h"] is not None
                 else:
                     assert want == want_error
+
+    def test_a_dict_pool_keeps_its_pools_when_the_given_dict_changes(self):
+        emb, oracle = tied_instance(np.random.default_rng(88), 40, 4)
+        given = dict(mine_hard_negatives(emb, oracle, k=3).negatives)
+        pool = HardNegPool(given, 3)
+        options = EvalOptions(repeats=3, seed=4, hard_pool=pool)
+
+        def state():
+            ids, positions, lengths = pool.rows
+            return (dict(pool.negatives), ids, positions.tolist(), lengths.tolist(),
+                    outcome_of(evaluate, emb, oracle, options))
+
+        before = state()
+        first, second, *_ = sorted(given)
+        given[first] = given[first][::-1]
+        del given[second]
+        given["stray"] = (first,)
+        assert state() == before
+        assert before[-1]["auc_h"] is not None
 
     def test_all_singletons_rejected(self):
         emb = EmbeddingMatrix(("a", "b"), np.eye(2, dtype=np.float32))
