@@ -80,23 +80,22 @@ class HardNegPool:
     the pool is made: id j's pool is the ``lengths[j]`` ids named by
     ``positions`` after those of ids 0..j-1.  A mined pool keeps what `top_k`
     returned: its sorted ids, one flat array of positions into them and one
-    pool length per id.  ``HardNegPool(negatives, k)`` lays out a copy of the
-    dict anchor id -> tuple of ids once: its keys in order, then each other id
-    its pools hold, with an empty pool.  ``negatives`` names a mined layout as
-    that dict on its first read and keeps it beside the layout.
+    pool length per id.  ``HardNegPool(negatives, k)`` copies the dict anchor
+    id -> ids, each pool as a tuple (``None`` as an empty one), and lays it out
+    once: its keys in order, then each other id its pools hold, with an empty
+    pool.  ``negatives`` names a mined layout as that dict on its first read.
     """
 
     __slots__ = ("k", "rows", "_negatives")
 
     def __init__(self, negatives: dict, k: int) -> None:
-        negatives = dict(negatives)  # the caller's later edits cannot reach the layout
-        pooled = [p or () for p in negatives.values()]
+        negatives = {a: tuple(p or ()) for a, p in negatives.items()}  # later edits cannot reach it
         position = {image_id: j for j, image_id in enumerate(negatives)}
-        entries = list(chain.from_iterable(pooled))
+        entries = list(chain.from_iterable(negatives.values()))
         positions = np.fromiter(map(position.get, entries, repeat(-1)), np.intp, len(entries))
         for j in np.flatnonzero(positions < 0).tolist():
             positions[j] = position.setdefault(entries[j], len(position))
-        lengths = list(map(len, pooled)) + [0] * (len(position) - len(pooled))
+        lengths = list(map(len, negatives.values())) + [0] * (len(position) - len(negatives))
         self.k, self._negatives = k, negatives
         self.rows = (tuple(position), positions, np.array(lengths, dtype=np.intp))
 

@@ -12,14 +12,11 @@ The layernorm has no parameters and reduces each row on its own, so `train`
 layernorms the val rows, and for single-view losses the train rows, once per
 run (two-view losses add noise first, so their views are layernormed each
 step).  Each step runs the head once for both the loss and its gradient.
-Batches come from a class index built once per run, ``CHUNK`` steps at a
-time: `train` takes the chunk's step seeds (and, for two-view losses, each
-step's view noise) from the run's generator in the per-step order, and
-`_ClassIndex.draws` makes every batch of the chunk at once.  Each step keeps
-its own seeded stream of one ``Generator.choice(replace=False)`` for the
-classes and one per class, made as two `integers` calls, and Floyd's rule
-and the shuffle run over the whole chunk (`_choice_rows`), so seeded batches
-are bit-identical to the `choice` draw.
+Batches come from a class index built once per run.  `train` takes the step
+seeds (and two-view noise) from the run's generator in per-step order, an
+epoch's at once (``CHUNK`` steps' for two-view losses), and `_ClassIndex.draws`
+makes their batches from all seeds' PCG64 words (`seeded_words`) by numpy's own
+Lemire and Floyd rules, bit-identical to per-step ``Generator.choice`` draws.
 
 A TOY1 checkpoint is the binary frame ``TOY1``, d_in, d_out, then W (row-major) and b.
 """
@@ -31,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import check_fields, read_frame, seeded_rng, write_csv, write_frame
+from . import check_fields, read_frame, seeded_rng, seeded_words, write_csv, write_frame
 from .embedstore import EmbeddingMatrix, unit_rows
 from .linkeval import EvalOptions, LinkOracle, evaluate
 from .losses import LOSSES, Batch, CenterBank, LossParams, ProxyBank, compute_loss
@@ -40,7 +37,7 @@ MODEL_MAGIC = b"TOY1"
 LN_EPS = 1e-5  # layernorm variance floor; TOY1 does not store it
 SIGMA_AUG = 0.05  # view noise of the two-view losses
 EVAL_REPEATS = 3  # val_ss AUC repeats per epoch
-CHUNK = 32  # training steps drawn at once; sets the two-view noise buffer's size
+CHUNK = 32  # two-view steps drawn at once; sets the size of their noise buffer
 
 
 class TrainError(ValueError):
@@ -154,44 +151,45 @@ class _ClassIndex:
         """One batch per seed, S x m*k rows: m distinct eligible classes, then k distinct rows of each.
 
         Seed s gives the rows of ``rng.choice(len(eligible), m, replace=False)``
-        followed by one ``rng.choice(size, k, replace=False)`` per class, for
-        ``rng = seeded_rng(s)``; `_choice_rows` makes them with two `integers`
-        calls on each seed's stream and picks for all seeds at once.
+        then of one ``rng.choice(size, k, replace=False)`` per class, for ``rng =
+        seeded_rng(s)``: `_choices` makes them from all seeds' `seeded_words` at
+        once, and a seed whose words it cannot vouch for makes these calls itself.
         """
-        rngs = [seeded_rng(seed) for seed in seeds]
-        classes = self.eligible[_choice_rows(rngs, [[len(self.eligible)]], self.spec.m)[:, 0]]
-        offsets = _choice_rows(rngs, self.sizes[classes], self.spec.k)
-        return self.order[self.starts[classes][..., None] + offsets].reshape(len(rngs), -1)
+        m, k = self.spec.m, self.spec.k
+        words = seeded_words(seeds, 2 * m - 1 + m * (2 * k - 1))
+        picks, read, fast = _choices(words, 0, np.full((len(seeds), 1), len(self.eligible)), m)
+        classes = self.eligible[picks[:, 0]]
+        offsets, _, fast_offsets = _choices(words, read, self.sizes[classes], k)
+        for s in np.flatnonzero(~(fast & fast_offsets)):
+            rng = seeded_rng(seeds[s])
+            classes[s] = self.eligible[rng.choice(len(self.eligible), m, replace=False)]
+            offsets[s] = [rng.choice(n, k, replace=False) for n in self.sizes[classes[s]]]
+        return self.order[self.starts[classes][..., None] + offsets].reshape(len(seeds), -1)
 
 
-def _choice_rows(rngs: list, sizes, k: int) -> np.ndarray:
-    """What ``rngs[s].choice(n, size=k, replace=False)`` returns for each n of row s, S x r x k.
+def _choices(words: np.ndarray, read, sizes: np.ndarray, k: int):
+    """``choice(n, k, replace=False)`` of each n in row s of ``sizes``, from ``words[s, read:]``.
 
-    ``sizes`` holds r sizes per generator (S x r), or r sizes shared by all
-    (1 x r).  numpy (2.4) makes such a call, for n <= 10000 or k <= n // 50,
-    from 2k - 1 bounded draws: Floyd's sampling on bounds n-k .. n-1, then a
-    shuffle of the k picks on bounds k-1 .. 1.  `integers` with int64 bounds
-    makes the bounded draws one by one, so one call per generator serves its
-    r sizes and leaves the stream where the `choice` calls would leave it;
-    Floyd's rule and the shuffle then run over all S*r rows at once.  Any
-    other size takes numpy's tail shuffle, so then every row is the
-    generator's own `choice` call.  numpy does not promise this across
-    versions; the trainer tests pin it to `choice`.
+    Returns the S x r x k picks, each row's next unread word, and whether the picks are numpy's:
+    if n <= 10000 or k <= n // 50, numpy draws bounds n-k .. n-1 for Floyd's sampling, then k-1 .. 1
+    for its shuffle, each bound b as ``word * (b + 1) >> 32`` unless b is 0 (no word), 2**32 - 1 or
+    more, or Lemire's rule may reject the word (its product's low half is under b + 1).
     """
-    sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64), (len(rngs),) + np.shape(sizes)[1:])
-    if ((sizes > 10000) & (k > sizes // 50)).any():
-        return np.array([[rng.choice(n, size=k, replace=False) for n in row]
-                         for rng, row in zip(rngs, sizes.tolist())], dtype=np.int64)
     bounds = np.empty(sizes.shape + (2 * k - 1,), dtype=np.int64)
     bounds[..., :k] = sizes[..., None] - k + np.arange(k)
     bounds[..., k:] = np.arange(k - 1, 0, -1)
-    draws = np.stack([rng.integers(0, b, endpoint=True) for rng, b in zip(rngs, bounds)])
-    flat = (-1, 2 * k - 1)
-    return _floyd(bounds.reshape(flat), draws.reshape(flat)).reshape(sizes.shape + (k,))
+    per_seed = bounds.reshape(len(words), -1).astype(np.uint64)
+    at = read + np.cumsum(per_seed > 0, axis=1) - 1  # a zero bound draws 0 whatever it reads
+    scaled = np.take_along_axis(words, at, axis=1) * (per_seed + 1)
+    slow = (per_seed > 0) & ((scaled & 0xFFFFFFFF) < per_seed + 1) | (per_seed >= 0xFFFFFFFF)
+    fast = ~slow.any(axis=1) & ~((sizes > 10000) & (k > sizes // 50)).any(axis=1)
+    rows = (-1, 2 * k - 1)
+    picks = _floyd(bounds.reshape(rows), (scaled >> 32).astype(np.int64).reshape(rows))
+    return picks.reshape(sizes.shape + (k,)), at[:, -1:] + 1, fast
 
 
 def _floyd(bounds: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Floyd's sampling then the shuffle of its k picks, per row of `_choice_rows` bounds."""
+    """Floyd's sampling then the shuffle of its k picks, per row of `_choices` bounds."""
     k = (bounds.shape[1] + 1) // 2
     picks = draws[:, :k].copy()
     for i in range(1, k):
@@ -209,8 +207,8 @@ def _floyd(bounds: np.ndarray, draws: np.ndarray) -> np.ndarray:
 def sample_batch(codes: np.ndarray, spec: BatchSpec, seed: int) -> np.ndarray:
     """m distinct classes, k rows each, uniformly without replacement.
 
-    Rows index ``codes``, the branch codes of the sorted train ids.  `train`
-    builds the class index once and draws from it ``CHUNK`` steps at a time.
+    Rows index ``codes``, the branch codes of the sorted train ids; they are
+    `_ClassIndex.draws` of one seed, which `train` makes an epoch at a time.
     """
     return _ClassIndex(codes, spec).draws([seed])[0]
 
@@ -355,6 +353,7 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     two_views = LOSSES[config.loss].two_views
     train_z = None if two_views else _layernorm(model, train_feat)
     noise = np.empty((min(CHUNK, steps), 2, spec.size, features.d)) if two_views else None
+    chunk = CHUNK if two_views else steps  # single-view losses draw an epoch's batches at once
     val_z = _layernorm(model, features.subset(val_ids).data)
 
     history = TrainHistory([])
@@ -362,8 +361,8 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     best_r1 = -1.0
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
-        for start in range(0, steps, CHUNK):
-            count = min(CHUNK, steps - start)
+        for start in range(0, steps, chunk):
+            count = min(chunk, steps - start)
             if noise is None:
                 seeds = rng.integers(2**63, size=count)  # the values of `count` scalar calls
             else:

@@ -2,14 +2,17 @@
 
 Each config's ``validate`` type-checks its fields through
 ``splitmetric.check_fields``, and every seed becomes a generator through
-``splitmetric.seeded_rng``, which takes it mod 2**64.
+``splitmetric.seeded_rng``, which takes it mod 2**64; ``splitmetric.seeded_words``
+computes the words of many such generators at once.
 """
 
+import operator
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from splitmetric import _seed_states, seeded_rng, seeded_words
 from splitmetric.embedstore import EmbeddingMatrix
 from splitmetric.linkeval import EvalError, EvalOptions, LinkOracle, evaluate
 from splitmetric.losses import LossError, LossParams
@@ -96,3 +99,30 @@ def test_seeds_equal_mod_2_to_64_give_identical_outputs(run):
     assert output(-1) == output(2**64 - 1)
     assert output(np.int64(7)) == output(7)
     assert output(7) != output(8)
+
+
+# edge seeds: both 32-bit halves, int64 and uint64 limits, negatives, past 2**64, numpy ints
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, -1, 2**64 - 1, 2**64 + 7, np.int64(9)]
+
+
+@pytest.mark.filterwarnings("error")  # no uint32 scalar overflow on the way
+@pytest.mark.parametrize("n", [1, 2, 9, 71])
+def test_seeded_words_are_numpy_s_seed_sequence_and_pcg64_words(n):
+    rng = np.random.default_rng(25)
+    seeds = EDGE_SEEDS + rng.integers(2**32, size=100).tolist() + rng.integers(
+        2**64, size=100, dtype=np.uint64).tolist()
+    words = seeded_words(seeds, n)
+    assert words.shape == (len(seeds), n) and words.dtype == np.uint64
+    for seed, state, row in zip(seeds, _seed_states(seeds), words):
+        entropy = operator.index(seed) & (2**64 - 1)
+        want = np.random.SeedSequence(entropy).generate_state(8, np.uint32)
+        assert state.tolist() == want.tolist()
+        raw = np.random.PCG64(entropy).random_raw((n + 1) // 2)
+        assert row.tolist() == np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:n].tolist()
+
+
+def test_seeded_words_are_the_words_a_seeded_generator_draws():
+    # a bound of 2**32 - 1 makes `integers` return next_uint32 itself
+    for seed, row in zip(EDGE_SEEDS, seeded_words(EDGE_SEEDS, 5)):
+        drawn = seeded_rng(seed).integers(2**32 - 1, size=5, endpoint=True, dtype=np.uint32)
+        assert row.tolist() == drawn.tolist()

@@ -785,6 +785,13 @@ class TestEvaluate:
         assert state() == before
         assert before[-1]["auc_h"] is not None
 
+    def test_a_dict_pool_keeps_its_pools_when_a_given_list_changes(self):
+        given = {"a": ["b"], "b": ["a"], "c": None}
+        pool = HardNegPool(given, 1)
+        given["a"].append("c")
+        assert pool.negatives == {"a": ("b",), "b": ("a",), "c": ()}
+        assert pool.rows[2].tolist() == [1, 1, 0]
+
     def test_all_singletons_rejected(self):
         emb = EmbeddingMatrix(("a", "b"), np.eye(2, dtype=np.float32))
         with pytest.raises(EvalError, match="singleton"):

@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitmetric import trainer
+from splitmetric import seeded_rng, seeded_words, trainer
 from splitmetric.embedstore import EmbeddingMatrix, EmbedStoreError, unit_rows
 from splitmetric.linkeval import EvalOptions, LinkOracle, evaluate
 from splitmetric.losses import LOSSES, CenterBank, LossParams, ProxyBank
 from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits
-from splitmetric.synth import SynthConfig, generate
+from splitmetric.synth import SynthConfig, generate, standard_corpus_config
 from splitmetric.trainer import (
     CHUNK,
     BatchSpec,
@@ -20,7 +20,6 @@ from splitmetric.trainer import (
     TrainError,
     TrainHistory,
     _ClassIndex,
-    _choice_rows,
     _layernorm,
     forward,
     head_backward,
@@ -31,6 +30,7 @@ from splitmetric.trainer import (
     train,
     train_step,
 )
+from test_acceptance import GATE_SPLITS
 
 
 def toy_corpus(seed=5):
@@ -176,6 +176,23 @@ def reference_batch(image_ids, oracle, spec, seed):
     return tuple(out)
 
 
+def choice_batch(codes, spec, seed):
+    """The rows of a batch drawn by ``seeded_rng(seed)``'s own `choice` calls on ``codes``."""
+    rng = seeded_rng(seed)
+    eligible = np.flatnonzero(np.bincount(codes) >= spec.k)
+    picked = eligible[rng.choice(len(eligible), spec.m, replace=False)]
+    members = [np.flatnonzero(codes == c) for c in picked]
+    return np.concatenate([rows[rng.choice(len(rows), spec.k, replace=False)] for rows in members])
+
+
+def count_redraws(monkeypatch) -> list:
+    """The seeds that `_ClassIndex.draws` leaves to their generator's own calls, as they come."""
+    redraws = []
+    monkeypatch.setattr(trainer, "seeded_rng",
+                        lambda seed: redraws.append(seed) or seeded_rng(seed))
+    return redraws
+
+
 class TestSampleBatch:
     def oracle(self):
         labels = {}
@@ -259,7 +276,7 @@ class TestSampleBatch:
         index = _ClassIndex(oracle.codes(ids), spec)
         seeds = rng.integers(2**63, size=200)
         want = [reference_batch(labels, oracle, spec, int(seed)) for seed in seeds]
-        for size in (1, 7, CHUNK, 200):
+        for size in (1, 7, CHUNK, 85, 200):
             got = np.concatenate([index.draws(seeds[start:start + size])
                                   for start in range(0, len(seeds), size)])
             assert got.shape == (200, spec.size)
@@ -270,23 +287,75 @@ class TestSampleBatch:
     TAIL = [(10001, 201), (12000, 1000), (15000, 15000)]
 
     @pytest.mark.parametrize("n, k", FLOYD + TAIL, ids=[f"{n}_{k}" for n, k in FLOYD + TAIL])
+    @pytest.mark.filterwarnings("error")  # no uint32 scalar overflow on the way
     def test_choice_rows_is_generator_choice(self, n, k):
         # numpy does not promise its Generator streams across versions (NEP 19);
         # this pins the batched draw to `choice` on the installed numpy
-        seeds = range(300 if n * k < 10**4 else 30)
-        picks = _choice_rows([np.random.default_rng(s) for s in seeds], [[n]], k)
-        for seed, got in zip(seeds, picks):
-            want = np.random.default_rng(seed).choice(n, size=k, replace=False)
-            assert got[0].tolist() == want.tolist()
-        # several populations per generator, each generator left where the calls would leave it
-        sizes = [[n, max(n // 2, k), n], [max(n // 3, k), n, n]]
-        wants = [np.random.default_rng(99 + s) for s in range(2)]
-        gots = [np.random.default_rng(99 + s) for s in range(2)]
-        picks = _choice_rows(gots, sizes, k)
-        for want, got, row, size in zip(wants, gots, picks, sizes):
-            calls = [want.choice(n_, size=k, replace=False).tolist() for n_ in size]
-            assert row.tolist() == calls
-            assert got.integers(2**63) == want.integers(2**63)
+        seeds = range(300 if n * k < 10**4 else 20)
+        sizes = np.full((len(seeds), 1), n)
+        picks, _, fast = trainer._choices(seeded_words(seeds, 2 * k - 1), 0, sizes, k)
+        assert fast.any() == (n <= 10000 or k <= n // 50)  # the tail shuffle is left to `choice`
+        for seed, got in zip(np.array(seeds)[fast], picks[fast]):
+            assert got[0].tolist() == seeded_rng(seed).choice(n, k, replace=False).tolist()
+        if k == 1:  # a batch takes at least two rows of a class
+            return
+        # whole batches over such classes, the tail's included
+        sizes = [n, max(n // 2, k), n]
+        codes = np.random.default_rng(n + k).permutation(np.repeat(np.arange(3), sizes))
+        index = _ClassIndex(codes, BatchSpec(2, k))
+        for seed, rows in zip(seeds, index.draws(seeds)):
+            assert rows.tolist() == choice_batch(codes, index.spec, seed).tolist()
+
+    @pytest.mark.parametrize("sizes", [[4, 4, 4], [5, 9, 3, 4], [6, 2, 7]],
+                             ids=["all_k", "mixed", "m_eligible"])
+    def test_zero_bounds_read_no_word(self, sizes):
+        # a class of exactly k rows has Floyd bound n - k = 0, and m eligible classes give
+        # the class draw a zero bound; numpy draws neither, so no word may be spent on them
+        codes = np.random.default_rng(len(sizes)).permutation(
+            np.repeat(np.arange(len(sizes)), sizes))
+        spec = BatchSpec(2, 4)
+        seeds = np.random.default_rng(23).integers(2**63, size=200)
+        for seed, rows in zip(seeds, _ClassIndex(codes, spec).draws(seeds)):
+            assert rows.tolist() == choice_batch(codes, spec, seed).tolist()
+
+    @pytest.mark.filterwarnings("error")  # no uint32 scalar overflow on the way
+    def test_bounds_of_2_to_31_and_over_fall_back_to_choice(self, monkeypatch):
+        # Lemire's rule rejects often at such bounds, and at 2**32 - 1 and over numpy
+        # draws otherwise; class sizes that large only fit as an index with rows that
+        # name their own offsets
+        class Offsets:
+            def __getitem__(self, rows):
+                return rows
+
+        sizes = [2**31, 2**31 + 5, 2**32 - 2, 2**32 - 1, 2**32, 3 * 2**32 + 1, 10, 12]
+        index = _ClassIndex(np.repeat(np.arange(len(sizes)), 2), BatchSpec(2, 2))
+        index.sizes, index.starts = np.array(sizes), np.zeros(len(sizes), dtype=np.int64)
+        index.order = Offsets()
+        redraws = count_redraws(monkeypatch)
+        seeds = list(range(200))
+        fast_at_2_to_31 = 0
+        for seed, got in zip(seeds, index.draws(seeds)):
+            rng = np.random.default_rng(seed)
+            classes = rng.choice(len(sizes), 2, replace=False)
+            want = [rng.choice(sizes[c], 2, replace=False) for c in classes]
+            assert got.tolist() == np.concatenate(want).tolist()
+            fast_at_2_to_31 += seed not in redraws and max(sizes[c] for c in classes) > 2**31
+        assert 100 < len(redraws) and fast_at_2_to_31 > 0  # both paths ran
+
+    def test_the_fast_path_serves_a_gate_run(self, monkeypatch):
+        # a draw falls back with chance about (bound + 1) / 2**32, so a gate run's
+        # 2,550 batches should all be fast; a slow path taken for every seed would
+        # still pass every equality test above
+        catalog, _ = generate(standard_corpus_config(seed=0))
+        assignment = generate_splits(catalog, GATE_SPLITS)
+        codes = LinkOracle.from_catalog(catalog).codes(sorted(assignment.by_split()["train"]))
+        index = _ClassIndex(codes, BatchSpec(8, 4))
+        redraws = count_redraws(monkeypatch)
+        seeds = np.random.default_rng(24).integers(2**63, size=2550)
+        rows = np.concatenate([index.draws(epoch) for epoch in seeds.reshape(30, 85)])
+        assert len(redraws) <= 3
+        for seed, got in zip(seeds[:50], rows):
+            assert got.tolist() == choice_batch(codes, index.spec, seed).tolist()
 
     def test_tail_regime_draw_matches_the_reference(self):
         labels, oracle, spec, rng = self.layout("tail")
