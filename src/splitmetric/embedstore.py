@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -296,24 +295,21 @@ def cosine_knn(
     exclude_self: bool = False,
     threads: int = 1,
 ) -> NeighborList:
-    """Exact top-k gallery rows by cosine similarity, ties by ascending index."""
+    """Exact top-k gallery rows by cosine similarity, ties by ascending index.
+
+    ``exclude_self`` is for a self-join: the queries carry the gallery's ids in
+    its order, and query row i never finds gallery row i.
+    """
     if queries.d != gallery.d:
         raise EmbedStoreError(f"dimension mismatch: {queries.d} vs {gallery.d}")
     if k < 1:
         raise EmbedStoreError("k must be >= 1")
+    if exclude_self and queries.ids != gallery.ids:
+        raise EmbedStoreError("exclude_self needs the gallery's own ids as the queries, in order")
     available = gallery.n - (1 if exclude_self else 0)
     if k > available:
         raise EmbedStoreError(f"k={k} exceeds {available} available gallery rows")
-    if not exclude_self:
-        self_row = np.full(queries.n, -1)
-    elif queries is gallery:
-        self_row = np.arange(gallery.n)
-    else:
-        row = gallery.row_of()
-        self_row = np.fromiter(map(row.get, queries.ids, repeat(-1)), np.intp, queries.n)
-        if (self_row < 0).any():
-            qid = queries.ids[np.argmax(self_row < 0)]
-            raise EmbedStoreError(f"exclude_self: query id {qid!r} not in gallery")
+    self_row = np.arange(gallery.n) if exclude_self else np.full(queries.n, -1)
     q = queries.unit()
     # a self-join scales its rows once; the copy is the separate buffer that fixes the bits
     g = q.copy() if queries is gallery else gallery.unit()

@@ -12,11 +12,11 @@ The layernorm has no parameters and reduces each row on its own, so `train`
 layernorms the val rows, and for single-view losses the train rows, once per
 run (two-view losses add noise first, so their views are layernormed each
 step).  Each step runs the head once for both the loss and its gradient.
-Batches come from a class index built once per run.  `train` takes the step
-seeds (and two-view noise) from the run's generator in per-step order, an
-epoch's at once (``CHUNK`` steps' for two-view losses), and `_ClassIndex.draws`
-makes their batches from all seeds' PCG64 words (`seeded_words`) by numpy's own
-Lemire and Floyd rules, bit-identical to per-step ``Generator.choice`` draws.
+Batches come from a class index built once per run.  `train` takes an
+epoch's step seeds (and two-view noise) from the run's generator at once, in
+per-step order, and `_ClassIndex.draws` makes their batches from all seeds'
+PCG64 words (`seeded_words`) by numpy's own Lemire and Floyd rules,
+bit-identical to per-step ``Generator.choice`` draws.
 
 A TOY1 checkpoint is the binary frame ``TOY1``, d_in, d_out, then W (row-major) and b.
 """
@@ -37,7 +37,6 @@ MODEL_MAGIC = b"TOY1"
 LN_EPS = 1e-5  # layernorm variance floor; TOY1 does not store it
 SIGMA_AUG = 0.05  # view noise of the two-view losses
 EVAL_REPEATS = 3  # val_ss AUC repeats per epoch
-CHUNK = 32  # two-view steps drawn at once; sets the size of their noise buffer
 
 
 class TrainError(ValueError):
@@ -316,13 +315,13 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     """Train the head on the train split; return (best model, history).
 
     Best = highest val_ss R@1, earliest epoch on ties.  A train or val_ss id
-    that ``features`` lacks raises `EmbedStoreError`, from `EmbeddingMatrix.subset`.
+    that ``features`` lacks raises `EmbedStoreError`, from `EmbeddingMatrix.subset`;
+    a head whose val_ss outputs overflow after an epoch raises `TrainError`.
     """
     config.validate()
     oracle = LinkOracle.from_catalog(catalog)
-    split_map = assignment.by_split()
-    train_ids = sorted(split_map["train"])
-    val_ids = sorted(split_map["val_ss"])
+    split_map = assignment.by_split()  # sorted ids
+    train_ids, val_ids = split_map["train"], split_map["val_ss"]
     if not train_ids:
         raise TrainError("train split is empty")
     if not val_ids:
@@ -352,32 +351,32 @@ def train(catalog, assignment, features: EmbeddingMatrix, config: TrainConfig):
     # layernorm is affine-free, so rows are normalized once; views add noise first
     two_views = LOSSES[config.loss].two_views
     train_z = None if two_views else _layernorm(model, train_feat)
-    noise = np.empty((min(CHUNK, steps), 2, spec.size, features.d)) if two_views else None
-    chunk = CHUNK if two_views else steps  # single-view losses draw an epoch's batches at once
+    noise = np.empty((steps, 2, spec.size, features.d)) if two_views else None
     val_z = _layernorm(model, features.subset(val_ids).data)
 
     history = TrainHistory([])
     best = model.copy()
     best_r1 = -1.0
     for epoch in range(1, config.epochs + 1):
+        if noise is None:
+            seeds = rng.integers(2**63, size=steps)  # the values of `steps` scalar calls
+        else:
+            seeds = []
+            for views in noise:  # a step's seed, then its views' noise
+                seeds.append(rng.integers(2**63))
+                rng.standard_normal(out=views)
         epoch_losses = []
-        for start in range(0, steps, chunk):
-            count = min(chunk, steps - start)
+        for s, rows in enumerate(index.draws(seeds)):
             if noise is None:
-                seeds = rng.integers(2**63, size=count)  # the values of `count` scalar calls
+                z, labels = train_z[rows], codes[rows]
             else:
-                seeds = []
-                for views in noise[:count]:  # a step's seed, then its views' noise
-                    seeds.append(rng.integers(2**63))
-                    rng.standard_normal(out=views)
-            for s, rows in enumerate(index.draws(seeds)):
-                if noise is None:
-                    z, labels = train_z[rows], codes[rows]
-                else:
-                    z, labels = _two_views(model, train_feat[rows], codes[rows], noise[s])
-                epoch_losses.append(_step(model, z, labels, config, state))
+                z, labels = _two_views(model, train_feat[rows], codes[rows], noise[s])
+            epoch_losses.append(_step(model, z, labels, config, state))
         y, nu = _project(model, val_z)
-        emb = EmbeddingMatrix(tuple(val_ids), (y / nu).astype(np.float32), normalized=True)
+        if not np.isfinite(nu).all():  # y * y overflowed: the head has diverged
+            raise TrainError(f"epoch {epoch}: the head diverged (non-finite val_ss outputs) "
+                             f"at lr={config.lr}")
+        emb = EmbeddingMatrix(val_ids, (y / nu).astype(np.float32), normalized=True)
         report = evaluate(emb, oracle, EvalOptions(repeats=EVAL_REPEATS,
                                                    seed=rng.integers(2**31)))
         history.rows.append((epoch, float(np.mean(epoch_losses)), report.r_at_1, report.auc_mean))

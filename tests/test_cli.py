@@ -781,6 +781,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: lr ")
         assert not (tmp_path / "m.toy1").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_diverged_head_is_blamed_on_the_run_not_the_features(self, art, tmp_path, capsys):
+        rc = run(
+            "train", "--catalog", art["catalog"], "--splits", art["splits"],
+            "--features", art["features"], "--loss", "triplet", "--lr", "1e200",
+            "--epochs", 2, "--m", 4, "--k", 3, "--d-out", 8,
+            "--out", tmp_path / "m.toy1", "--history", tmp_path / "h.csv",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 1: the head diverged") and "lr=1e+200" in err
+        assert str(art["features"]) not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("synth", "--frobnicate")

@@ -46,12 +46,14 @@ BAD_VALUES = [
     ("synth", "n_chains", True, validate(standard_corpus_config()), SynthError),
     ("split", "t1", 10**30, validate(SPLITS), SplitError),
     ("split", "uu_chain_fraction", HUGE, validate(SPLITS), SplitError),
+    ("split", "t2", 0, validate(SPLITS), SplitError),
     ("train", "d_out", 10**23, validate(TrainConfig()), TrainError),
     ("train", "lr", HUGE, validate(TrainConfig()), TrainError),
     ("loss", "triplet_margin", HUGE, validate(LossParams()), LossError),
     ("eval", "seed", 1.5, evaluate_with, EvalError),
     ("eval", "repeats", 2.5, evaluate_with, EvalError),
     ("eval", "repeats", True, evaluate_with, EvalError),
+    ("eval", "repeats", 0, evaluate_with, EvalError),
     ("eval", "threads", 1.5, evaluate_with, EvalError),
     ("eval", "threads", 0, evaluate_with, EvalError),
     ("eval", "threads", -1, evaluate_with, EvalError),

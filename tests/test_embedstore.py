@@ -107,6 +107,22 @@ class TestIO:
         write_embeddings(m, tmp_path / "e.emb")
         assert read_embeddings(tmp_path / "e.emb").ids == m.ids
 
+    def test_a_frame_of_width_zero_names_its_file(self, tmp_path):
+        p = tmp_path / "e.emb"
+        p.write_bytes(b"EMB1" + struct.pack("<II", 0, 0))
+        (tmp_path / "e.emb.ids").write_text("")
+        with pytest.raises(EmbedStoreError, match=f"^{re.escape(str(p))}: d must be >= 1$"):
+            read_embeddings(p)
+
+    @pytest.mark.parametrize("data, n_ids, message", [
+        (np.ones(3), 3, r"data must be 2-D, got shape \(3,\)"),
+        (np.ones((2, 0)), 2, "d must be >= 1"),
+        (np.ones((2, 2)), 1, "1 ids for 2 rows"),
+    ], ids=["1d", "d0", "id_count"])
+    def test_bad_shapes_rejected(self, data, n_ids, message):
+        with pytest.raises(EmbedStoreError, match=f"^{message}$"):
+            EmbeddingMatrix(tuple(f"i{j}" for j in range(n_ids)), data)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(EmbedStoreError, match="unique"):
             matrix(np.ones((2, 2)), ids=("a", "a"))
@@ -263,6 +279,20 @@ class TestKnn:
                 want = cosine_knn(g, twin, k, exclude_self=exclude, threads=threads)
                 assert np.array_equal(got.indices, want.indices)
                 assert got.similarities.tobytes() == want.similarities.tobytes()
+
+    def test_exclude_self_is_refused_unless_the_queries_carry_the_gallery_ids(self):
+        g = matrix(np.eye(3, dtype=np.float32), ids=("a", "b", "c"))
+        for ids in (("c", "b", "a"), ("a", "b", "x")):
+            queries = matrix(g.data, ids=ids)
+            with pytest.raises(EmbedStoreError, match="^exclude_self needs the gallery's own ids"):
+                cosine_knn(queries, g, k=1, exclude_self=True)
+        with pytest.raises(EmbedStoreError, match="^exclude_self needs the gallery's own ids"):
+            cosine_knn(matrix(g.data[:2], ids=("a", "b")), g, k=1, exclude_self=True)
+
+    def test_k_below_one_is_a_domain_error(self):
+        g = matrix(np.eye(3, dtype=np.float32))
+        with pytest.raises(EmbedStoreError, match="^k must be >= 1$"):
+            cosine_knn(g, g, k=0)
 
     def test_zero_row_is_named_by_its_id(self):
         g = matrix(np.eye(3, dtype=np.float32), ids=("z", "y", "x"))

@@ -526,6 +526,11 @@ class TestMining:
         b = mine_hard_negatives(emb, oracle, k=3, threads=4)
         assert a.negatives == b.negatives
 
+    def test_k_below_one_is_a_domain_error(self):
+        emb, oracle = random_instance(np.random.default_rng(73), n=20)
+        with pytest.raises(EvalError, match="^k must be >= 1$"):
+            mine_hard_negatives(emb, oracle, k=0)
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_count_below_one_is_a_domain_error(self, threads):
         emb, oracle = random_instance(np.random.default_rng(73), n=20)

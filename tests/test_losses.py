@@ -264,6 +264,14 @@ class TestBatch:
         with pytest.raises(LossError):
             Batch(np.ones((3, 4)), np.array([0, 1]))
 
+    @pytest.mark.parametrize("bank, shape, message", [
+        (ProxyBank, (2, 3, 4), "proxy bank must be C x d"),
+        (CenterBank, (2, 3), "center bank must be C x J x d"),
+    ], ids=["proxy", "center"])
+    def test_bank_of_the_wrong_rank_rejected(self, bank, shape, message):
+        with pytest.raises(LossError, match=f"^{message}$"):
+            bank(np.ones(shape))
+
     def test_dispatcher_needs_bank(self):
         batch = unit_batch(np.random.default_rng(0))
         with pytest.raises(LossError, match="ProxyBank"):

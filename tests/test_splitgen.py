@@ -452,6 +452,11 @@ class TestIO:
         with pytest.raises(SplitError, match="val_unk"):
             load_assignment(p)
 
+    def test_load_skips_blank_lines(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("image_id,split\na,train\n\nb,test_ss\n\n")
+        assert load_assignment(p).assignment == {"a": "train", "b": "test_ss"}
+
     def test_load_rejects_duplicate_image(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("image_id,split\na,train\na,test_ss\n")

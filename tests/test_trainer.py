@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from splitmetric.losses import LOSSES, CenterBank, LossParams, ProxyBank
 from splitmetric.splitgen import SplitAssignment, SplitConfig, generate_splits
 from splitmetric.synth import SynthConfig, generate, standard_corpus_config
 from splitmetric.trainer import (
-    CHUNK,
     BatchSpec,
     OptimizerState,
     ToyModel,
@@ -276,7 +276,7 @@ class TestSampleBatch:
         index = _ClassIndex(oracle.codes(ids), spec)
         seeds = rng.integers(2**63, size=200)
         want = [reference_batch(labels, oracle, spec, int(seed)) for seed in seeds]
-        for size in (1, 7, CHUNK, 85, 200):
+        for size in (1, 7, 32, 85, 200):
             got = np.concatenate([index.draws(seeds[start:start + size])
                                   for start in range(0, len(seeds), size)])
             assert got.shape == (200, spec.size)
@@ -496,7 +496,7 @@ class TestTrainLoop:
         catalog, assignment, features = wide_corpus()
         config = TrainConfig(loss=loss, lr=0.1, epochs=2, d_out=6, seed=7, m=2, k=2)
         steps = len(assignment.images_of("train")) // 4
-        assert steps > CHUNK and steps % CHUNK
+        assert steps > 32 and steps % 32
         best, history = train(catalog, assignment, features, config)
         want, want_rows = reference_train(catalog, assignment, features, config)
         assert best.weight.tobytes() == want.weight.tobytes()
@@ -574,6 +574,27 @@ class TestTrainLoop:
         with pytest.raises(TrainError, match=match):
             train(catalog, val_ss_kept(catalog, assignment, keep), features,
                   TrainConfig(epochs=1, m=4, k=3))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_diverged_head_names_the_epoch_and_the_lr(self):
+        catalog, assignment, features = toy_corpus()
+        config = TrainConfig(loss="triplet", lr=1e200, epochs=2, d_out=6, seed=0, m=4, k=3)
+        with pytest.raises(TrainError, match=r"^epoch 1: the head diverged .* at lr=1e\+200$"):
+            train(catalog, assignment, features, config)
+
+    def test_an_empty_train_split_is_rejected(self):
+        catalog, assignment, features = toy_corpus()
+        mapping = {i: ("test_uu" if s == "train" else s) for i, s in assignment.assignment.items()}
+        with pytest.raises(TrainError, match="^train split is empty$"):
+            train(catalog, SplitAssignment(mapping), features, TrainConfig(epochs=1, m=4, k=3))
+
+    def test_a_non_finite_batch_loss_is_refused(self, monkeypatch):
+        catalog, assignment, features = toy_corpus()
+        real = trainer.compute_loss
+        monkeypatch.setattr(trainer, "compute_loss",
+                            lambda *args: replace(real(*args), value=float("nan")))
+        with pytest.raises(TrainError, match=r"^non-finite triplet loss \(nan\) on batch of 12$"):
+            train(catalog, assignment, features, TrainConfig(loss="triplet", epochs=1, m=4, k=3))
 
     def test_missing_features_rejected(self):
         catalog, assignment, features = toy_corpus()
